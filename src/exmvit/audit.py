@@ -1,6 +1,11 @@
 """Structural analysis of built models: parameter counts, symbolic shape
 traces, and per-variant overhead tables.
 
+This module is the one place that knows the graph's output shapes, MACs and
+row names: a single recursive walk over the built modules yields the audit
+rows, the per-module shape trace and the five block output shapes, without
+allocating any tensors.
+
 Two totals are reported. ``strict_total`` enumerates every parameter in the
 graph. ``paper_convention_total`` counts classifier-side growth only, i.e.
 it excludes the pointwise convolutions of shortcuts from blocks before the
@@ -10,11 +15,20 @@ last one — the accounting the published overhead columns follow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .backbone import MV2Block, MobileViTBlock
 from .config import VariantConfig, resolve_variant
-from .layers import BatchNorm2d, Conv2d, LayerNorm, Linear, MultiHeadAttention, TransformerLayer
+from .layers import (
+    BatchNorm2d,
+    Conv2d,
+    ConvNormAct,
+    LayerNorm,
+    Linear,
+    MultiHeadAttention,
+    TransformerLayer,
+)
 from .model import ExMobileViT, MobileViTS, build_model
 
 
@@ -86,128 +100,104 @@ def display_m(count: int) -> float:
 
 
 def conv_macs(out_shape, cin, kh, kw, groups) -> int:
-    out_elems = 1
-    for e in out_shape:
-        out_elems *= e
-    return out_elems * (kh * kw * cin // groups)
+    return math.prod(out_shape) * (kh * kw * cin // groups)
 
 
 def _params(module) -> int:
     return sum(p.size for p in module.parameters())
 
 
-def _conv_row(name, conv: Conv2d, in_shape) -> tuple[LayerRow, tuple]:
-    out_shape = conv.out_shape(in_shape)
-    cout, cin_g, kh, kw = conv.weight.shape
-    macs = conv_macs(out_shape, cin_g * conv.groups, kh, kw, conv.groups)
-    return LayerRow(name, "conv", out_shape, _params(conv), macs), out_shape
+# composite modules whose children run one after another, in this order
+_CHAINS = {
+    ConvNormAct: ("conv", "norm"),
+    MV2Block: ("expand", "depthwise", "project"),
+    TransformerLayer: ("norm1", "attn", "norm2", "ffn1", "ffn2"),
+}
 
 
-def _norm_row(name, module, shape, kind) -> LayerRow:
-    elems = 1
-    for e in shape:
-        elems *= e
-    return LayerRow(name, kind, shape, _params(module), 2 * elems)
+def _walk(module, name, in_shape, rows) -> tuple[int, ...]:
+    """Append the rows of ``module`` (path ``name``) for an input of
+    ``in_shape`` to ``rows`` and return its output shape."""
+    if isinstance(module, Conv2d):
+        b, _, h, w = in_shape
+        cout, cin_g, kh, kw = module.weight.shape
+        pad, stride = module.padding, module.stride
+        out = (b, cout, (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1)
+        macs = conv_macs(out, cin_g * module.groups, kh, kw, module.groups)
+        rows.append(LayerRow(name, "conv", out, _params(module), macs))
+        return out
+    if isinstance(module, (BatchNorm2d, LayerNorm)):
+        kind = "batchnorm" if isinstance(module, BatchNorm2d) else "layernorm"
+        rows.append(LayerRow(name, kind, in_shape, _params(module), 2 * math.prod(in_shape)))
+        return in_shape
+    if isinstance(module, Linear):
+        dout, din = module.weight.shape
+        out = tuple(in_shape[:-1]) + (dout,)
+        macs = math.prod(in_shape[:-1]) * dout * din
+        rows.append(LayerRow(name, "linear", out, _params(module), macs))
+        return out
+    if isinstance(module, MultiHeadAttention):
+        n, t, d = in_shape
+        # q/k/v/o projections plus the two T x T matmuls per head
+        macs = 4 * n * t * d * d + 2 * n * t * t * d
+        rows.append(LayerRow(name, "attention", in_shape, _params(module), macs))
+        return in_shape
+    if type(module) in _CHAINS:
+        shape = in_shape
+        for part in _CHAINS[type(module)]:
+            shape = _walk(getattr(module, part), f"{name}.{part}", shape, rows)
+        return shape
+    if isinstance(module, MobileViTBlock):
+        b, c, h, w = in_shape
+        ph, pw = module.spec.patch
+        local = _walk(module.local_conv, f"{name}.local_conv", in_shape, rows)
+        local = _walk(module.local_proj, f"{name}.local_proj", local, rows)
+        seq = (b * ph * pw, (h // ph) * (w // pw), local[1])
+        for i, layer in enumerate(module.transformer):
+            seq = _walk(layer, f"{name}.transformer.{i}", seq, rows)
+        _walk(module.out_norm, f"{name}.out_norm", seq, rows)
+        restored = _walk(module.unproj, f"{name}.unproj", local, rows)
+        return _walk(module.fusion, f"{name}.fusion", (b, c + restored[1], h, w), rows)
+    raise TypeError(f"cannot walk {type(module).__name__}")
 
 
-def _linear_row(name, lin: Linear, in_shape) -> tuple[LayerRow, tuple]:
-    dout, din = lin.weight.shape
-    out_shape = tuple(in_shape[:-1]) + (dout,)
-    batch = 1
-    for e in in_shape[:-1]:
-        batch *= e
-    return LayerRow(name, "linear", out_shape, _params(lin), batch * dout * din), out_shape
-
-
-def _audit_conv_norm_act(name, cna, in_shape):
-    rows = []
-    row, out_shape = _conv_row(f"{name}.conv", cna.conv, in_shape)
-    rows.append(row)
-    rows.append(_norm_row(f"{name}.norm", cna.norm, out_shape, "batchnorm"))
-    return rows, out_shape
-
-
-def _audit_mv2(name, block: MV2Block, in_shape):
-    rows, shape = _audit_conv_norm_act(f"{name}.expand", block.expand, in_shape)
-    r2, shape = _audit_conv_norm_act(f"{name}.depthwise", block.depthwise, shape)
-    r3, shape = _audit_conv_norm_act(f"{name}.project", block.project, shape)
-    return rows + r2 + r3, shape
-
-
-def _audit_transformer(name, layer: TransformerLayer, seq_shape):
-    n, t, d = seq_shape
-    rows = [_norm_row(f"{name}.norm1", layer.norm1, seq_shape, "layernorm")]
-    attn: MultiHeadAttention = layer.attn
-    # q/k/v/o projections plus the two T x T matmuls per head
-    macs = 4 * n * t * d * d + 2 * n * t * t * d
-    rows.append(LayerRow(f"{name}.attn", "attention", seq_shape, _params(attn), macs))
-    rows.append(_norm_row(f"{name}.norm2", layer.norm2, seq_shape, "layernorm"))
-    row, hidden_shape = _linear_row(f"{name}.ffn1", layer.ffn1, seq_shape)
-    rows.append(row)
-    row, _ = _linear_row(f"{name}.ffn2", layer.ffn2, hidden_shape)
-    rows.append(row)
-    return rows, seq_shape
-
-
-def _audit_mobilevit(name, block: MobileViTBlock, in_shape):
-    b, c, h, w = in_shape
-    ph, pw = block.spec.patch
-    d = block.spec.transformer_dim
-    rows, shape = _audit_conv_norm_act(f"{name}.local_conv", block.local_conv, in_shape)
-    row, shape = _conv_row(f"{name}.local_proj", block.local_proj, shape)
-    rows.append(row)
-    seq_shape = (b * ph * pw, (h // ph) * (w // pw), d)
-    for i, layer in enumerate(block.transformer):
-        r, _ = _audit_transformer(f"{name}.transformer.{i}", layer, seq_shape)
-        rows.extend(r)
-    rows.append(_norm_row(f"{name}.out_norm", block.out_norm, seq_shape, "layernorm"))
-    r, _ = _audit_conv_norm_act(f"{name}.unproj", block.unproj, (b, d, h, w))
-    rows.extend(r)
-    r, out_shape = _audit_conv_norm_act(f"{name}.fusion", block.fusion, (b, 2 * c, h, w))
-    rows.extend(r)
-    return rows, out_shape
-
-
-def _audit_backbone(backbone, in_shape):
-    rows, shape = _audit_conv_norm_act("stem", backbone.stem, in_shape)
+def _walk_backbone(backbone, in_shape, rows):
+    """Walk the stem and the five blocks; returns the per-module trace
+    (name, output shape) and each block's output shape."""
+    shape = _walk(backbone.stem, "stem", in_shape, rows)
+    trace = [("stem", shape)]
     block_shapes = []
     for bi, block in enumerate(backbone.blocks, start=1):
         for mi, module in enumerate(block):
-            name = f"block{bi}.{mi}"
-            if isinstance(module, MV2Block):
-                r, shape = _audit_mv2(name, module, shape)
-            else:
-                r, shape = _audit_mobilevit(name, module, shape)
-            rows.extend(r)
+            shape = _walk(module, f"block{bi}.{mi}", shape, rows)
+            kind = "mv2" if isinstance(module, MV2Block) else "mobilevit"
+            trace.append((f"block{bi}.{mi}.{kind}", shape))
         block_shapes.append(shape)
-    return rows, block_shapes
+    return trace, block_shapes
 
 
 def count_params(model, input_size: int | None = None, baseline_total: int | None = None) -> AuditReport:
     """Enumerate every parameter of a built model into an AuditReport."""
     config: VariantConfig = model.config
     size = input_size or config.input_size
-    in_shape = (1, 3, size, size)
-    rows, block_shapes = _audit_backbone(model.backbone, in_shape)
+    rows: list[LayerRow] = []
+    _, block_shapes = _walk_backbone(model.backbone, (1, 3, size, size), rows)
 
     early_shortcut_params = 0
     if isinstance(model, ExMobileViT):
         for spec, shortcut in zip(model.shortcut_specs, model.shortcuts):
-            shape = block_shapes[spec.block_index - 1]
-            row, _ = _conv_row(f"shortcut{spec.block_index}.pointwise", shortcut.pointwise, shape)
-            rows.append(row)
-            if spec.block_index < len(config.rho):
-                early_shortcut_params += row.param_count
+            k = spec.block_index
+            _walk(shortcut.pointwise, f"shortcut{k}.pointwise", block_shapes[k - 1], rows)
+            if k < len(config.rho):
+                early_shortcut_params += _params(shortcut.pointwise)
         width = model.classifier_spec.input_width
     elif isinstance(model, MobileViTS):
-        row, _ = _conv_row("final_conv", model.final_conv, block_shapes[-1])
-        rows.append(row)
+        _walk(model.final_conv, "final_conv", block_shapes[-1], rows)
         width = model.final_conv.weight.shape[0]
     else:
         raise TypeError(f"cannot audit {type(model).__name__}")
 
-    row, _ = _linear_row("classifier", model.classifier, (1, width))
-    rows.append(row)
+    _walk(model.classifier, "classifier", (1, width), rows)
 
     strict_total = sum(r.param_count for r in rows)
     paper_total = strict_total - early_shortcut_params
@@ -235,27 +225,20 @@ def count_params(model, input_size: int | None = None, baseline_total: int | Non
     )
 
 
-def trace_shapes(model, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Symbolic per-module shape trace for a batch-1 input."""
+def _trace(model, input_size: int):
     if input_size % 32:
         raise ValueError(f"input_size {input_size} not divisible by 32")
-    return model.backbone.trace((1, 3, input_size, input_size))
+    return _walk_backbone(model.backbone, (1, 3, input_size, input_size), [])
+
+
+def trace_shapes(model, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Symbolic per-module shape trace for a batch-1 input."""
+    return _trace(model, input_size)[0]
 
 
 def block_output_shapes(model, input_size: int) -> list[tuple[int, ...]]:
     """Output shape of each of the five blocks."""
-    rows = trace_shapes(model, input_size)
-    shapes = []
-    last_block = None
-    for name, shape in rows:
-        if name.startswith("block"):
-            block = name.split(".", 1)[0]
-            if block != last_block and last_block is not None:
-                shapes.append(prev)
-            last_block = block
-            prev = shape
-    shapes.append(prev)
-    return shapes
+    return _trace(model, input_size)[1]
 
 
 def overhead_report(variants: list[str], profile: str = "imagenet") -> list[dict]:
@@ -283,16 +266,3 @@ def overhead_report(variants: list[str], profile: str = "imagenet") -> list[dict
             }
         )
     return out
-
-
-def overhead_table(rows: list[dict]) -> str:
-    lines = [
-        f"{'variant':<14} {'width':>6} {'width%':>7} {'strict(M)':>10} {'paper(M)':>9} {'overhead%':>10}"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['variant']:<14} {r['classifier_width']:>6} {r['classifier_percent']:>7.1f} "
-            f"{r['strict_total_m']:>10.3f} {r['paper_convention_total_m']:>9.3f} "
-            f"{r['overhead_percent']:>+10.2f}"
-        )
-    return "\n".join(lines)

@@ -45,7 +45,7 @@ class MV2Block(Module):
         hidden = spec.in_channels * spec.expansion_factor
         self.expand = ConvNormAct(rng, spec.in_channels, hidden, 1)
         self.depthwise = ConvNormAct(rng, hidden, hidden, 3, stride=spec.stride, groups=hidden)
-        self.project = ConvNormAct(rng, hidden, spec.out_channels, 1, act=None)
+        self.project = ConvNormAct(rng, hidden, spec.out_channels, 1, act=False)
 
     def forward(self, x):
         if x.shape[1] != self.spec.in_channels:
@@ -56,9 +56,6 @@ class MV2Block(Module):
         if self.spec.use_residual:
             out = T.add(out, x)
         return out
-
-    def out_shape(self, in_shape):
-        return self.project.out_shape(self.depthwise.out_shape(self.expand.out_shape(in_shape)))
 
 
 class MobileViTBlock(Module):
@@ -96,9 +93,6 @@ class MobileViTBlock(Module):
         folded = T.fold_patches(seq, ph, pw, (b, d, h, w))
         restored = self.unproj(folded)
         return self.fusion(T.concat([x, restored], axis=1))
-
-    def out_shape(self, in_shape):
-        return in_shape
 
 
 class Backbone(Module):
@@ -158,15 +152,3 @@ class Backbone(Module):
 
     def forward(self, x):
         return self.forward_collect(x)[-1]
-
-    def trace(self, in_shape):
-        """Symbolic (layer name, output shape) pairs, no tensors allocated."""
-        rows = []
-        shape = self.stem.out_shape(in_shape)
-        rows.append(("stem", shape))
-        for bi, block in enumerate(self.blocks, start=1):
-            for mi, module in enumerate(block):
-                shape = module.out_shape(shape)
-                kind = "mv2" if isinstance(module, MV2Block) else "mobilevit"
-                rows.append((f"block{bi}.{mi}.{kind}", shape))
-        return rows

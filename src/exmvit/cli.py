@@ -12,14 +12,14 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import train as train_mod
-from .config import ConfigError, config_from_json, registered_names, resolve_variant
+from .config import ConfigError, VariantConfig, config_from_json, resolve_variant
 from .image_io import ImageParseError, prepare_input
 from .model import build_model
 from .tensor import NumericError, ShapeError, Tensor
-from .weights import WeightsFormatError, load_weights, save_weights
+from .weights import WeightsFormatError, load_tensors, read_weights, save_weights
 
 
-def _resolve(args) -> "VariantConfig":
+def _resolve(args) -> VariantConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             return config_from_json(fh.read())
@@ -46,9 +46,7 @@ def _metadata(config, seed: int) -> dict:
 
 
 def _model_from_weights(path: str):
-    from .weights import read_weights
-
-    metadata, _ = read_weights(path)
+    metadata, tensors = read_weights(path)
     cfg = resolve_variant(
         metadata["variant"],
         {
@@ -58,7 +56,7 @@ def _model_from_weights(path: str):
         },
     )
     model = build_model(cfg, seed=metadata.get("seed", 0))
-    load_weights(model, path)
+    load_tensors(model, tensors)
     model.eval()
     return model, metadata
 

@@ -8,7 +8,7 @@ checked without float drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 NUM_BLOCKS = 5
@@ -90,17 +90,12 @@ class VariantConfig:
     profile: str = "imagenet"
     class_count: int | None = None
     input_size: int | None = None
-    block_channels: tuple[int, ...] = field(default=None)  # derived from profile if None
 
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         prof = PROFILES[self.profile]
         object.__setattr__(self, "rho", tuple(Fraction(r) for r in self.rho))
-        if self.block_channels is None:
-            object.__setattr__(self, "block_channels", prof.block_channels)
-        else:
-            object.__setattr__(self, "block_channels", tuple(self.block_channels))
         if self.class_count is None:
             object.__setattr__(self, "class_count", prof.class_count)
         if self.input_size is None:
@@ -109,6 +104,11 @@ class VariantConfig:
     @property
     def backbone(self) -> BackboneProfile:
         return PROFILES[self.profile]
+
+    @property
+    def block_channels(self) -> tuple[int, ...]:
+        """The profile's per-block channel counts; the backbone builds exactly these."""
+        return self.backbone.block_channels
 
     @property
     def classifier_width(self) -> int:
@@ -143,8 +143,12 @@ def config_from_json(text: str) -> VariantConfig:
         profile=doc.get("profile", "imagenet"),
         class_count=doc.get("class_count"),
         input_size=doc.get("input_size"),
-        block_channels=tuple(doc["block_channels"]) if "block_channels" in doc else None,
     )
+    if "block_channels" in doc and doc["block_channels"] != list(cfg.block_channels):
+        raise ConfigError(
+            f"block_channels {doc['block_channels']} differ from the {cfg.profile} profile's "
+            f"{list(cfg.block_channels)}; block widths are fixed by the profile"
+        )
     violations = validate(cfg)
     if violations:
         raise ConfigError("; ".join(violations))
@@ -192,8 +196,6 @@ def resolve_variant(name: str, overrides: dict | None = None) -> VariantConfig:
             overrides["class_count"] = None
         if "profile" in overrides and "input_size" not in overrides:
             overrides["input_size"] = None
-        if "profile" in overrides:
-            overrides["block_channels"] = None
         if "rho" in overrides:
             overrides["rho"] = tuple(Fraction(r) for r in overrides["rho"])
         cfg = replace(cfg, **overrides)
@@ -208,9 +210,6 @@ def validate(config: VariantConfig, allow_early_shortcuts: bool = False) -> list
     violations = []
     if len(config.rho) != NUM_BLOCKS:
         violations.append(f"rho must have {NUM_BLOCKS} entries, got {len(config.rho)}")
-        return violations
-    if len(config.block_channels) != NUM_BLOCKS:
-        violations.append(f"block_channels must have {NUM_BLOCKS} entries")
         return violations
     for k, r in enumerate(config.rho, start=1):
         if r < 0:

@@ -110,13 +110,6 @@ class Conv2d(Module):
             x, self.weight, self.bias, stride=self.stride, padding=self.padding, groups=self.groups
         )
 
-    def out_shape(self, in_shape):
-        b, _, h, w = in_shape
-        cout, _, kh, kw = self.weight.shape
-        ho = (h + 2 * self.padding - kh) // self.stride + 1
-        wo = (w + 2 * self.padding - kw) // self.stride + 1
-        return (b, cout, ho, wo)
-
 
 class BatchNorm2d(Module):
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -167,7 +160,7 @@ class Linear(Module):
 class ConvNormAct(Module):
     """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom."""
 
-    def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, act="silu"):
+    def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, act=True):
         super().__init__()
         self.act = act
         self.conv = Conv2d(rng, cin, cout, kernel, stride=stride, groups=groups, bias=False)
@@ -175,12 +168,7 @@ class ConvNormAct(Module):
 
     def forward(self, x):
         x = self.norm(self.conv(x))
-        if self.act is not None:
-            x = T.activation(x, self.act)
-        return x
-
-    def out_shape(self, in_shape):
-        return self.conv.out_shape(in_shape)
+        return T.silu(x) if self.act else x
 
 
 class MultiHeadAttention(Module):

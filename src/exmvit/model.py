@@ -59,20 +59,13 @@ class ExShortcut(Module):
         self.spec = spec
         self.pointwise = Conv2d(rng, spec.in_channels, spec.out_channels, 1, bias=True)
 
-    def forward(self, feature: Tensor, apply_activation: bool = True) -> Tensor:
+    def forward(self, feature: Tensor) -> Tensor:
         if feature.shape[1] != self.spec.in_channels:
             raise T.ShapeError(
                 f"shortcut {self.spec.block_index}: expected {self.spec.in_channels} "
                 f"channels, got {feature.shape[1]}"
             )
-        out = self.pointwise(feature)
-        if apply_activation:
-            out = T.silu(out)
-        return T.global_avg_pool(out)
-
-
-def make_shortcut(feature: Tensor, shortcut: ExShortcut, apply_activation: bool = True) -> Tensor:
-    return shortcut(feature, apply_activation=apply_activation)
+        return T.global_avg_pool(T.silu(self.pointwise(feature)))
 
 
 class ExMobileViT(Module):
@@ -102,7 +95,7 @@ class ExMobileViT(Module):
             shortcut(features[spec.block_index - 1])
             for spec, shortcut in zip(self.shortcut_specs, self.shortcuts)
         ]
-        return T.concat_channels(parts)
+        return T.concat(parts, axis=1)
 
     def classify(self, classifier_input: Tensor) -> Tensor:
         if classifier_input.shape[1] != self.classifier_spec.input_width:

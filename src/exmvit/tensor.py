@@ -271,24 +271,6 @@ def square(a: Tensor) -> Tensor:
 # -- activations --------------------------------------------------------------
 
 
-def activation(a: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity; ``kind`` is 'relu' or 'silu'."""
-    if kind == "relu":
-        return relu(a)
-    if kind == "silu":
-        return silu(a)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-
-    def backward(g):
-        a._accumulate(g * (a.data > 0))
-
-    return _make(data, (a,), backward, "relu")
-
-
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
     data = a.data * sig
@@ -337,6 +319,11 @@ def transpose(a: Tensor, axes) -> Tensor:
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat of an empty list")
+    first = parts[0].shape
+    ax = axis % len(first)
+    for i, p in enumerate(parts):
+        if p.ndim != len(first) or p.shape[:ax] + p.shape[ax + 1 :] != first[:ax] + first[ax + 1 :]:
+            raise ShapeError(f"concat part {i} has shape {p.shape}, part 0 has {first} (axis {axis})")
     data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
@@ -347,25 +334,6 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
             part._accumulate(g[tuple(idx)])
 
     return _make(data, tuple(parts), backward, "concat")
-
-
-def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Concatenate per-image vectors [B, Ci] end to end along channels.
-
-    List order is part of the contract: downstream classifier weights are
-    position-sensitive.
-    """
-    if not parts:
-        raise ShapeError("concat_channels requires at least one part")
-    batch = parts[0].shape[0]
-    for i, p in enumerate(parts):
-        if p.ndim != 2:
-            raise ShapeError(f"concat_channels part {i} is not 2-D: {p.shape}")
-        if p.shape[0] != batch:
-            raise ShapeError(
-                f"concat_channels batch mismatch: part {i} has {p.shape[0]}, expected {batch}"
-            )
-    return concat(parts, axis=1)
 
 
 # -- reductions ----------------------------------------------------------------

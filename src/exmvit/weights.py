@@ -6,8 +6,10 @@ Layout (little-endian throughout):
   name length u32 | name UTF-8 | rank u32 | extents u32 each | raw f32 data
 
 Both trainable parameters and batch-norm running statistics are stored, so
-a loaded model is inference-ready. Loading rejects any name or shape that
-does not match the target graph.
+a loaded model is inference-ready. A file that is truncated or garbled is
+rejected with ``WeightsFormatError``, and so is any name or shape that does
+not match the target graph; every name and shape is checked before the
+first tensor is copied, so a rejected load leaves the model untouched.
 """
 
 from __future__ import annotations
@@ -54,12 +56,23 @@ def read_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise WeightsFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    try:
+        return _parse(blob)
+    except WeightsFormatError:
+        raise
+    except (ValueError, struct.error) as exc:
+        raise WeightsFormatError(f"{path}: truncated or corrupt weights file ({exc})") from exc
+
+
+def _parse(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != VERSION:
         raise WeightsFormatError(f"unsupported weights version {version}")
     (meta_len,) = struct.unpack_from("<I", blob, 6)
     offset = 10
     metadata = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
+    if not isinstance(metadata, dict):
+        raise WeightsFormatError(f"metadata is a {type(metadata).__name__}, not an object")
     offset += meta_len
     tensors: dict[str, np.ndarray] = {}
     while offset < len(blob):
@@ -81,6 +94,12 @@ def read_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 def load_weights(model: Module, path: str) -> dict:
     """Load a weights file into a built model graph; returns the metadata."""
     metadata, tensors = read_weights(path)
+    load_tensors(model, tensors)
+    return metadata
+
+
+def load_tensors(model: Module, tensors: dict[str, np.ndarray]) -> None:
+    """Copy ``read_weights`` tensors into a built model graph, all or nothing."""
     expected = _entries(model)
     expected_names = [name for name, _ in expected]
     if expected_names != list(tensors):
@@ -95,5 +114,5 @@ def load_weights(model: Module, path: str) -> dict:
             raise WeightsFormatError(
                 f"shape mismatch for {name}: file has {src.shape}, model has {target.shape}"
             )
-        target[...] = src
-    return metadata
+    for name, target in expected:
+        target[...] = tensors[name]

@@ -11,6 +11,7 @@ from exmvit.audit import (
 )
 from exmvit.backbone import MV2Block, Mv2Spec
 from exmvit.config import resolve_variant
+from exmvit.layers import BatchNorm2d, Conv2d, LayerNorm, Linear, MultiHeadAttention
 from exmvit.model import build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
 
@@ -98,6 +99,58 @@ class TestTrace:
             x = Tensor(rng.normal(size=(1, 3, int(size), int(size))).astype(np.float32))
             runtime = [f.shape[2:] for f in model.backbone.forward_collect(x)]
             assert symbolic == runtime, size
+
+
+def _row_name(path, model):
+    """Module path -> audit row name: drop ``backbone.``, ``shortcuts.i`` -> ``shortcut<k>``."""
+    if path.startswith("backbone."):
+        return path[len("backbone.") :]
+    if path.startswith("shortcuts."):
+        _, index, rest = path.split(".", 2)
+        return f"shortcut{model.shortcut_specs[int(index)].block_index}.{rest}"
+    return path
+
+
+class TestRowsMatchLayers:
+    """Every audit row is one leaf layer of the built model, with the output
+    shape that layer really produces."""
+
+    LEAVES = (Conv2d, BatchNorm2d, LayerNorm, Linear, MultiHeadAttention)
+
+    @pytest.mark.parametrize(
+        "variant, build",
+        [
+            ("exmvit-928-tiny", build_model),
+            ("exmvit-576-tiny", build_model),
+            ("mobilevit-s-tiny", build_mobilevit_s),
+        ],
+    )
+    def test_rows_are_leaf_layers_with_runtime_shapes(self, variant, build):
+        model = build(resolve_variant(variant), seed=0).eval()
+        runtime = {}
+        names = []
+
+        def record(name, forward):
+            def wrapped(*args, **kwargs):
+                out = forward(*args, **kwargs)
+                runtime[name] = out.shape
+                return out
+
+            return wrapped
+
+        for path, module in model.modules():
+            if isinstance(module, self.LEAVES):
+                names.append(_row_name(path, model))
+                module.forward = record(names[-1], module.forward)
+        size = model.config.input_size
+        x = np.random.default_rng(0).normal(size=(1, 3, size, size)).astype(np.float32)
+        model(Tensor(x))
+
+        rows = count_params(model).rows
+        assert len(rows) == len(names)
+        assert {r.name for r in rows} == set(names)
+        for r in rows:
+            assert r.out_shape == runtime[r.name], r.name
 
 
 VARIANTS = ["mobilevit-s", "exmvit-576", "exmvit-640", "exmvit-704", "exmvit-864", "exmvit-928"]

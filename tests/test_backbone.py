@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exmvit import tensor as T
+from exmvit.audit import block_output_shapes, trace_shapes
 from exmvit.backbone import Backbone, MV2Block, MobileViTBlock, MobileVitBlockSpec, Mv2Spec
 from exmvit.config import TINY_PROFILE, resolve_variant
 from exmvit.model import build_model
@@ -35,7 +36,10 @@ class TestMV2Block:
         block = MV2Block(rng(), Mv2Spec(4, 8, 2))
         x = Tensor(np.zeros((1, 4, 64, 64), dtype=np.float32))
         assert block.eval()(x).shape == (1, 8, 32, 32)
-        assert block.out_shape((1, 4, 64, 64)) == (1, 8, 32, 32)
+        # the same module in a tiny model: block1 leaves 4x64x64 at input 128
+        rows = dict(trace_shapes(build_model(resolve_variant("mobilevit-s-tiny"), seed=0), 128))
+        assert rows["block1.0.mv2"] == (1, 4, 64, 64)
+        assert rows["block2.0.mv2"] == (1, 8, 32, 32)
 
     def test_param_count_oracle(self):
         block = MV2Block(rng(), Mv2Spec(64, 96, 1, expansion_factor=4))
@@ -143,13 +147,12 @@ class TestBackbone:
             assert np.array_equal(fa.data, fb.data)
 
     def test_each_block_halves_once(self):
-        backbone = Backbone(rng(), TINY_PROFILE)
-        shape = (1, 3, 64, 64)
-        rows = dict(backbone.trace(shape))
-        block_sides = [rows[f"block{k}.{len(backbone.blocks[k - 1]) - 1}." + kind][2]
-                       for k, kind in [(1, "mv2"), (2, "mv2"), (3, "mobilevit"),
-                                       (4, "mobilevit"), (5, "mobilevit")]]
+        model = build_model(resolve_variant("mobilevit-s-tiny"), seed=0)
+        block_sides = [shape[2] for shape in block_output_shapes(model, 64)]
         assert block_sides == [32, 16, 8, 4, 2]
+        trace = dict(trace_shapes(model, 64))
+        assert trace["stem"][2] == 32
+        assert [trace[f"block{k}.0.mv2"][2] for k in range(2, 6)] == [16, 8, 4, 2]
 
     def test_residual_eligibility_structural(self):
         backbone = Backbone(rng(), TINY_PROFILE)

@@ -100,6 +100,17 @@ class TestAudit:
             main(["audit"])
 
 
+    def test_config_block_channels_off_profile_exit_2(self, tmp_path, capsys):
+        doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())
+        doc["block_channels"] = [4, 8, 24, 16, 20]
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "audit", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "block_channels" in err
+
+
 class TestTrace:
     def test_tiny_trace_reaches_2x2(self, capsys):
         code, out, _ = run(capsys, "trace", "--variant", "exmvit-576-tiny")

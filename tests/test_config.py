@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,13 @@ class TestJsonRoundTrip:
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError, match="missing"):
             config_from_json('{"name": "x"}')
+
+    def test_block_channels_fixed_by_profile(self):
+        doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())
+        assert doc["block_channels"] == [4, 8, 12, 16, 20]
+        doc["block_channels"] = [4, 8, 24, 16, 20]
+        with pytest.raises(ConfigError, match="block_channels"):
+            config_from_json(json.dumps(doc))
 
     def test_exact_rationals_survive(self):
         cfg = resolve_variant("exmvit-928")

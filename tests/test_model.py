@@ -57,8 +57,9 @@ class TestMakeShortcut:
         shortcut.pointwise.weight.data[...] = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
         shortcut.pointwise.bias.data[...] = 0.0
         feature = Tensor(np.full((2, 4, 3, 3), 0.75, dtype=np.float32))
-        out = shortcut(feature, apply_activation=False)
-        np.testing.assert_allclose(out.data, 0.75, atol=1e-6)
+        out = shortcut(feature)
+        silu = 0.75 / (1.0 + np.exp(-0.75))
+        np.testing.assert_allclose(out.data, silu, atol=1e-6)
 
     def test_channel_mismatch(self):
         spec = ShortcutSpec(3, Fraction(1), 4)
@@ -84,8 +85,8 @@ class TestAssembleAndClassify:
             sc(feats[spec.block_index - 1])
             for spec, sc in zip(model.shortcut_specs, model.shortcuts)
         ]
-        normal = model.classify(T.concat_channels(parts)).data
-        shuffled = model.classify(T.concat_channels(parts[::-1])).data
+        normal = model.classify(T.concat(parts, axis=1)).data
+        shuffled = model.classify(T.concat(parts[::-1], axis=1)).data
         assert not np.allclose(normal, shuffled)
 
     def test_zero_classifier_gives_zero_logits(self):

@@ -177,20 +177,12 @@ class TestNorms:
 
 
 class TestActivations:
-    def test_relu(self):
-        out = T.activation(Tensor(np.array([-1.0, 2.0], dtype=np.float32)), "relu")
-        np.testing.assert_array_equal(out.data, [0.0, 2.0])
-
     def test_silu_zero(self):
-        assert T.activation(Tensor(np.array([0.0], dtype=np.float32)), "silu").item() == 0.0
+        assert T.silu(Tensor(np.array([0.0], dtype=np.float32))).item() == 0.0
 
     def test_silu_one(self):
         out = T.silu(Tensor(np.array([1.0], dtype=np.float64)))
         np.testing.assert_allclose(out.item(), 1.0 / (1.0 + np.exp(-1.0)), rtol=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            T.activation(Tensor(np.zeros(1)), "gelu")
 
 
 class TestSoftmax:
@@ -272,23 +264,29 @@ class TestGlobalAvgPool:
 class TestConcatChannels:
     def test_single_part_identity(self):
         x = Tensor(np.array([[1.0, 2.0]], dtype=np.float32))
-        np.testing.assert_array_equal(T.concat_channels([x]).data, x.data)
+        np.testing.assert_array_equal(T.concat([x], axis=1).data, x.data)
 
     def test_order(self):
         a = Tensor(np.array([[1.0, 2.0]], dtype=np.float32))
         b = Tensor(np.array([[3.0]], dtype=np.float32))
-        np.testing.assert_array_equal(T.concat_channels([a, b]).data, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(T.concat([a, b], axis=1).data, [[1.0, 2.0, 3.0]])
 
     def test_paper_widths(self):
         parts = [Tensor(np.zeros((2, w), dtype=np.float32)) for w in (32, 128, 480)]
-        assert T.concat_channels(parts).shape == (2, 640)
+        assert T.concat(parts, axis=1).shape == (2, 640)
 
     def test_errors(self):
         with pytest.raises(ShapeError):
-            T.concat_channels([])
+            T.concat([], axis=1)
+        with pytest.raises(ShapeError, match="part 1"):
+            T.concat(
+                [Tensor(np.zeros((1, 2), dtype=np.float32)), Tensor(np.zeros((2, 2), dtype=np.float32))],
+                axis=1,
+            )
         with pytest.raises(ShapeError):
-            T.concat_channels(
-                [Tensor(np.zeros((1, 2), dtype=np.float32)), Tensor(np.zeros((2, 2), dtype=np.float32))]
+            T.concat(
+                [Tensor(np.zeros((1, 2), dtype=np.float32)), Tensor(np.zeros((1, 2, 1), dtype=np.float32))],
+                axis=1,
             )
 
 

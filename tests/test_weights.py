@@ -98,3 +98,51 @@ class TestRejection:
         with pytest.raises(WeightsFormatError):
             load_weights(other, path)
         assert np.array_equal(other.classifier.weight.data, before)
+
+    def test_shape_mismatch_leaves_target_untouched(self, tmp_path):
+        # same names, but the file's classifier is 8-way and the target's 9-way:
+        # every shape is checked before the first tensor is copied
+        path = str(tmp_path / "m.exvt")
+        save_weights(tiny_model(seed=0), path, {})
+        other = build_model(resolve_variant("exmvit-576-tiny", {"class_count": 9}), seed=5)
+        before = [(name, p.data.copy()) for name, p in other.named_parameters()]
+        buffers = [(name, b.copy()) for name, b in other.named_buffers()]
+        with pytest.raises(WeightsFormatError, match="shape mismatch for classifier.weight"):
+            load_weights(other, path)
+        for (name, old), (_, p) in zip(before, other.named_parameters()):
+            assert np.array_equal(p.data, old), name
+        for (name, old), (_, b) in zip(buffers, other.named_buffers()):
+            assert np.array_equal(b, old), name
+
+    def test_truncated_file_rejected(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.exvt"
+        save_weights(model, str(path), {"variant": model.config.name})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.exvt"
+        rng = np.random.default_rng(0)
+        offsets = [4, 5, 6, 9, 10, 11, 20, 40, 41, len(blob) - 1]
+        offsets += sorted(rng.integers(42, len(blob) - 1, size=20).tolist())
+        for offset in offsets:
+            cut.write_bytes(blob[:offset])
+            with pytest.raises(WeightsFormatError):
+                load_weights(tiny_model(), str(cut))
+
+    def test_metadata_not_an_object_rejected(self, tmp_path):
+        path = str(tmp_path / "m.exvt")
+        save_weights(tiny_model(), path, [1])
+        with pytest.raises(WeightsFormatError, match="metadata"):
+            read_weights(path)
+
+    def test_garbled_lengths_rejected(self, tmp_path):
+        path = tmp_path / "m.exvt"
+        save_weights(tiny_model(), str(path), {})
+        blob = bytearray(path.read_bytes())
+        meta_len = int.from_bytes(blob[6:10], "little")
+        name_at = 10 + meta_len
+        for at in (6, name_at, name_at + 4 + int.from_bytes(blob[name_at : name_at + 4], "little")):
+            bad = bytearray(blob)
+            bad[at : at + 4] = (0xFFFFFFF0).to_bytes(4, "little")
+            (tmp_path / "bad.exvt").write_bytes(bytes(bad))
+            with pytest.raises(WeightsFormatError):
+                read_weights(str(tmp_path / "bad.exvt"))
