@@ -12,7 +12,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import train as train_mod
-from .config import ConfigError, VariantConfig, config_from_json, resolve_variant
+from .config import ConfigError, VariantConfig, apply_overrides, config_from_json, resolve_variant
 from .image_io import ImageParseError, prepare_input
 from .model import build_model
 from .tensor import NumericError, ShapeError, Tensor
@@ -20,16 +20,18 @@ from .weights import WeightsFormatError, load_tensors, read_weights, save_weight
 
 
 def _resolve(args) -> VariantConfig:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return config_from_json(fh.read())
     overrides = {}
-    if getattr(args, "profile", None):
-        overrides["profile"] = args.profile
     if getattr(args, "input_size", None):
         overrides["input_size"] = args.input_size
     if getattr(args, "class_count", None):
         overrides["class_count"] = args.class_count
+    if getattr(args, "config", None):
+        # --profile is not applied to a document: train and grad-check give it
+        # a default, so a flag the user gave cannot be told from the default
+        with open(args.config, "r", encoding="utf-8") as fh:
+            return apply_overrides(config_from_json(fh.read()), overrides)
+    if getattr(args, "profile", None):
+        overrides["profile"] = args.profile
     if getattr(args, "allow_early_shortcuts", False):
         overrides["allow_early_shortcuts"] = True
     return resolve_variant(args.variant, overrides)
@@ -45,8 +47,17 @@ def _metadata(config, seed: int) -> dict:
     }
 
 
+# metadata a weights file must carry for the CLI to rebuild its model
+_BUILD_METADATA = {"variant": str, "profile": str, "class_count": int, "input_size": int}
+
+
 def _model_from_weights(path: str):
     metadata, tensors = read_weights(path)
+    for key, kind in _BUILD_METADATA.items():
+        if not isinstance(metadata.get(key), kind):
+            raise WeightsFormatError(
+                f"{path}: metadata field {key!r} is missing or not {kind.__name__}"
+            )
     cfg = resolve_variant(
         metadata["variant"],
         {
@@ -55,7 +66,7 @@ def _model_from_weights(path: str):
             "input_size": metadata["input_size"],
         },
     )
-    model = build_model(cfg, seed=metadata.get("seed", 0))
+    model = build_model(cfg, seed=0)  # the load overwrites every tensor, so any seed will do
     load_tensors(model, tensors)
     model.eval()
     return model, metadata
@@ -85,8 +96,7 @@ def cmd_audit(args) -> int:
 def cmd_trace(args) -> int:
     config = _resolve(args)
     model = build_model(config, seed=0)
-    size = args.input_size or config.input_size
-    for name, shape in audit_mod.trace_shapes(model, size):
+    for name, shape in audit_mod.trace_shapes(model, config.input_size):
         print(f"{name:<24} {'x'.join(str(e) for e in shape)}")
     return 0
 

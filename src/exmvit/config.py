@@ -185,7 +185,12 @@ def resolve_variant(name: str, overrides: dict | None = None) -> VariantConfig:
     input_size, profile, or rho (re-validated)."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown variant {name!r}; registered: {', '.join(REGISTRY)}")
-    cfg = REGISTRY[name]
+    return apply_overrides(REGISTRY[name], overrides)
+
+
+def apply_overrides(cfg: VariantConfig, overrides: dict | None = None) -> VariantConfig:
+    """``cfg`` with class_count, input_size, profile, or rho overridden,
+    re-validated; ``allow_early_shortcuts`` relaxes the validation."""
     overrides = dict(overrides or {})
     allow_early = overrides.pop("allow_early_shortcuts", False)
     if overrides:

@@ -89,7 +89,11 @@ class Module:
         return self
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        """Run ``forward``; in eval mode without recording an autodiff graph."""
+        if self.training:
+            return self.forward(*args, **kwargs)
+        with T.no_grad():
+            return self.forward(*args, **kwargs)
 
 
 class Conv2d(Module):

@@ -1,21 +1,45 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward closure on the output
-tensor, so calling ``backward()`` on a scalar loss walks the recorded graph
-in reverse topological order and accumulates gradients into every tensor
-that requires them. Data lives in flat numpy arrays; float32 is the default
-working precision (float64 is used by the gradient-check harness).
+Every operation on an input that requires grad records its inputs and a
+backward closure on the output tensor, so calling ``backward()`` on a scalar
+loss walks the recorded graph in reverse topological order and accumulates
+gradients into every tensor that requires them. Nothing is recorded inside
+``no_grad()``, which every eval-mode ``Module`` call enters, so an eval
+forward holds no graph. ``backward()`` consumes the graph it walks: each
+intermediate drops its gradient, its closure and its parents once its
+closure has run, and only leaf tensors (parameters, inputs) keep ``grad``.
+Data lives in flat numpy arrays; float32 is the default working precision
+(float64 is used by the gradient-check harness).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
+# Whether operations record the autodiff graph; switched off by no_grad().
+_GRAD_ENABLED = True
+
 # When True, every primitive validates that its output is finite. NaN/Inf is
 # treated as a hard error, never as a value to propagate.
 CHECK_FINITE = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: results have no parents and do not
+    require grad. Nests, and restores the previous setting on exit, also when
+    the block raises."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class ShapeError(ValueError):
@@ -104,7 +128,15 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Populate ``grad`` of every reachable tensor that requires it."""
+        """Accumulate ``grad`` into every leaf tensor the loss was computed from.
+
+        The graph exists only for operations run outside ``no_grad()`` and
+        outside eval-mode module calls. It is consumed on the way: after a
+        node's closure has run, the node's ``grad``, closure and parents are
+        dropped, which frees the activations and buffers the closure held.
+        Leaf tensors keep ``grad``. A second call on the same loss finds no
+        graph and changes nothing beyond the loss itself.
+        """
         if self.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -123,9 +155,13 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -181,7 +217,7 @@ def _wrap(value) -> Tensor:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -486,31 +522,33 @@ def batch_norm(
     """Per-channel normalization of a [B, C, H, W] map.
 
     Training mode normalizes with batch statistics and (optionally) folds
-    them into the running estimates in place; eval mode uses the running
-    statistics as constants.
+    them into the running estimates in place. Eval mode uses the running
+    statistics as constants: it computes the per-channel scale
+    gamma / sqrt(var + eps) and shift beta - mean * scale, then returns
+    x * scale + shift, which stays differentiable in x, gamma and beta.
     """
     if eps <= 0:
         raise ValueError(f"batch_norm eps must be positive, got {eps}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm parameter length != channels ({c})")
-    if training:
-        mean = tmean(x, axis=(0, 2, 3), keepdims=True)
-        centered = sub(x, mean)
-        var = tmean(square(centered), axis=(0, 2, 3), keepdims=True)
-        if update_running:
-            n = x.shape[0] * x.shape[2] * x.shape[3]
-            unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean.data.reshape(c)
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
-        inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, _wrap(eps))))
-        normed = mul(centered, inv)
-    else:
-        mean = Tensor(running_mean.reshape(1, c, 1, 1))
-        inv = Tensor(1.0 / np.sqrt(running_var.reshape(1, c, 1, 1) + eps))
-        normed = mul(sub(x, mean), inv)
+    if not training:
+        # one scale and one shift per channel: two passes over x, not four
+        scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
+        shift = sub(beta, mul(Tensor(running_mean), scale))
+        return add(mul(x, reshape(scale, (1, c, 1, 1))), reshape(shift, (1, c, 1, 1)))
+    mean = tmean(x, axis=(0, 2, 3), keepdims=True)
+    centered = sub(x, mean)
+    var = tmean(square(centered), axis=(0, 2, 3), keepdims=True)
+    if update_running:
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.data.reshape(c)
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, _wrap(eps))))
+    normed = mul(centered, inv)
     scaled = mul(normed, reshape(gamma, (1, c, 1, 1)))
     return add(scaled, reshape(beta, (1, c, 1, 1)))
 

@@ -195,46 +195,60 @@ def grad_check(
     """Compare analytic gradients with central finite differences.
 
     Samples at least one scalar from every trainable parameter tensor, so
-    every layer kind is covered. Runs the model in float64, and uses a step
-    small enough that the quadratic truncation term of the central
-    difference stays below the comparison tolerance (the batch-norm
-    denominators give the loss large third derivatives).
+    every layer kind is covered. Runs the model in float64, in train mode
+    with frozen batch-norm statistics, and uses a step small enough that the
+    quadratic truncation term of the central difference stays below the
+    comparison tolerance (the batch-norm denominators give the loss large
+    third derivatives). The model is left as it was found: its parameter
+    and buffer arrays, gradients, train/eval mode and batch-norm tracking
+    are restored on return, also when the check raises.
     """
-    model.astype(np.float64)
-    model.train()
-    freeze_batchnorm_stats(model)
-    x = Tensor(inputs.astype(np.float64))
-    named = list(model.named_parameters())
+    # the caller's arrays, gradients, modes and batch-norm tracking, put back
+    # in the finally: the check casts, perturbs and switches them
+    saved_params = [(p, p.data, p.grad) for p in model.parameters()]
+    saved_modules = [(m, dict(vars(m))) for _, m in model.modules()]
+    try:
+        model.astype(np.float64)
+        model.train()
+        freeze_batchnorm_stats(model)
+        x = Tensor(inputs.astype(np.float64))
+        named = list(model.named_parameters())
 
-    def loss_value() -> Tensor:
-        return label_smoothing_ce(model(x), labels, smoothing)
+        def loss_value() -> Tensor:
+            return label_smoothing_ce(model(x), labels, smoothing)
 
-    model.zero_grad()
-    loss = loss_value()
-    loss.backward()
-    if not np.isfinite(loss.item()):
-        raise NumericError("non-finite loss in gradient check")
+        model.zero_grad()
+        loss = loss_value()
+        loss.backward()
+        if not np.isfinite(loss.item()):
+            raise NumericError("non-finite loss in gradient check")
 
-    rng = np.random.default_rng(seed)
-    per_tensor = max(1, math.ceil(num_samples / len(named)))
-    entries = []
-    for name, p in named:
-        count = min(per_tensor, p.size)
-        idxs = rng.choice(p.size, size=count, replace=False)
-        flat = p.data.reshape(-1)
-        gflat = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
-        for idx in idxs:
-            original = flat[idx]
-            flat[idx] = original + h
-            up = loss_value().item()
-            flat[idx] = original - h
-            down = loss_value().item()
-            flat[idx] = original
-            numeric = (up - down) / (2 * h)
-            analytic = float(gflat[idx])
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            entries.append(GradCheckEntry(name, int(idx), analytic, numeric, rel))
-    return GradCheckReport(entries)
+        rng = np.random.default_rng(seed)
+        per_tensor = max(1, math.ceil(num_samples / len(named)))
+        entries = []
+        for name, p in named:
+            count = min(per_tensor, p.size)
+            idxs = rng.choice(p.size, size=count, replace=False)
+            flat = p.data.reshape(-1)
+            gflat = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
+            for idx in idxs:
+                original = flat[idx]
+                with T.no_grad():  # the differences need values, not graphs
+                    flat[idx] = original + h
+                    up = loss_value().item()
+                    flat[idx] = original - h
+                    down = loss_value().item()
+                flat[idx] = original
+                numeric = (up - down) / (2 * h)
+                analytic = float(gflat[idx])
+                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+                entries.append(GradCheckEntry(name, int(idx), analytic, numeric, rel))
+        return GradCheckReport(entries)
+    finally:
+        for p, data, grad in saved_params:
+            p.data, p.grad = data, grad
+        for m, attrs in saved_modules:
+            vars(m).update(attrs)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from exmvit.cli import main
 from exmvit.config import resolve_variant
 from exmvit.model import build_model
 from exmvit.tensor import Tensor
-from exmvit.weights import read_weights
+from exmvit.weights import read_weights, save_weights
 
 
 def run(capsys, *argv):
@@ -110,6 +110,50 @@ class TestAudit:
         assert out == ""
         assert "block_channels" in err
 
+    def test_config_takes_size_and_class_count_flags(self, tmp_path, capsys):
+        path = tmp_path / "custom.json"
+        path.write_text(resolve_variant("exmvit-576-tiny").to_json())
+        flags = ["--input-size", "128", "--class-count", "5", "--format", "json"]
+        code, out, _ = run(capsys, "audit", "--config", str(path), *flags)
+        assert code == 0
+        rows = {row["name"]: row for row in json.loads(out)["layers"]}
+        assert rows["stem.conv"]["out_shape"] == [1, 2, 64, 64]
+        assert rows["classifier"]["out_shape"] == [1, 5]
+        code, _, err = run(capsys, "audit", "--config", str(path), "--input-size", "100")
+        assert code == 2 and "divisible by 32" in err
+
+
+class TestWeightsMetadata:
+    @pytest.mark.parametrize("key", ["variant", "profile", "class_count", "input_size"])
+    def test_missing_build_field_exit_2(self, checkpoint, tmp_path, key, capsys):
+        metadata, _ = read_weights(checkpoint)
+        del metadata[key]
+        path = str(tmp_path / "partial.exvt")
+        save_weights(build_model(resolve_variant("exmvit-640-tiny"), seed=5), path, metadata)
+        code, out, err = run(capsys, "audit", "--weights", path)
+        assert code == 2 and out == ""
+        assert repr(key) in err
+
+    def test_seed_is_informational(self, checkpoint, tmp_path, capsys):
+        metadata, _ = read_weights(checkpoint)
+        metadata["seed"] = "not a number"
+        path = str(tmp_path / "odd-seed.exvt")
+        save_weights(build_model(resolve_variant("exmvit-640-tiny"), seed=5), path, metadata)
+        assert run(capsys, "audit", "--weights", path)[0] == 0
+
+    @pytest.mark.parametrize("command", ["audit", "infer", "export-features"])
+    def test_empty_metadata_exit_2(self, tmp_path, command, capsys):
+        path = str(tmp_path / "bare.exvt")
+        save_weights(build_model(resolve_variant("exmvit-640-tiny"), seed=0), path, {})
+        argv = [command, "--weights", path]
+        if command != "audit":
+            argv += ["--image", write_ppm(tmp_path / "img.ppm")]
+        if command == "export-features":
+            argv += ["--out", str(tmp_path / "x.bin")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "'variant' is missing" in err
+
 
 class TestTrace:
     def test_tiny_trace_reaches_2x2(self, capsys):
@@ -123,6 +167,12 @@ class TestTrace:
         _, out, _ = run(
             capsys, "trace", "--variant", "exmvit-576-tiny", "--input-size", "128"
         )
+        assert out.strip().split("\n")[-1].split()[-1] == "1x20x4x4"
+
+    def test_input_size_override_on_config(self, tmp_path, capsys):
+        path = tmp_path / "custom.json"
+        path.write_text(resolve_variant("exmvit-576-tiny").to_json())
+        _, out, _ = run(capsys, "trace", "--config", str(path), "--input-size", "128")
         assert out.strip().split("\n")[-1].split()[-1] == "1x20x4x4"
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from exmvit import tensor as T
 from exmvit.config import ConfigError, expand_width, resolve_variant
 from exmvit.model import ExShortcut, ShortcutSpec, build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
-from exmvit.train import SyntheticDataset, TrainConfig, train_loop
+from exmvit.train import SyntheticDataset, TrainConfig, label_smoothing_ce, train_loop
 
 
 class TestExpandWidth:
@@ -155,3 +156,47 @@ class TestGradientFlow:
             grad = shortcut.pointwise.weight.grad
             assert grad is not None
             assert np.linalg.norm(grad) > 0, f"no gradient in shortcut {spec.block_index}"
+
+
+class TestGraphRecording:
+    @staticmethod
+    def inputs(batch=1):
+        rng = np.random.default_rng(9)
+        return Tensor(rng.normal(size=(batch, 3, 64, 64)).astype(np.float32))
+
+    def test_eval_forward_records_no_graph(self):
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0).eval()
+        x = self.inputs()
+        features = model.backbone.forward_collect(x)
+        for out in [model(x), *features, model.assemble_classifier_input(features)]:
+            assert out._parents == () and not out.requires_grad
+
+    def test_train_mode_records_graph_again(self):
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0).eval()
+        x = self.inputs(batch=2)
+        model(x)
+        model.train()
+        logits = model(x)
+        assert logits.requires_grad and logits._parents
+        label_smoothing_ce(logits, np.array([0, 1]), 0.1).backward()
+        for spec, shortcut in zip(model.shortcut_specs, model.shortcuts):
+            grad = shortcut.pointwise.weight.grad
+            assert grad is not None and np.linalg.norm(grad) > 0, spec.block_index
+
+    def test_eval_forward_peak_memory_well_below_train(self):
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0)
+        x = self.inputs(batch=8)
+
+        def traced_peak(mode):
+            model.train(mode)
+            tracemalloc.start()
+            try:
+                out = model(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del out
+            return peak
+
+        eval_peak, train_peak = traced_peak(False), traced_peak(True)
+        assert eval_peak < 0.25 * train_peak, (eval_peak, train_peak)

@@ -393,3 +393,74 @@ class TestNumericGuards:
         a = T.conv2d(Tensor(x), Tensor(w), padding=1).data
         b = T.conv2d(Tensor(x), Tensor(w), padding=1).data
         assert np.array_equal(a, b)
+
+
+class TestNoGrad:
+    def test_nests_and_restores_after_exception(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                inner = T.add(a, a)
+            outer = T.add(a, a)
+        for out in (inner, outer):
+            assert out._parents == () and not out.requires_grad
+        assert T.add(a, a)._parents == (a, a)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside no_grad")
+        after = T.add(a, a)
+        assert after.requires_grad and after._parents == (a, a)
+
+
+class TestEvalBatchNorm:
+    @staticmethod
+    def operands(rng, dtype):
+        x = rng.normal(size=(2, 3, 4, 4)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 3).astype(dtype)
+        beta = rng.normal(0.0, 0.5, 3).astype(dtype)
+        mean = rng.normal(0.0, 0.5, 3).astype(dtype)
+        var = rng.uniform(0.5, 2.0, 3).astype(dtype)
+        return x, gamma, beta, mean, var
+
+    def test_matches_normalize_then_affine(self):
+        x, gamma, beta, mean, var = self.operands(np.random.default_rng(20), np.float32)
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var, training=False)
+        c = (1, 3, 1, 1)
+        expected = (x - mean.reshape(c)) / np.sqrt(var.reshape(c) + 1e-5) * gamma.reshape(
+            c
+        ) + beta.reshape(c)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-6)
+
+    def test_gradients_match_finite_differences(self):
+        operands = self.operands(np.random.default_rng(21), np.float64)
+        mean, var = operands[3], operands[4]
+
+        def loss_of(x, gamma, beta):
+            leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            out = T.batch_norm(*leaves, mean, var, training=False)
+            return T.tsum(T.square(out)), leaves
+
+        loss, leaves = loss_of(*operands[:3])
+        loss.backward()
+        h = 1e-6
+        for which, leaf in enumerate(leaves):
+            for idx in np.ndindex(leaf.shape):
+                up = [v.copy() for v in operands[:3]]
+                down = [v.copy() for v in operands[:3]]
+                up[which][idx] += h
+                down[which][idx] -= h
+                numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
+                analytic = leaf.grad[idx]
+                assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+
+class TestBackwardConsumesGraph:
+    def test_intermediates_released_leaf_keeps_grad(self):
+        x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+        hidden = T.square(x)
+        loss = T.tsum(T.mul(hidden, x))  # sum of x^3
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == () and node._backward is None
+        np.testing.assert_allclose(x.grad, 3.0 * x.data**2)

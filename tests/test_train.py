@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exmvit.config import resolve_variant
-from exmvit.layers import Linear, Module
+from exmvit.layers import BatchNorm2d, Linear, Module
 from exmvit.model import build_model
 from exmvit.tensor import Tensor
 from exmvit.train import (
@@ -214,6 +214,30 @@ class TestGradCheck:
         labels = rng.integers(0, 8, size=1)
         report = grad_check(model, x, labels, num_samples=120, seed=0)
         assert report.max_rel_err <= 1e-3
+
+    def test_leaves_model_as_found(self):
+        model = build_model(resolve_variant("exmvit-576-tiny"), seed=0).eval()
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(1, 3, 64, 64))
+        params = {name: p.data.copy() for name, p in model.named_parameters()}
+        buffers = {name: b.copy() for name, b in model.named_buffers()}
+
+        def assert_as_found():
+            for _, m in model.modules():
+                assert not m.training
+                if isinstance(m, BatchNorm2d):
+                    assert m.track_running
+            for name, p in model.named_parameters():
+                assert p.data.dtype == np.float32 and p.grad is None, name
+                assert np.array_equal(p.data, params[name]), name
+            for name, b in model.named_buffers():
+                assert b.dtype == np.float32 and np.array_equal(b, buffers[name]), name
+
+        with pytest.raises(ValueError):  # label out of range, raised mid-check
+            grad_check(model, x, np.array([99]), num_samples=4)
+        assert_as_found()
+        grad_check(model, x, np.array([1]), num_samples=4)
+        assert_as_found()
 
 
 class TestTrainLoop:
