@@ -25,15 +25,17 @@ def _resolve(args) -> VariantConfig:
         overrides["input_size"] = args.input_size
     if getattr(args, "class_count", None):
         overrides["class_count"] = args.class_count
+    allow_early = getattr(args, "allow_early_shortcuts", False)
+    if allow_early:
+        overrides["allow_early_shortcuts"] = True
     if getattr(args, "config", None):
         # --profile is not applied to a document: train and grad-check give it
         # a default, so a flag the user gave cannot be told from the default
         with open(args.config, "r", encoding="utf-8") as fh:
-            return apply_overrides(config_from_json(fh.read()), overrides)
+            document = config_from_json(fh.read(), allow_early_shortcuts=allow_early)
+        return apply_overrides(document, overrides)
     if getattr(args, "profile", None):
         overrides["profile"] = args.profile
-    if getattr(args, "allow_early_shortcuts", False):
-        overrides["allow_early_shortcuts"] = True
     return resolve_variant(args.variant, overrides)
 
 

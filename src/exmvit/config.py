@@ -129,7 +129,7 @@ class VariantConfig:
 _CONFIG_FIELDS = {"name", "rho", "block_channels", "class_count", "input_size", "profile"}
 
 
-def config_from_json(text: str) -> VariantConfig:
+def config_from_json(text: str, allow_early_shortcuts: bool = False) -> VariantConfig:
     doc = json.loads(text)
     unknown = set(doc) - _CONFIG_FIELDS
     if unknown:
@@ -149,7 +149,7 @@ def config_from_json(text: str) -> VariantConfig:
             f"block_channels {doc['block_channels']} differ from the {cfg.profile} profile's "
             f"{list(cfg.block_channels)}; block widths are fixed by the profile"
         )
-    violations = validate(cfg)
+    violations = validate(cfg, allow_early_shortcuts=allow_early_shortcuts)
     if violations:
         raise ConfigError("; ".join(violations))
     return cfg

@@ -7,7 +7,10 @@ gradients into every tensor that requires them. Nothing is recorded inside
 ``no_grad()``, which every eval-mode ``Module`` call enters, so an eval
 forward holds no graph. ``backward()`` consumes the graph it walks: each
 intermediate drops its gradient, its closure and its parents once its
-closure has run, and only leaf tensors (parameters, inputs) keep ``grad``.
+closure has run, and only leaf tensors that require grad (parameters) keep
+``grad``; constants and input batches never get one. Fused ops
+(``batch_norm``, ``conv2d``, ``silu``, ``softmax``) record one node each and
+keep in their closures only what their backward reads.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -122,6 +125,8 @@ class Tensor:
     # -- autodiff plumbing --------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        if not self.requires_grad:
+            return  # a constant or an input batch: nothing will read its grad
         if self.grad is None:
             self.grad = grad.astype(self.data.dtype, copy=True)
         else:
@@ -308,20 +313,29 @@ def square(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    # sigmoid built in one buffer: 1 / (1 + exp(-a)), bit for bit
+    sig = np.negative(a.data)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     data = a.data * sig
 
     def backward(g):
-        a._accumulate(g * (sig + a.data * sig * (1.0 - sig)))
+        # g * (sig + a * sig * (1 - sig)), evaluated in the same order in one buffer
+        grad = a.data * sig
+        grad *= 1.0 - sig
+        grad += sig
+        grad *= g
+        a._accumulate(grad)
 
     return _make(data, (a,), backward, "silu")
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
@@ -458,6 +472,11 @@ def conv2d(
 
     x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
     standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
+    The forward is im2col plus a batched matmul. The backward closure keeps
+    the padded input (the input itself when padding is 0), not the im2col
+    columns, and rebuilds the columns for the weight gradient. The input
+    gradient is skipped when x does not require grad; for one output channel
+    per group it is a per-tap scale of the output gradient, not a matmul.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {weight.shape}")
@@ -474,12 +493,17 @@ def conv2d(
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    # (B, g, Cin_g*kh*kw, Ho*Wo)
-    cols_m = cols.reshape(batch, groups, cin_g * kh * kw, ho * wo)
+    if padding:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    else:
+        xp = np.ascontiguousarray(x.data)  # the layout np.pad gave, with no copy when it has it
+
+    def columns():
+        # (B, g, Cin_g*kh*kw, Ho*Wo); a copy unless the patches are the input itself (1x1)
+        return _im2col(xp, kh, kw, stride, ho, wo).reshape(batch, groups, cin_g * kh * kw, ho * wo)
+
     wg = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(wg, cols_m).reshape(batch, cout, ho, wo)
+    out = np.matmul(wg, columns()).reshape(batch, cout, ho, wo)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
@@ -487,16 +511,31 @@ def conv2d(
         gm = g.reshape(batch, groups, cout // groups, ho * wo)
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
-        gw = np.matmul(gm, np.swapaxes(cols_m, -1, -2)).sum(axis=0)
+        # the closure keeps only xp; the columns are rebuilt here, not held
+        gw = np.matmul(gm, np.swapaxes(columns(), -1, -2)).sum(axis=0)
         weight._accumulate(gw.reshape(weight.shape))
-        gcols = np.matmul(np.swapaxes(wg, -1, -2), gm)
-        gcols = gcols.reshape(batch, cin, kh, kw, ho, wo)
+        if not x.requires_grad:
+            return
         gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                    :, :, i, j
-                ]
+
+        def scatter(i, j, part):
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += part
+
+        if cout // groups == 1:
+            # one output channel per group (depthwise): each tap's input
+            # gradient is g scaled per channel, not a matmul over an inner
+            # dimension of 1
+            g5 = g.reshape(batch, groups, 1, ho, wo)
+            taps = weight.data.reshape(groups, cin_g, kh, kw, 1, 1)
+            for i in range(kh):
+                for j in range(kw):
+                    scatter(i, j, (g5 * taps[:, :, i, j]).reshape(batch, cin, ho, wo))
+        else:
+            gcols = np.matmul(np.swapaxes(wg, -1, -2), gm)
+            gcols = gcols.reshape(batch, cin, kh, kw, ho, wo)
+            for i in range(kh):
+                for j in range(kw):
+                    scatter(i, j, gcols[:, :, i, j])
         if padding:
             gxp = gxp[:, :, padding : padding + h, padding : padding + w]
         x._accumulate(gxp)
@@ -522,8 +561,13 @@ def batch_norm(
     """Per-channel normalization of a [B, C, H, W] map.
 
     Training mode normalizes with batch statistics and (optionally) folds
-    them into the running estimates in place. Eval mode uses the running
-    statistics as constants: it computes the per-channel scale
+    them into the running estimates in place. It is one recorded op whose
+    closure holds only the normalized input xhat and inv = 1/sqrt(var + eps).
+    Its backward is the closed form dbeta = sum(g), dgamma = sum(g * xhat)
+    and dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167).
+
+    Eval mode uses the running statistics as constants: it computes the per-channel scale
     gamma / sqrt(var + eps) and shift beta - mean * scale, then returns
     x * scale + shift, which stays differentiable in x, gamma and beta.
     """
@@ -537,20 +581,39 @@ def batch_norm(
         scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
         shift = sub(beta, mul(Tensor(running_mean), scale))
         return add(mul(x, reshape(scale, (1, c, 1, 1))), reshape(shift, (1, c, 1, 1)))
-    mean = tmean(x, axis=(0, 2, 3), keepdims=True)
-    centered = sub(x, mean)
-    var = tmean(square(centered), axis=(0, 2, 3), keepdims=True)
+    axes = (0, 2, 3)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    rn = np.asarray(1.0 / n, dtype=x.dtype)
+    mean = x.data.sum(axis=axes, keepdims=True) * rn
+    xhat = x.data - mean
+    var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
     if update_running:
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
+        unbiased = var.reshape(c) * (n / max(n - 1, 1))
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.data.reshape(c)
+        running_mean += momentum * mean.reshape(c)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
-    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, _wrap(eps))))
-    normed = mul(centered, inv)
-    scaled = mul(normed, reshape(gamma, (1, c, 1, 1)))
-    return add(scaled, reshape(beta, (1, c, 1, 1)))
+    inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(eps, dtype=DEFAULT_DTYPE))
+    xhat *= inv
+    out = xhat * gamma.data.reshape(1, c, 1, 1)
+    out += beta.data.reshape(1, c, 1, 1)
+
+    def backward(g):
+        gsum = g.sum(axis=axes, keepdims=True)
+        gdot = (g * xhat).sum(axis=axes, keepdims=True)
+        beta._accumulate(gsum.reshape(c))
+        gamma._accumulate(gdot.reshape(c))
+        if not x.requires_grad:
+            return
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+        # dxhat = g * gamma; gamma is per channel, so it factors out
+        dx = xhat * (gdot * rn)
+        dx += gsum * rn
+        np.subtract(g, dx, out=dx)
+        dx *= gamma.data.reshape(1, c, 1, 1) * inv
+        x._accumulate(dx)
+
+    return _make(out, (x, gamma, beta), backward, "batch_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

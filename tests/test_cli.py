@@ -122,6 +122,19 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--config", str(path), "--input-size", "100")
         assert code == 2 and "divisible by 32" in err
 
+    def test_config_takes_allow_early_shortcuts(self, tmp_path, capsys):
+        doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())
+        doc["rho"][0] = "1"
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "audit", "--config", str(path))
+        assert code == 2 and "rho_1 and rho_2 must be 0" in err
+        flags = ["--allow-early-shortcuts", "--format", "json"]
+        code, out, _ = run(capsys, "audit", "--config", str(path), *flags)
+        assert code == 0
+        names = [row["name"] for row in json.loads(out)["layers"]]
+        assert "shortcut1.pointwise" in names
+
 
 class TestWeightsMetadata:
     @pytest.mark.parametrize("key", ["variant", "profile", "class_count", "input_size"])

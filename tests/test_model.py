@@ -157,6 +157,21 @@ class TestGradientFlow:
             assert grad is not None
             assert np.linalg.norm(grad) > 0, f"no gradient in shortcut {spec.block_index}"
 
+    def test_input_batch_gets_no_gradient(self):
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0)
+        dataset = SyntheticDataset(class_count=8, samples_per_class=2, image_size=64, seed=0)
+        inputs, forward = [], model.forward
+
+        def recording_forward(x):
+            inputs.append(x)
+            return forward(x)
+
+        model.forward = recording_forward
+        train_loop(model, dataset, TrainConfig(total_iters=1, warmup_iters=0, seed=0, batch_size=8))
+        assert len(inputs) == 1 and inputs[0].grad is None
+        for name, p in model.named_parameters():
+            assert p.grad is not None, name
+
 
 class TestGraphRecording:
     @staticmethod
@@ -200,3 +215,16 @@ class TestGraphRecording:
 
         eval_peak, train_peak = traced_peak(False), traced_peak(True)
         assert eval_peak < 0.25 * train_peak, (eval_peak, train_peak)
+
+    def test_train_forward_graph_is_small(self):
+        # a training-mode batch norm is one node; the op chain it replaced
+        # was eighteen per call, constants included (1066 nodes in all)
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0).train()
+        root = model(self.inputs(batch=2))
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) < 600, len(seen)

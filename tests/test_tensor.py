@@ -464,3 +464,199 @@ class TestBackwardConsumesGraph:
         for node in (hidden, loss):
             assert node.grad is None and node._parents == () and node._backward is None
         np.testing.assert_allclose(x.grad, 3.0 * x.data**2)
+
+
+class TestBitwiseTrims:
+    """The in-place forms give the same bits as the expressions they replaced."""
+
+    @staticmethod
+    def values(dtype=np.float32):
+        return np.random.default_rng(30).normal(0.0, 3.0, size=(4, 5, 6)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_forward_and_backward(self, dtype):
+        a = self.values(dtype)
+        g = np.random.default_rng(31).normal(size=a.shape).astype(dtype)
+        x = Tensor(a, requires_grad=True)
+        out = T.silu(x)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        sig = 1.0 / (1.0 + np.exp(-a))
+        assert np.array_equal(out.data, a * sig)
+        assert np.array_equal(x.grad, g * (sig + a * sig * (1.0 - sig)))
+
+    def test_softmax_forward(self):
+        a = self.values()
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        assert np.array_equal(T.softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True))
+
+    def test_unpadded_conv_matches_padded_form(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(2, 6, 5, 7)).astype(np.float32)
+        w = rng.normal(size=(4, 6, 1, 1)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (0, 0), (0, 0), (0, 0)))
+        old = np.matmul(w.reshape(1, 4, 6), padded.reshape(2, 1, 6, 35)).reshape(2, 4, 5, 7)
+        old = old + b.reshape(1, 4, 1, 1)
+        assert np.array_equal(T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data, old)
+
+
+def chained_batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1):
+    """Training-mode batch norm as a chain of primitive ops (the unfused form)."""
+    c = x.shape[1]
+    mean = T.tmean(x, axis=(0, 2, 3), keepdims=True)
+    centered = T.sub(x, mean)
+    var = T.tmean(T.square(centered), axis=(0, 2, 3), keepdims=True)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.data.reshape(c)
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased
+    eps_t = Tensor(np.asarray(eps, dtype=np.float32))
+    inv = T.div(Tensor(np.asarray(1.0, dtype=x.dtype)), T.sqrt(T.add(var, eps_t)))
+    scaled = T.mul(T.mul(centered, inv), T.reshape(gamma, (1, c, 1, 1)))
+    return T.add(scaled, T.reshape(beta, (1, c, 1, 1)))
+
+
+class TestTrainBatchNorm:
+    @staticmethod
+    def operands(dtype, seed=40):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(1.5, 2.0, size=(3, 4, 5, 5)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 4).astype(dtype)
+        beta = rng.normal(0.0, 0.5, 4).astype(dtype)
+        weights = rng.normal(size=x.shape).astype(dtype)
+        return x, gamma, beta, weights
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_op_bitwise_equal_to_chain(self, dtype):
+        x, gamma, beta, _ = self.operands(dtype)
+        stats = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
+        chain_stats = [s.copy() for s in stats]
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats, training=True)
+        chain = chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, chain.data)
+        for mine, theirs in zip(stats, chain_stats):
+            assert np.array_equal(mine, theirs)
+
+    def test_records_one_node(self):
+        x, gamma, beta, _ = self.operands(np.float32)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), training=True)
+        assert out._parents == tuple(leaves)
+
+    def test_gradients_match_chain(self):
+        x, gamma, beta, weights = self.operands(np.float32)
+        grads = []
+        for norm in (lambda *args: T.batch_norm(*args, training=True), chained_batch_norm):
+            leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            out = norm(*leaves, np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32))
+            T.tsum(T.mul(T.square(out), Tensor(weights))).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for fused, chained in zip(*grads):
+            np.testing.assert_allclose(fused, chained, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("x_requires_grad", [True, False])
+    def test_gradients_match_finite_differences(self, x_requires_grad):
+        x0, gamma0, beta0, weights = self.operands(np.float64, seed=41)
+        operands = [x0, gamma0, beta0]
+
+        def loss_of(x, gamma, beta):
+            leaves = [
+                Tensor(x, requires_grad=x_requires_grad),
+                Tensor(gamma, requires_grad=True),
+                Tensor(beta, requires_grad=True),
+            ]
+            out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), training=True)
+            return T.tsum(T.mul(T.square(out), Tensor(weights))), leaves
+
+        loss, leaves = loss_of(*operands)
+        loss.backward()
+        if not x_requires_grad:
+            assert leaves[0].grad is None
+        h = 1e-6
+        for which, leaf in enumerate(leaves):
+            if not leaf.requires_grad:
+                continue
+            for idx in np.ndindex(leaf.shape):
+                up = [v.copy() for v in operands]
+                down = [v.copy() for v in operands]
+                up[which][idx] += h
+                down[which][idx] -= h
+                numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
+                analytic = leaf.grad[idx]
+                assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+
+def conv_grads_reference(x, w, r, stride, padding, groups):
+    """float64 gradients of sum(r * conv2d(x, w)) by direct accumulation."""
+    x, w, r = (v.astype(np.float64) for v in (x, w, r))
+    _, _, h, width = x.shape
+    cout, cin_g, kh, kw = w.shape
+    ho, wo = r.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for co in range(cout):
+        group = co // (cout // groups)
+        for ci in range(cin_g):
+            c = group * cin_g + ci
+            for u in range(kh):
+                for v in range(kw):
+                    rows = slice(u, u + stride * ho, stride)
+                    cols = slice(v, v + stride * wo, stride)
+                    gw[co, ci, u, v] = (r[:, co] * xp[:, c, rows, cols]).sum()
+                    gxp[:, c, rows, cols] += r[:, co] * w[co, ci, u, v]
+    return gxp[:, :, padding : padding + h, padding : padding + width], gw
+
+
+class TestConv2dBackward:
+    # (cin, cout, groups): depthwise, one output channel per group of two, dense
+    KINDS = {"depthwise": (4, 4, 4), "grouped": (4, 2, 2), "dense": (3, 5, 1)}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_gradients_match_float64_reference(self, kind, stride, padding):
+        cin, cout, groups = self.KINDS[kind]
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(size=(2, cin, 7, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(
+            rng.normal(size=(cout, cin // groups, 3, 3)).astype(np.float32), requires_grad=True
+        )
+        b = Tensor(rng.normal(size=cout).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        r = rng.normal(size=out.shape).astype(np.float32)
+        T.tsum(T.mul(out, Tensor(r))).backward()
+        gx, gw = conv_grads_reference(x.data, w.data, r, stride, padding, groups)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(w.grad, gw, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(b.grad, r.astype(np.float64).sum(axis=(0, 2, 3)), rtol=1e-5)
+
+    def test_depthwise_input_gradient_bitwise_equal_to_matmul_form(self):
+        rng = np.random.default_rng(51)
+        c, stride, padding = 6, 2, 1
+        x = Tensor(rng.normal(size=(2, c, 9, 9)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(c, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, stride=stride, padding=padding, groups=c)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        ho, wo = out.shape[2:]
+        # the batched (c, 9, 1) @ (1, HW) matmul and tap scatter it replaced
+        gcols = np.matmul(np.swapaxes(w.data.reshape(c, 1, 9), -1, -2), g.reshape(2, c, 1, ho * wo))
+        gcols = gcols.reshape(2, c, 3, 3, ho, wo)
+        gxp = np.zeros((2, c, 11, 11), dtype=np.float32)
+        for i in range(3):
+            for j in range(3):
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
+                    :, :, i, j
+                ]
+        assert np.array_equal(x.grad, gxp[:, :, 1:10, 1:10])
+
+    def test_no_input_gradient_for_a_constant_input(self):
+        rng = np.random.default_rng(52)
+        x = Tensor(rng.normal(size=(1, 3, 6, 6)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        T.tsum(T.conv2d(x, w, stride=2, padding=1)).backward()
+        assert x.grad is None and w.grad is not None
