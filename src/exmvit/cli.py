@@ -21,9 +21,9 @@ from .weights import WeightsFormatError, load_tensors, read_weights, save_weight
 
 def _resolve(args) -> VariantConfig:
     overrides = {}
-    if getattr(args, "input_size", None):
+    if getattr(args, "input_size", None) is not None:
         overrides["input_size"] = args.input_size
-    if getattr(args, "class_count", None):
+    if getattr(args, "class_count", None) is not None:
         overrides["class_count"] = args.class_count
     allow_early = getattr(args, "allow_early_shortcuts", False)
     if allow_early:

@@ -226,7 +226,9 @@ def validate(config: VariantConfig, allow_early_shortcuts: bool = False) -> list
             violations.append(f"rho_{k}={r} gives fractional width for {c} channels")
     if all(r == 0 for r in config.rho):
         violations.append("at least one rho must be positive")
-    if config.input_size % 32:
+    if config.input_size <= 0:
+        violations.append(f"input_size {config.input_size} must be a positive multiple of 32")
+    elif config.input_size % 32:
         violations.append(f"input_size {config.input_size} not divisible by 32")
     if config.class_count < 1:
         violations.append("class_count must be positive")

@@ -109,9 +109,16 @@ class Conv2d(Module):
         )
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True) if bias else None
 
-    def forward(self, x):
+    def forward(self, x, scale=None, shift=None):
+        """Convolve ``x``; given a per-output-channel ``scale`` and ``shift``,
+        convolve with ``weight * scale`` and add ``bias * scale + shift``,
+        which equals scaling and shifting the output."""
+        weight, bias = self.weight, self.bias
+        if scale is not None:
+            weight = T.mul(weight, T.reshape(scale, (-1, 1, 1, 1)))
+            bias = shift if bias is None else T.add(T.mul(bias, scale), shift)
         return T.conv2d(
-            x, self.weight, self.bias, stride=self.stride, padding=self.padding, groups=self.groups
+            x, weight, bias, stride=self.stride, padding=self.padding, groups=self.groups
         )
 
 
@@ -162,7 +169,12 @@ class Linear(Module):
 
 
 class ConvNormAct(Module):
-    """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom."""
+    """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom.
+
+    In eval mode the norm is folded into the conv at call time: the conv runs
+    with its weight scaled and the norm's shift as bias. Nothing is cached, so
+    a weight load or an optimizer step needs no invalidation.
+    """
 
     def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, act=True):
         super().__init__()
@@ -171,7 +183,14 @@ class ConvNormAct(Module):
         self.norm = BatchNorm2d(cout)
 
     def forward(self, x):
-        x = self.norm(self.conv(x))
+        if self.training:
+            x = self.norm(self.conv(x))
+        else:
+            n = self.norm
+            scale, shift = T.batch_norm_scale_shift(
+                n.gamma, n.beta, n.running_mean, n.running_var, n.eps
+            )
+            x = self.conv(x, scale, shift)
         return T.silu(x) if self.act else x
 
 

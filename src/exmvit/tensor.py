@@ -8,9 +8,16 @@ gradients into every tensor that requires them. Nothing is recorded inside
 forward holds no graph. ``backward()`` consumes the graph it walks: each
 intermediate drops its gradient, its closure and its parents once its
 closure has run, and only leaf tensors that require grad (parameters) keep
-``grad``; constants and input batches never get one. Fused ops
-(``batch_norm``, ``conv2d``, ``silu``, ``softmax``) record one node each and
-keep in their closures only what their backward reads.
+``grad``; constants and input batches never get one. A closure hands a
+gradient buffer it has just allocated to ``_accumulate`` rather than having
+it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``, ``silu``,
+``softmax``) record one node each and keep in their closures only what their
+backward reads. When no graph is recorded, ``conv2d`` runs a stride-1 conv
+with one output channel per group (depthwise) over flattened padded rows
+instead of im2col, and ``silu`` writes its product into its sigmoid buffer.
+Eval batch-norm is one per-channel scale and shift
+(``batch_norm_scale_shift``), which an eval ``ConvNormAct`` folds into its
+conv's weight and bias at call time.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -124,11 +131,17 @@ class Tensor:
 
     # -- autodiff plumbing --------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``. ``owned`` says the caller allocated
+        ``grad`` and keeps no alias to it, so a first gradient of the right
+        dtype is taken over rather than copied."""
         if not self.requires_grad:
             return  # a constant or an input batch: nothing will read its grad
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            if owned and grad.dtype == self.data.dtype:
+                self.grad = grad
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -219,10 +232,15 @@ def _wrap(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=DEFAULT_DTYPE))
 
 
+def _recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -256,8 +274,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(data, (a, b), backward, "mul")
 
@@ -267,8 +285,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return _make(data, (a, b), backward, "div")
 
@@ -277,7 +295,7 @@ def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g):
-        a._accumulate(g * data)
+        a._accumulate(g * data, owned=True)
 
     return _make(data, (a,), backward, "exp")
 
@@ -286,7 +304,7 @@ def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
     def backward(g):
-        a._accumulate(g / a.data)
+        a._accumulate(g / a.data, owned=True)
 
     return _make(data, (a,), backward, "log")
 
@@ -295,7 +313,7 @@ def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
     def backward(g):
-        a._accumulate(g * 0.5 / data)
+        a._accumulate(g * 0.5 / data, owned=True)
 
     return _make(data, (a,), backward, "sqrt")
 
@@ -304,7 +322,7 @@ def square(a: Tensor) -> Tensor:
     data = a.data * a.data
 
     def backward(g):
-        a._accumulate(g * 2.0 * a.data)
+        a._accumulate(g * 2.0 * a.data, owned=True)
 
     return _make(data, (a,), backward, "square")
 
@@ -318,6 +336,9 @@ def silu(a: Tensor) -> Tensor:
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
+    if not _recording((a,)):
+        # no backward will read the sigmoid: the product goes into its buffer
+        return _make(np.multiply(a.data, sig, out=sig), (a,), None, "silu")
     data = a.data * sig
 
     def backward(g):
@@ -326,7 +347,7 @@ def silu(a: Tensor) -> Tensor:
         grad *= 1.0 - sig
         grad += sig
         grad *= g
-        a._accumulate(grad)
+        a._accumulate(grad, owned=True)
 
     return _make(data, (a,), backward, "silu")
 
@@ -339,7 +360,7 @@ def softmax(a: Tensor) -> Tensor:
 
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        a._accumulate(data * (g - inner))
+        a._accumulate(data * (g - inner), owned=True)
 
     return _make(data, (a,), backward, "softmax")
 
@@ -431,8 +452,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
+        a._accumulate(_unbroadcast(ga, a.shape), owned=True)
+        b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(data, (a, b), backward, "matmul")
 
@@ -450,6 +471,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 # -- convolution -----------------------------------------------------------------
+
+
+# Bytes per work buffer of the flat-row depthwise kernel. Two such buffers
+# and the input rows they read stay in a 2 MiB per-core L2; on such a Xeon
+# 256 KiB beat both 128 KiB and 1 MiB at exmvit-928's stride-1 shapes.
+_FLAT_CHUNK_BYTES = 1 << 18
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -472,7 +499,10 @@ def conv2d(
 
     x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
     standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
-    The forward is im2col plus a batched matmul. The backward closure keeps
+    The forward is im2col plus a batched matmul. A padded stride-1 conv with
+    one output channel per group that records no graph runs the flat-row
+    kernel instead (``_conv2d_flat_rows``): it is faster at ImageNet shapes,
+    and a recorded forward keeps im2col's bits. The backward closure keeps
     the padded input (the input itself when padding is 0), not the im2col
     columns, and rebuilds the columns for the weight gradient. The input
     gradient is skipped when x does not require grad; for one output channel
@@ -493,6 +523,13 @@ def conv2d(
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
 
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if cout == groups and stride == 1 and padding and not _recording(parents):
+        out = _conv2d_flat_rows(x.data, weight.data, padding, ho, wo)
+        if bias is not None:
+            out += bias.data.reshape(1, cout, 1, 1)
+        return _make(out, parents, None, "conv2d")
+
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
@@ -505,15 +542,15 @@ def conv2d(
     wg = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
     out = np.matmul(wg, columns()).reshape(batch, cout, ho, wo)
     if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out += bias.data.reshape(1, cout, 1, 1)  # out is fresh: add in place
 
     def backward(g):
         gm = g.reshape(batch, groups, cout // groups, ho * wo)
         if bias is not None:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         # the closure keeps only xp; the columns are rebuilt here, not held
         gw = np.matmul(gm, np.swapaxes(columns(), -1, -2)).sum(axis=0)
-        weight._accumulate(gw.reshape(weight.shape))
+        weight._accumulate(gw.reshape(weight.shape), owned=True)
         if not x.requires_grad:
             return
         gxp = np.zeros_like(xp)
@@ -538,10 +575,49 @@ def conv2d(
                     scatter(i, j, gcols[:, :, i, j])
         if padding:
             gxp = gxp[:, :, padding : padding + h, padding : padding + w]
-        x._accumulate(gxp)
+        x._accumulate(gxp, owned=True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out, parents, backward, "conv2d")
+
+
+def _conv2d_flat_rows(
+    x: np.ndarray, weight: np.ndarray, padding: int, ho: int, wo: int
+) -> np.ndarray:
+    """Stride-1 conv with one output channel per group, over flattened rows.
+
+    Each channel's padded rows (one extra zero row at the bottom) are read as
+    one flat row of ``(H+2p+1)·Wp`` values, ``Wp = W+2p``. Output pixel
+    ``(r, c)`` sits at flat index ``r·Wp + c`` and tap ``(i, j)`` adds the
+    input at that index plus ``i·Wp + j``, so every tap is one contiguous
+    multiply-add over ``Ho·Wp`` values. The ``Wp − Wo`` columns that wrap
+    into the next row are dropped once per chunk. Output rows (one per image
+    and channel) go in chunks whose two work buffers stay in cache; the taps
+    are summed in the same order whatever the chunk or batch size.
+    """
+    batch = x.shape[0]
+    cout, cin_g, kh, kw = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding + 1), (padding, padding)))
+    wp = xp.shape[3]
+    rows = batch * cout
+    flat = xp.reshape(rows, cin_g, -1)
+    taps = np.tile(weight.reshape(cout, cin_g * kh * kw), (batch, 1))
+    span = ho * wp
+    dtype = np.result_type(x, weight)
+    step = max(1, _FLAT_CHUNK_BYTES // (span * dtype.itemsize))
+    out = np.empty((rows, ho, wo), dtype=dtype)
+    acc = np.empty((min(step, rows), span), dtype=dtype)
+    term = np.empty_like(acc)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        part, tmp = acc[: hi - lo], term[: hi - lo]
+        for n, (ci, i, j) in enumerate(np.ndindex(cin_g, kh, kw)):
+            start = i * wp + j
+            src = flat[lo:hi, ci, start : start + span]
+            np.multiply(src, taps[lo:hi, n : n + 1], out=tmp if n else part)
+            if n:
+                part += tmp
+        out[lo:hi] = part.reshape(hi - lo, ho, wp)[:, :, :wo]
+    return out.reshape(batch, cout, ho, wo)
 
 
 # -- normalization ----------------------------------------------------------------
@@ -567,8 +643,8 @@ def batch_norm(
     and dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167).
 
-    Eval mode uses the running statistics as constants: it computes the per-channel scale
-    gamma / sqrt(var + eps) and shift beta - mean * scale, then returns
+    Eval mode uses the running statistics as constants: it takes the
+    per-channel scale and shift of :func:`batch_norm_scale_shift` and returns
     x * scale + shift, which stays differentiable in x, gamma and beta.
     """
     if eps <= 0:
@@ -578,8 +654,7 @@ def batch_norm(
         raise ShapeError(f"batch_norm parameter length != channels ({c})")
     if not training:
         # one scale and one shift per channel: two passes over x, not four
-        scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
-        shift = sub(beta, mul(Tensor(running_mean), scale))
+        scale, shift = batch_norm_scale_shift(gamma, beta, running_mean, running_var, eps)
         return add(mul(x, reshape(scale, (1, c, 1, 1))), reshape(shift, (1, c, 1, 1)))
     axes = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
@@ -601,8 +676,8 @@ def batch_norm(
     def backward(g):
         gsum = g.sum(axis=axes, keepdims=True)
         gdot = (g * xhat).sum(axis=axes, keepdims=True)
-        beta._accumulate(gsum.reshape(c))
-        gamma._accumulate(gdot.reshape(c))
+        beta._accumulate(gsum.reshape(c), owned=True)
+        gamma._accumulate(gdot.reshape(c), owned=True)
         if not x.requires_grad:
             return
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
@@ -611,23 +686,65 @@ def batch_norm(
         dx += gsum * rn
         np.subtract(g, dx, out=dx)
         dx *= gamma.data.reshape(1, c, 1, 1) * inv
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     return _make(out, (x, gamma, beta), backward, "batch_norm")
 
 
+def batch_norm_scale_shift(
+    gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray, eps: float
+) -> tuple[Tensor, Tensor]:
+    """Eval batch-norm as one (C,) scale gamma / sqrt(var + eps) and one (C,)
+    shift beta - mean * scale, differentiable in gamma and beta.
+
+    Eval ``batch_norm`` applies them to its input; an eval ``ConvNormAct``
+    folds them into its conv's weight and bias at call time (Jacob et al.,
+    arXiv 1712.05877, section 3.2).
+    """
+    scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
+    shift = sub(beta, mul(Tensor(running_mean), scale))
+    return scale, shift
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis only."""
+    """Normalize over the last axis only.
+
+    One recorded op. Its forward runs the numpy operations of the op chain
+    mean, centre, square, mean, +eps, sqrt, 1/, scale, affine in that order,
+    so its output keeps the chain's bits. The closure holds only the
+    normalized input xhat and inv = 1/sqrt(var + eps); the backward is the
+    closed form dbeta = sum(g), dgamma = sum(g * xhat) and
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = g * gamma, the means taken over the last axis.
+    """
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm parameter length != last extent ({d})")
-    mean = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mean)
-    var = tmean(square(centered), axis=-1, keepdims=True)
-    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, _wrap(eps))))
-    return add(mul(mul(centered, inv), gamma), beta)
+    rn = np.asarray(1.0 / d, dtype=x.dtype)
+    mean = x.data.sum(axis=-1, keepdims=True) * rn
+    xhat = x.data - mean
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * rn
+    inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(eps, dtype=DEFAULT_DTYPE))
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
+
+    def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        beta._accumulate(g.sum(axis=lead), owned=True)
+        gamma._accumulate((g * xhat).sum(axis=lead), owned=True)
+        if not x.requires_grad:
+            return
+        dxhat = g * gamma.data
+        dx = xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * rn)
+        dx += dxhat.sum(axis=-1, keepdims=True) * rn
+        np.subtract(dxhat, dx, out=dx)
+        dx *= inv
+        x._accumulate(dx, owned=True)
+
+    return _make(out, (x, gamma, beta), backward, "layer_norm")
 
 
 # -- patch folding ------------------------------------------------------------------

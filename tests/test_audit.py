@@ -111,46 +111,66 @@ def _row_name(path, model):
     return path
 
 
+def _run_recording_leaves(model, leaves, training):
+    """Names of every ``leaves`` instance in ``model``, and the output shape of
+    each one a forward in the given mode runs."""
+    model.train(training)
+    runtime = {}
+    names = []
+
+    def record(name, forward):
+        def wrapped(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            runtime[name] = out.shape
+            return out
+
+        return wrapped
+
+    for path, module in model.modules():
+        if isinstance(module, leaves):
+            names.append(_row_name(path, model))
+            module.forward = record(names[-1], module.forward)
+    size = model.config.input_size
+    x = np.random.default_rng(0).normal(size=(1, 3, size, size)).astype(np.float32)
+    model(Tensor(x))
+    return names, runtime
+
+
+ROW_MODELS = [
+    ("exmvit-928-tiny", build_model),
+    ("exmvit-576-tiny", build_model),
+    ("mobilevit-s-tiny", build_mobilevit_s),
+]
+
+
 class TestRowsMatchLayers:
     """Every audit row is one leaf layer of the built model, with the output
     shape that layer really produces."""
 
     LEAVES = (Conv2d, BatchNorm2d, LayerNorm, Linear, MultiHeadAttention)
 
-    @pytest.mark.parametrize(
-        "variant, build",
-        [
-            ("exmvit-928-tiny", build_model),
-            ("exmvit-576-tiny", build_model),
-            ("mobilevit-s-tiny", build_mobilevit_s),
-        ],
-    )
+    @pytest.mark.parametrize("variant, build", ROW_MODELS)
     def test_rows_are_leaf_layers_with_runtime_shapes(self, variant, build):
-        model = build(resolve_variant(variant), seed=0).eval()
-        runtime = {}
-        names = []
-
-        def record(name, forward):
-            def wrapped(*args, **kwargs):
-                out = forward(*args, **kwargs)
-                runtime[name] = out.shape
-                return out
-
-            return wrapped
-
-        for path, module in model.modules():
-            if isinstance(module, self.LEAVES):
-                names.append(_row_name(path, model))
-                module.forward = record(names[-1], module.forward)
-        size = model.config.input_size
-        x = np.random.default_rng(0).normal(size=(1, 3, size, size)).astype(np.float32)
-        model(Tensor(x))
+        # train mode: an eval forward folds each batch norm into its conv and
+        # never calls the BatchNorm2d leaf
+        model = build(resolve_variant(variant), seed=0)
+        names, runtime = _run_recording_leaves(model, self.LEAVES, training=True)
 
         rows = count_params(model).rows
         assert len(rows) == len(names)
         assert {r.name for r in rows} == set(names)
         for r in rows:
             assert r.out_shape == runtime[r.name], r.name
+
+    @pytest.mark.parametrize("variant, build", ROW_MODELS)
+    def test_eval_forward_runs_every_non_norm_leaf(self, variant, build):
+        model = build(resolve_variant(variant), seed=0)
+        leaves = (Conv2d, LayerNorm, Linear, MultiHeadAttention)
+        names, runtime = _run_recording_leaves(model, leaves, training=False)
+        assert set(runtime) == set(names)
+        rows = {r.name: r for r in count_params(model).rows}
+        for name in names:
+            assert rows[name].out_shape == runtime[name], name
 
 
 VARIANTS = ["mobilevit-s", "exmvit-576", "exmvit-640", "exmvit-704", "exmvit-864", "exmvit-928"]

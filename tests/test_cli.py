@@ -136,6 +136,39 @@ class TestAudit:
         assert "shortcut1.pointwise" in names
 
 
+class TestSizeAndCountFlags:
+    """Zero and negative --input-size / --class-count are refused, not dropped."""
+
+    BAD = [
+        ("--input-size", "0", "input_size"),
+        ("--input-size", "-64", "input_size"),
+        ("--class-count", "0", "class_count"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, field", BAD)
+    def test_audit_exits_2(self, capsys, flag, value, field):
+        code, out, err = run(capsys, "audit", "--variant", "exmvit-928-tiny", flag, value)
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+    @pytest.mark.parametrize("flag, value, field", BAD)
+    def test_build_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value, field):
+        path = tmp_path / "model.exvt"
+        argv = ["build", "--variant", "exmvit-928-tiny", "--out", str(path), flag, value]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert field in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag, value, field", BAD)
+    def test_applied_on_top_of_config(self, tmp_path, capsys, flag, value, field):
+        path = tmp_path / "custom.json"
+        path.write_text(resolve_variant("exmvit-576-tiny").to_json())
+        code, _, err = run(capsys, "audit", "--config", str(path), flag, value)
+        assert code == 2 and field in err
+
+
 class TestWeightsMetadata:
     @pytest.mark.parametrize("key", ["variant", "profile", "class_count", "input_size"])
     def test_missing_build_field_exit_2(self, checkpoint, tmp_path, key, capsys):

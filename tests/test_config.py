@@ -73,6 +73,13 @@ class TestValidate:
         )
         assert any("not divisible by 32" in v for v in validate(cfg))
 
+    @pytest.mark.parametrize("size", [0, -32, -64])
+    def test_input_size_must_be_positive(self, size):
+        cfg = type(resolve_variant("mobilevit-s"))(name="bad", rho=(0, 0, 0, 0, 4), input_size=size)
+        assert any("positive multiple of 32" in v for v in validate(cfg))
+        with pytest.raises(ConfigError):
+            resolve_variant("exmvit-576-tiny", {"input_size": size})
+
     def test_early_shortcut_violation(self):
         cfg = type(resolve_variant("mobilevit-s"))(name="bad", rho=(1, 0, 0, 0, 4))
         assert any("rho_1" in v for v in validate(cfg))

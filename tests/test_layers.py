@@ -1,0 +1,95 @@
+import numpy as np
+import pytest
+
+from exmvit import tensor as T
+from exmvit.layers import ConvNormAct
+from exmvit.tensor import Tensor
+
+
+def randomized_block(seed, cin, cout, kernel, stride, groups, act):
+    """An eval-mode ConvNormAct whose norm has non-trivial statistics."""
+    rng = np.random.default_rng(seed)
+    block = ConvNormAct(rng, cin, cout, kernel, stride=stride, groups=groups, act=act)
+    norm = block.norm
+    norm.running_mean[:] = rng.normal(0.0, 0.5, cout)
+    norm.running_var[:] = rng.uniform(0.5, 2.0, cout)
+    norm.gamma.data[:] = rng.uniform(0.5, 1.5, cout)
+    norm.beta.data[:] = rng.normal(0.0, 0.2, cout)
+    return block.eval(), rng
+
+
+class TestConvNormFold:
+    """Eval ConvNormAct folds its norm into the conv at call time."""
+
+    # (cin, cout, kernel, stride, groups, act): pointwise, dense 3x3 stride 2,
+    # depthwise stride 1 (the flat-row kernel) and stride 2, projection without act
+    CASES = [
+        (6, 8, 1, 1, 1, True),
+        (3, 8, 3, 2, 1, True),
+        (8, 8, 3, 1, 8, True),
+        (8, 8, 3, 2, 8, True),
+        (8, 4, 1, 1, 1, False),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_conv_then_eval_batch_norm(self, case):
+        cin, cout, kernel, stride, groups, act = case
+        block, rng = randomized_block(80, *case)
+        x = rng.normal(size=(2, cin, 9, 9)).astype(np.float32)
+        out = block(Tensor(x))
+        norm, conv = block.norm, block.conv
+        with T.no_grad():
+            ref = T.conv2d(
+                Tensor(x), conv.weight, stride=stride, padding=conv.padding, groups=groups
+            )
+            ref = T.batch_norm(
+                ref, norm.gamma, norm.beta, norm.running_mean, norm.running_var, training=False
+            )
+            ref = T.silu(ref) if act else ref
+        assert out.dtype == np.float32 and out.shape == ref.shape
+        # float32: the fold rounds weight * scale once instead of conv(x) * scale
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-5, atol=1e-5)
+        assert out._parents == ()
+
+    def test_eval_call_does_not_run_the_norm(self):
+        block, rng = randomized_block(84, 8, 8, 3, 1, 8, True)
+        calls = []
+        forward = block.norm.forward
+        block.norm.forward = lambda x: calls.append(x.shape) or forward(x)
+        block(Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32)))
+        assert calls == []
+        block.train()(Tensor(rng.normal(size=(2, 8, 6, 6)).astype(np.float32)))
+        assert calls == [(2, 8, 6, 6)]
+
+    def test_leaves_input_weights_and_statistics_unchanged(self):
+        block, rng = randomized_block(81, 8, 8, 3, 1, 8, True)
+        x = rng.normal(size=(1, 8, 6, 6)).astype(np.float32)
+        state = [x, block.conv.weight.data, block.norm.gamma.data, block.norm.beta.data]
+        state += [block.norm.running_mean, block.norm.running_var]
+        before = [a.copy() for a in state]
+        block(Tensor(x))
+        for now, then in zip(state, before):
+            assert np.array_equal(now, then)
+        assert block.conv.weight.grad is None and block.norm.gamma.grad is None
+
+    def test_train_mode_still_normalizes_with_batch_statistics(self):
+        block, rng = randomized_block(82, 6, 8, 1, 1, 1, False)
+        block.train()
+        x = Tensor(rng.normal(2.0, 3.0, size=(4, 6, 5, 5)).astype(np.float32))
+        out = block(x).data
+        norm = block.norm
+        centred = (out - norm.beta.data.reshape(1, -1, 1, 1)) / norm.gamma.data.reshape(1, -1, 1, 1)
+        np.testing.assert_allclose(centred.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
+        np.testing.assert_allclose(centred.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+
+    def test_direct_conv_call_with_scale_and_shift_is_differentiable(self):
+        block, rng = randomized_block(83, 4, 4, 3, 1, 1, False)
+        block.train()
+        x = Tensor(rng.normal(size=(1, 4, 5, 5)).astype(np.float32))
+        n = block.norm
+        scale, shift = T.batch_norm_scale_shift(
+            n.gamma, n.beta, n.running_mean, n.running_var, n.eps
+        )
+        T.tsum(block.conv(x, scale, shift)).backward()
+        assert block.conv.weight.grad is not None
+        assert block.norm.gamma.grad is not None and block.norm.beta.grad is not None

@@ -660,3 +660,190 @@ class TestConv2dBackward:
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         T.tsum(T.conv2d(x, w, stride=2, padding=1)).backward()
         assert x.grad is None and w.grad is not None
+
+
+class TestFlatRowDepthwise:
+    """The stride-1 flat-row kernel that unrecorded forwards use, against the
+    im2col kernel that recorded forwards keep."""
+
+    @staticmethod
+    def conv_both(x, w, b, padding, groups):
+        weight = Tensor(w, requires_grad=True)
+        recorded = T.conv2d(Tensor(x), weight, b, padding=padding, groups=groups)
+        assert recorded._parents  # the im2col kernel with its graph node
+        with T.no_grad():
+            flat = T.conv2d(Tensor(x), Tensor(w), b, padding=padding, groups=groups)
+        return flat.data, recorded.data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("size", [(5, 7), (1, 1), (8, 8)])
+    def test_matches_im2col(self, dtype, batch, size):
+        rng = np.random.default_rng(60)
+        c = 5
+        x = rng.normal(size=(batch, c) + size).astype(dtype)
+        w = rng.normal(size=(c, 1, 3, 3)).astype(dtype)
+        b = Tensor(rng.normal(size=c).astype(dtype))
+        flat, im2col = self.conv_both(x, w, b, padding=1, groups=c)
+        assert flat.dtype == dtype and flat.shape == im2col.shape == (batch, c) + size
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(flat, im2col, rtol=tol, atol=tol)
+
+    def test_bitwise_equal_to_taps_summed_in_order(self):
+        rng = np.random.default_rng(65)
+        x = rng.normal(size=(2, 4, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(4, 1, 3, 3)).astype(np.float32)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        expected = xp[:, :, 0:6, 0:5] * w[:, 0, 0, 0].reshape(1, 4, 1, 1)
+        for i, j in list(np.ndindex(3, 3))[1:]:
+            expected = expected + xp[:, :, i : i + 6, j : j + 5] * w[:, 0, i, j].reshape(1, 4, 1, 1)
+        with T.no_grad():
+            out = T.conv2d(Tensor(x), Tensor(w), padding=1, groups=4)
+        assert np.array_equal(out.data, expected)
+
+    def test_groups_of_two_inputs_and_wider_padding(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(2, 6, 7, 6)).astype(np.float64)
+        w = rng.normal(size=(3, 2, 5, 5)).astype(np.float64)
+        flat, im2col = self.conv_both(x, w, None, padding=2, groups=3)
+        np.testing.assert_allclose(flat, im2col, rtol=1e-12, atol=1e-12)
+
+    def test_batch_rows_bitwise_equal_to_single_images(self):
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(3, 48, 20, 20)).astype(np.float32)  # several chunks
+        w = Tensor(rng.normal(size=(48, 1, 3, 3)).astype(np.float32))
+        with T.no_grad():
+            batched = T.conv2d(Tensor(x), w, padding=1, groups=48).data
+            single = [T.conv2d(Tensor(x[i : i + 1]), w, padding=1, groups=48) for i in range(3)]
+        assert np.array_equal(batched, np.concatenate([s.data for s in single]))
+
+
+class TestInPlaceEpilogues:
+    """Unrecorded silu and the conv bias add give the bits of the old expressions."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unrecorded_silu(self, dtype):
+        a = np.random.default_rng(63).normal(0.0, 3.0, size=(4, 5, 6)).astype(dtype)
+        with T.no_grad():
+            out = T.silu(Tensor(a, requires_grad=True))
+        assert out._parents == ()
+        assert np.array_equal(out.data, a * (1.0 / (1.0 + np.exp(-a))))
+
+    @pytest.mark.parametrize("groups, stride", [(1, 1), (1, 2), (4, 1), (4, 2)])
+    def test_conv_bias(self, groups, stride):
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.normal(size=(2, 4, 7, 7)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 4 // groups, 3, 3)).astype(np.float32))
+        b = rng.normal(size=4).astype(np.float32)
+        for recorded in (False, True):
+            weight = Tensor(w.data, requires_grad=recorded)
+            plain = T.conv2d(x, weight, stride=stride, padding=1, groups=groups).data
+            biased = T.conv2d(x, weight, Tensor(b), stride=stride, padding=1, groups=groups).data
+            assert np.array_equal(biased, plain + b.reshape(1, 4, 1, 1))
+
+
+class TestAccumulate:
+    def test_owned_buffer_taken_over_when_dtype_matches(self):
+        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        buf = np.ones(3, dtype=np.float32)
+        t._accumulate(buf, owned=True)
+        assert t.grad is buf
+        t._accumulate(np.ones(3, dtype=np.float32), owned=True)
+        np.testing.assert_array_equal(t.grad, 2.0)
+
+    def test_copied_when_not_owned_or_other_dtype(self):
+        for buf, owned in ((np.ones(3, dtype=np.float32), False), (np.ones(3), True)):
+            t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+            t._accumulate(buf, owned=owned)
+            assert t.grad.dtype == np.float32 and not np.shares_memory(t.grad, buf)
+
+    def test_aliased_gradients_stay_separate(self):
+        a = Tensor(np.arange(4.0), requires_grad=True)
+        b = Tensor(np.arange(4.0), requires_grad=True)
+        c = Tensor(np.arange(4.0), requires_grad=True)
+        # add hands the same g to both operands; mul's products are fresh
+        T.tsum(T.mul(T.add(a, b), c)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, c.data)
+        np.testing.assert_array_equal(b.grad, c.data)
+        np.testing.assert_array_equal(c.grad, a.data + b.data)
+
+    def test_operand_used_twice(self):
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        T.tsum(T.matmul(T.reshape(x, (3, 1)), T.reshape(x, (1, 3)))).backward()
+        np.testing.assert_allclose(x.grad, 2.0 * x.data.sum())
+
+
+def chained_layer_norm(x, gamma, beta, eps=1e-5):
+    """Layer norm as a chain of primitive ops (the unfused form)."""
+    mean = T.tmean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mean)
+    var = T.tmean(T.square(centered), axis=-1, keepdims=True)
+    eps_t = Tensor(np.asarray(eps, dtype=np.float32))
+    inv = T.div(Tensor(np.asarray(1.0, dtype=x.dtype)), T.sqrt(T.add(var, eps_t)))
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+
+
+class TestFusedLayerNorm:
+    @staticmethod
+    def operands(dtype, seed=70):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.5, 2.0, size=(3, 4, 6)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 6).astype(dtype)
+        beta = rng.normal(0.0, 0.5, 6).astype(dtype)
+        weights = rng.normal(size=x.shape).astype(dtype)
+        return x, gamma, beta, weights
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_op_bitwise_equal_to_chain(self, dtype):
+        x, gamma, beta, _ = self.operands(dtype)
+        out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+        chain = chained_layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, chain.data)
+
+    def test_records_one_node(self):
+        x, gamma, beta, _ = self.operands(np.float32)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        assert T.layer_norm(*leaves)._parents == tuple(leaves)
+
+    def test_gradients_match_chain(self):
+        x, gamma, beta, weights = self.operands(np.float32)
+        grads = []
+        for norm in (T.layer_norm, chained_layer_norm):
+            leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            T.tsum(T.mul(T.square(norm(*leaves)), Tensor(weights))).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for fused, chained in zip(*grads):
+            np.testing.assert_allclose(fused, chained, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("x_requires_grad", [True, False])
+    def test_gradients_match_finite_differences(self, x_requires_grad):
+        x0, gamma0, beta0, weights = self.operands(np.float64, seed=71)
+        operands = [x0, gamma0, beta0]
+
+        def loss_of(x, gamma, beta):
+            leaves = [
+                Tensor(x, requires_grad=x_requires_grad),
+                Tensor(gamma, requires_grad=True),
+                Tensor(beta, requires_grad=True),
+            ]
+            out = T.layer_norm(*leaves)
+            return T.tsum(T.mul(T.square(out), Tensor(weights))), leaves
+
+        loss, leaves = loss_of(*operands)
+        loss.backward()
+        if not x_requires_grad:
+            assert leaves[0].grad is None
+        h = 1e-6
+        for which, leaf in enumerate(leaves):
+            if not leaf.requires_grad:
+                continue
+            for idx in np.ndindex(leaf.shape):
+                up = [v.copy() for v in operands]
+                down = [v.copy() for v in operands]
+                up[which][idx] += h
+                down[which][idx] -= h
+                numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
+                analytic = leaf.grad[idx]
+                assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
