@@ -31,7 +31,7 @@ def _resolve(args) -> VariantConfig:
     if getattr(args, "config", None):
         # --profile is not applied to a document: train and grad-check give it
         # a default, so a flag the user gave cannot be told from the default
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "rb") as fh:
             document = config_from_json(fh.read(), allow_early_shortcuts=allow_early)
         return apply_overrides(document, overrides)
     if getattr(args, "profile", None):
@@ -41,6 +41,7 @@ def _resolve(args) -> VariantConfig:
 
 def _metadata(config, seed: int) -> dict:
     return {
+        "config": config.to_json(),
         "variant": config.name,
         "profile": config.profile,
         "seed": seed,
@@ -60,14 +61,21 @@ def _model_from_weights(path: str):
             raise WeightsFormatError(
                 f"{path}: metadata field {key!r} is missing or not {kind.__name__}"
             )
-    cfg = resolve_variant(
-        metadata["variant"],
-        {
-            "profile": metadata["profile"],
-            "class_count": metadata["class_count"],
-            "input_size": metadata["input_size"],
-        },
-    )
+    if "config" in metadata:
+        # the config the model was built from, so a --config model reads back too
+        try:
+            cfg = config_from_json(metadata["config"], allow_early_shortcuts=True)
+        except ConfigError as exc:
+            raise WeightsFormatError(f"{path}: metadata field 'config': {exc}") from None
+        written = _metadata(cfg, seed=None)
+        if any(metadata[key] != written[key] for key in _BUILD_METADATA):
+            raise WeightsFormatError(f"{path}: metadata field 'config' disagrees with the rest")
+    else:
+        # a file without 'config' names a registered variant
+        cfg = resolve_variant(
+            metadata["variant"],
+            {key: metadata[key] for key in ("profile", "class_count", "input_size")},
+        )
     model = build_model(cfg, seed=0)  # the load overwrites every tensor, so any seed will do
     load_tensors(model, tensors)
     model.eval()
@@ -276,7 +284,7 @@ def main(argv=None) -> int:
     except (ConfigError, WeightsFormatError, ImageParseError, ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ checked without float drift.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -128,18 +129,48 @@ class VariantConfig:
 
 _CONFIG_FIELDS = {"name", "rho", "block_channels", "class_count", "input_size", "profile"}
 
+# a rho string: an integer, a ratio such as "4/3" or a decimal; no exponent,
+# which Fraction would expand into an integer of that many digits
+_RHO_STRING = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+)\s*")
 
-def config_from_json(text: str, allow_early_shortcuts: bool = False) -> VariantConfig:
-    doc = json.loads(text)
+
+def _rho_entry(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"rho entry {value!r} is not a number or a string")
+    if isinstance(value, str) and _RHO_STRING.fullmatch(value) is None:
+        raise ConfigError(f"rho entry {value!r} is not an integer, ratio or decimal")
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"rho entry {value!r} is not a finite rational ({exc})") from None
+
+
+def config_from_json(text: str | bytes, allow_early_shortcuts: bool = False) -> VariantConfig:
+    """Parse and validate a config document; anything malformed raises ConfigError."""
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"config is not valid JSON ({type(exc).__name__}: {exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config is a {type(doc).__name__}, not an object")
     unknown = set(doc) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     missing = {"name", "rho"} - set(doc)
     if missing:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
+    for key in ("name", "profile"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"config field {key!r} must be a string")
+    for key in ("class_count", "input_size"):
+        value = doc.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    if not isinstance(doc["rho"], list):
+        raise ConfigError(f"rho must be a list, got a {type(doc['rho']).__name__}")
     cfg = VariantConfig(
         name=doc["name"],
-        rho=tuple(Fraction(r) for r in doc["rho"]),
+        rho=tuple(_rho_entry(r) for r in doc["rho"]),
         profile=doc.get("profile", "imagenet"),
         class_count=doc.get("class_count"),
         input_size=doc.get("input_size"),
@@ -174,10 +205,6 @@ def _registry() -> dict[str, VariantConfig]:
 
 
 REGISTRY: dict[str, VariantConfig] = _registry()
-
-
-def registered_names() -> list[str]:
-    return list(REGISTRY)
 
 
 def resolve_variant(name: str, overrides: dict | None = None) -> VariantConfig:

@@ -97,10 +97,10 @@ class Module:
 
 
 class Conv2d(Module):
-    def __init__(self, rng, cin, cout, kernel, stride=1, padding=None, groups=1, bias=True):
+    def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, bias=True):
         super().__init__()
         self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
+        self.padding = kernel // 2
         self.groups = groups
         fan_out = cout * kernel * kernel // groups
         self.weight = Tensor(
@@ -123,6 +123,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
+    """Training-mode batch norm: an eval ``ConvNormAct`` folds it into its
+    conv instead of calling it, so an eval-mode call raises."""
+
     def __init__(self, channels, eps=1e-5, momentum=0.1):
         super().__init__()
         self.eps = eps
@@ -134,13 +137,14 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
+        if not self.training:
+            raise RuntimeError("BatchNorm2d runs in train mode only; eval folds it into its conv")
         return T.batch_norm(
             x,
             self.gamma,
             self.beta,
             self.running_mean,
             self.running_var,
-            training=self.training,
             eps=self.eps,
             momentum=self.momentum,
             update_running=self.track_running,

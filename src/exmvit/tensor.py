@@ -15,9 +15,6 @@ it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``, ``silu``,
 backward reads. When no graph is recorded, ``conv2d`` runs a stride-1 conv
 with one output channel per group (depthwise) over flattened padded rows
 instead of im2col, and ``silu`` writes its product into its sigmoid buffer.
-Eval batch-norm is one per-channel scale and shift
-(``batch_norm_scale_shift``), which an eval ``ConvNormAct`` folds into its
-conv's weight and bias at call time.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -32,10 +29,6 @@ DEFAULT_DTYPE = np.float32
 
 # Whether operations record the autodiff graph; switched off by no_grad().
 _GRAD_ENABLED = True
-
-# When True, every primitive validates that its output is finite. NaN/Inf is
-# treated as a hard error, never as a value to propagate.
-CHECK_FINITE = True
 
 
 @contextmanager
@@ -61,7 +54,8 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+    # NaN/Inf is a hard error, never a value to propagate
+    if not np.all(np.isfinite(data)):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -84,11 +78,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -119,12 +111,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -180,56 +166,6 @@ class Tensor:
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._backward, node._parents = None, None, ()
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.dtype)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-
-def _wrap(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=DEFAULT_DTYPE))
 
 
 def _recording(parents: tuple[Tensor, ...]) -> bool:
@@ -316,15 +252,6 @@ def sqrt(a: Tensor) -> Tensor:
         a._accumulate(g * 0.5 / data, owned=True)
 
     return _make(data, (a,), backward, "sqrt")
-
-
-def square(a: Tensor) -> Tensor:
-    data = a.data * a.data
-
-    def backward(g):
-        a._accumulate(g * 2.0 * a.data, owned=True)
-
-    return _make(data, (a,), backward, "square")
 
 
 # -- activations --------------------------------------------------------------
@@ -629,33 +556,24 @@ def batch_norm(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
     eps: float = 1e-5,
     momentum: float = 0.1,
     update_running: bool = True,
 ) -> Tensor:
-    """Per-channel normalization of a [B, C, H, W] map.
+    """Training-mode per-channel normalization of a [B, C, H, W] map.
 
-    Training mode normalizes with batch statistics and (optionally) folds
-    them into the running estimates in place. It is one recorded op whose
-    closure holds only the normalized input xhat and inv = 1/sqrt(var + eps).
-    Its backward is the closed form dbeta = sum(g), dgamma = sum(g * xhat)
-    and dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    Normalizes with batch statistics and (optionally) folds them into the
+    running estimates in place. It is one recorded op whose closure holds
+    only the normalized input xhat and inv = 1/sqrt(var + eps). Its backward
+    is the closed form dbeta = sum(g), dgamma = sum(g * xhat) and
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167).
-
-    Eval mode uses the running statistics as constants: it takes the
-    per-channel scale and shift of :func:`batch_norm_scale_shift` and returns
-    x * scale + shift, which stays differentiable in x, gamma and beta.
     """
     if eps <= 0:
         raise ValueError(f"batch_norm eps must be positive, got {eps}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm parameter length != channels ({c})")
-    if not training:
-        # one scale and one shift per channel: two passes over x, not four
-        scale, shift = batch_norm_scale_shift(gamma, beta, running_mean, running_var, eps)
-        return add(mul(x, reshape(scale, (1, c, 1, 1))), reshape(shift, (1, c, 1, 1)))
     axes = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
     rn = np.asarray(1.0 / n, dtype=x.dtype)
@@ -697,9 +615,8 @@ def batch_norm_scale_shift(
     """Eval batch-norm as one (C,) scale gamma / sqrt(var + eps) and one (C,)
     shift beta - mean * scale, differentiable in gamma and beta.
 
-    Eval ``batch_norm`` applies them to its input; an eval ``ConvNormAct``
-    folds them into its conv's weight and bias at call time (Jacob et al.,
-    arXiv 1712.05877, section 3.2).
+    An eval ``ConvNormAct`` folds them into its conv's weight and bias at
+    call time (Jacob et al., arXiv 1712.05877, section 3.2).
     """
     scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
     shift = sub(beta, mul(Tensor(running_mean), scale))

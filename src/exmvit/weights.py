@@ -60,7 +60,7 @@ def read_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         return _parse(blob)
     except WeightsFormatError:
         raise
-    except (ValueError, struct.error) as exc:
+    except (ValueError, struct.error, RecursionError) as exc:
         raise WeightsFormatError(f"{path}: truncated or corrupt weights file ({exc})") from exc
 
 

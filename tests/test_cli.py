@@ -5,10 +5,10 @@ import pytest
 
 from exmvit.audit import count_params
 from exmvit.cli import main
-from exmvit.config import resolve_variant
+from exmvit.config import ConfigError, config_from_json, resolve_variant
 from exmvit.model import build_model
 from exmvit.tensor import Tensor
-from exmvit.weights import read_weights, save_weights
+from exmvit.weights import MAGIC, WeightsFormatError, read_weights, save_weights
 
 
 def run(capsys, *argv):
@@ -51,6 +51,7 @@ class TestBuild:
     def test_metadata_written(self, checkpoint):
         metadata, _ = read_weights(checkpoint)
         assert metadata == {
+            "config": resolve_variant("exmvit-640-tiny").to_json(),
             "variant": "exmvit-640-tiny",
             "profile": "tiny",
             "seed": 5,
@@ -134,6 +135,127 @@ class TestAudit:
         assert code == 0
         names = [row["name"] for row in json.loads(out)["layers"]]
         assert "shortcut1.pointwise" in names
+
+
+def tiny_doc(**changes):
+    """exmvit-576-tiny's config document with some fields replaced."""
+    doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def rho_with(entry):
+    return tiny_doc(rho=["0", "0", "1/3", entry, "3"])
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+MALFORMED_CONFIGS = {
+    "rho-entry-letter": rho_with("a"),
+    "rho-entry-nan": rho_with(float("nan")),  # json.dumps writes NaN, which json.loads reads
+    "rho-entry-1e400": rho_with("RHO").replace('"RHO"', "1e400"),
+    "rho-entry-1-over-0": rho_with("1/0"),
+    "rho-entry-exponent": rho_with("1e100000000"),
+    "rho-entry-list": rho_with([1]),
+    "rho-entry-bool": rho_with(True),
+    "rho-scalar": tiny_doc(rho=5),
+    "rho-nested-list": tiny_doc(rho=[[1]]),
+    "input-size-string": tiny_doc(input_size="64"),
+    "class-count-float": tiny_doc(class_count=8.5),
+    "profile-list": tiny_doc(profile=["tiny"]),
+    "name-number": tiny_doc(name=5),
+    "invalid-json": '{"name": "x", "rho": [',
+    "not-an-object": "[1, 2]",
+    "number-document": "0",
+    "null-document": "null",
+    "empty-document": "",
+    "nested-100000-deep": DEEP,
+    "not-utf8": b'{"name": "\xff"}',
+}
+
+
+class TestMalformedConfig:
+    """A malformed --config document is a ConfigError and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_config_error_and_exit_2(self, case, tmp_path, capsys):
+        document = MALFORMED_CONFIGS[case]
+        with pytest.raises(ConfigError):
+            config_from_json(document)
+        path = tmp_path / "bad.json"
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(document)
+        code, out, err = run(capsys, "audit", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_config_is_a_directory_exit_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "audit", "--config", str(tmp_path))
+        assert code == 2 and err.startswith("error: ")
+
+
+class TestCustomConfigCheckpoint:
+    """A checkpoint built from --config reads back without a registry entry."""
+
+    DOC = {"name": "my-custom", "rho": ["0", "0", "2/3", "1/2", "3"], "profile": "tiny"}
+
+    @pytest.fixture()
+    def built(self, tmp_path, capsys):
+        config = tmp_path / "custom.json"
+        config.write_text(json.dumps(self.DOC))
+        weights = str(tmp_path / "custom.exvt")
+        code, _, err = run(capsys, "build", "--config", str(config), "--seed", "2", "--out", weights)
+        assert code == 0, err
+        return str(config), weights
+
+    def test_infer_and_audit_read_it_back(self, built, tmp_path, capsys):
+        config, weights = built
+        image = write_ppm(tmp_path / "img.ppm")
+        code, out, err = run(capsys, "infer", "--weights", weights, "--image", image)
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == 5
+        for fmt in ("table", "json"):
+            sources = (("--weights", weights), ("--config", config))
+            audits = [run(capsys, "audit", flag, path, "--format", fmt) for flag, path in sources]
+            assert [code for code, _, _ in audits] == [0, 0]
+            assert audits[0][1] == audits[1][1]
+        assert json.loads(audits[0][1])["classifier_width"] == 8 + 8 + 60  # 2/3·12, 1/2·16, 3·20
+
+    def test_export_features_reads_it_back(self, built, tmp_path, capsys):
+        _, weights = built
+        image = write_ppm(tmp_path / "img.ppm")
+        out = str(tmp_path / "feat.bin")
+        argv = ["--weights", weights, "--image", image, "--block", "3", "--out", out]
+        assert run(capsys, "export-features", *argv)[0] == 0
+        assert json.loads(open(out + ".json").read())["variant"] == "my-custom"
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"config": "["}, {"config": 5}, {"input_size": 128}, {"variant": "exmvit-576-tiny"}],
+        ids=["config-not-json", "config-not-text", "size-disagrees", "name-disagrees"],
+    )
+    def test_bad_or_disagreeing_config_exit_2(self, built, tmp_path, change, capsys):
+        _, weights = built
+        metadata, _ = read_weights(weights)
+        metadata.update(change)
+        path = str(tmp_path / "edited.exvt")
+        model = build_model(config_from_json(json.dumps(self.DOC)), seed=2)
+        save_weights(model, path, metadata)
+        code, out, err = run(capsys, "audit", "--weights", path)
+        assert code == 2 and out == ""
+        assert "'config'" in err
+
+
+def test_deeply_nested_weights_metadata_exit_2(tmp_path, capsys):
+    meta = DEEP.encode()
+    path = tmp_path / "deep.exvt"
+    path.write_bytes(MAGIC + (1).to_bytes(2, "little") + len(meta).to_bytes(4, "little") + meta)
+    with pytest.raises(WeightsFormatError):
+        read_weights(str(path))
+    code, out, err = run(capsys, "audit", "--weights", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestSizeAndCountFlags:

@@ -8,7 +8,6 @@ from exmvit.config import (
     REGISTRY,
     config_from_json,
     expand_width,
-    registered_names,
     resolve_variant,
     validate,
 )
@@ -43,7 +42,7 @@ class TestResolve:
 
     def test_tiny_mirrors_registered(self):
         for name in IMAGENET_VARIANTS:
-            assert f"{name}-tiny" in registered_names()
+            assert f"{name}-tiny" in REGISTRY
             tiny = resolve_variant(f"{name}-tiny")
             assert tiny.rho == resolve_variant(name).rho
 
@@ -88,7 +87,7 @@ class TestValidate:
 
 class TestJsonRoundTrip:
     def test_round_trip_all_registered(self):
-        for name in registered_names():
+        for name in REGISTRY:
             cfg = resolve_variant(name)
             again = config_from_json(cfg.to_json())
             assert again == cfg

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exmvit import tensor as T
-from exmvit.layers import ConvNormAct
+from exmvit.layers import BatchNorm2d, ConvNormAct
 from exmvit.tensor import Tensor
 
 
@@ -39,16 +39,17 @@ class TestConvNormFold:
         out = block(Tensor(x))
         norm, conv = block.norm, block.conv
         with T.no_grad():
-            ref = T.conv2d(
+            y = T.conv2d(
                 Tensor(x), conv.weight, stride=stride, padding=conv.padding, groups=groups
-            )
-            ref = T.batch_norm(
-                ref, norm.gamma, norm.beta, norm.running_mean, norm.running_var, training=False
-            )
-            ref = T.silu(ref) if act else ref
+            ).data
+        c = (1, cout, 1, 1)
+        ref = (y - norm.running_mean.reshape(c)) / np.sqrt(norm.running_var.reshape(c) + norm.eps)
+        ref = ref * norm.gamma.data.reshape(c) + norm.beta.data.reshape(c)
+        if act:
+            ref = ref / (1.0 + np.exp(-ref))
         assert out.dtype == np.float32 and out.shape == ref.shape
         # float32: the fold rounds weight * scale once instead of conv(x) * scale
-        np.testing.assert_allclose(out.data, ref.data, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
         assert out._parents == ()
 
     def test_eval_call_does_not_run_the_norm(self):
@@ -93,3 +94,19 @@ class TestConvNormFold:
         T.tsum(block.conv(x, scale, shift)).backward()
         assert block.conv.weight.grad is not None
         assert block.norm.gamma.grad is not None and block.norm.beta.grad is not None
+
+
+class TestBatchNorm2dTrainOnly:
+    def test_eval_call_raises_and_leaves_statistics_unchanged(self):
+        rng = np.random.default_rng(85)
+        norm = BatchNorm2d(4)
+        norm.running_mean[:] = rng.normal(0.0, 0.5, 4)
+        norm.running_var[:] = rng.uniform(0.5, 2.0, 4)
+        before = (norm.running_mean.copy(), norm.running_var.copy())
+        x = Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float32))
+        with pytest.raises(RuntimeError, match="train mode only"):
+            norm.eval()(x)
+        assert np.array_equal(norm.running_mean, before[0])
+        assert np.array_equal(norm.running_var, before[1])
+        norm.train()(x)
+        assert not np.array_equal(norm.running_mean, before[0])

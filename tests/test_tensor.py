@@ -113,7 +113,6 @@ class TestNorms:
             Tensor(np.zeros(3, dtype=np.float32)),
             np.zeros(3, dtype=np.float32),
             np.ones(3, dtype=np.float32),
-            training=True,
             eps=1e-8,
         )
         np.testing.assert_allclose(out.data, x, atol=1e-5)
@@ -126,7 +125,6 @@ class TestNorms:
             Tensor(np.zeros(3, dtype=np.float32)),
             np.zeros(3, dtype=np.float32),
             np.ones(3, dtype=np.float32),
-            training=True,
         )
         np.testing.assert_allclose(out.data, 0.0, atol=1e-4)
 
@@ -139,7 +137,6 @@ class TestNorms:
             Tensor(np.zeros(4, dtype=np.float32)),
             np.zeros(4, dtype=np.float32),
             np.ones(4, dtype=np.float32),
-            training=True,
             eps=1e-8,
         )
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
@@ -154,7 +151,6 @@ class TestNorms:
                 Tensor(np.zeros(1)),
                 np.zeros(1),
                 np.ones(1),
-                training=True,
                 eps=0.0,
             )
 
@@ -347,7 +343,7 @@ class TestBackward:
 
     def test_half_square_gradient_is_input(self):
         x = Tensor(np.arange(5, dtype=np.float32), requires_grad=True)
-        loss = T.mul(T.tsum(T.square(x)), Tensor(np.float32(0.5)))
+        loss = T.mul(T.tsum(T.mul(x, x)), Tensor(np.float32(0.5)))
         loss.backward()
         np.testing.assert_allclose(x.grad, x.data, atol=1e-6)
 
@@ -413,6 +409,8 @@ class TestNoGrad:
 
 
 class TestEvalBatchNorm:
+    """Eval batch norm as the per-channel scale and shift an eval ConvNormAct folds."""
+
     @staticmethod
     def operands(rng, dtype):
         x = rng.normal(size=(2, 3, 4, 4)).astype(dtype)
@@ -422,9 +420,16 @@ class TestEvalBatchNorm:
         var = rng.uniform(0.5, 2.0, 3).astype(dtype)
         return x, gamma, beta, mean, var
 
+    @staticmethod
+    def apply(x, gamma, beta, mean, var):
+        """x * scale + shift, with scale and shift broadcast over (1, C, 1, 1)."""
+        scale, shift = T.batch_norm_scale_shift(gamma, beta, mean, var, 1e-5)
+        c = (1, x.shape[1], 1, 1)
+        return T.add(T.mul(x, T.reshape(scale, c)), T.reshape(shift, c))
+
     def test_matches_normalize_then_affine(self):
         x, gamma, beta, mean, var = self.operands(np.random.default_rng(20), np.float32)
-        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var, training=False)
+        out = self.apply(Tensor(x), Tensor(gamma), Tensor(beta), mean, var)
         c = (1, 3, 1, 1)
         expected = (x - mean.reshape(c)) / np.sqrt(var.reshape(c) + 1e-5) * gamma.reshape(
             c
@@ -438,8 +443,8 @@ class TestEvalBatchNorm:
 
         def loss_of(x, gamma, beta):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-            out = T.batch_norm(*leaves, mean, var, training=False)
-            return T.tsum(T.square(out)), leaves
+            out = self.apply(*leaves, mean, var)
+            return T.tsum(T.mul(out, out)), leaves
 
         loss, leaves = loss_of(*operands[:3])
         loss.backward()
@@ -458,7 +463,7 @@ class TestEvalBatchNorm:
 class TestBackwardConsumesGraph:
     def test_intermediates_released_leaf_keeps_grad(self):
         x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
-        hidden = T.square(x)
+        hidden = T.mul(x, x)
         loss = T.tsum(T.mul(hidden, x))  # sum of x^3
         loss.backward()
         for node in (hidden, loss):
@@ -505,7 +510,7 @@ def chained_batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5, mome
     c = x.shape[1]
     mean = T.tmean(x, axis=(0, 2, 3), keepdims=True)
     centered = T.sub(x, mean)
-    var = T.tmean(T.square(centered), axis=(0, 2, 3), keepdims=True)
+    var = T.tmean(T.mul(centered, centered), axis=(0, 2, 3), keepdims=True)
     n = x.shape[0] * x.shape[2] * x.shape[3]
     unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
     running_mean *= 1.0 - momentum
@@ -533,7 +538,7 @@ class TestTrainBatchNorm:
         x, gamma, beta, _ = self.operands(dtype)
         stats = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
         chain_stats = [s.copy() for s in stats]
-        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats, training=True)
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats)
         chain = chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats)
         assert out.dtype == dtype
         assert np.array_equal(out.data, chain.data)
@@ -543,16 +548,16 @@ class TestTrainBatchNorm:
     def test_records_one_node(self):
         x, gamma, beta, _ = self.operands(np.float32)
         leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), training=True)
+        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4))
         assert out._parents == tuple(leaves)
 
     def test_gradients_match_chain(self):
         x, gamma, beta, weights = self.operands(np.float32)
         grads = []
-        for norm in (lambda *args: T.batch_norm(*args, training=True), chained_batch_norm):
+        for norm in (T.batch_norm, chained_batch_norm):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             out = norm(*leaves, np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32))
-            T.tsum(T.mul(T.square(out), Tensor(weights))).backward()
+            T.tsum(T.mul(T.mul(out, out), Tensor(weights))).backward()
             grads.append([leaf.grad for leaf in leaves])
         for fused, chained in zip(*grads):
             np.testing.assert_allclose(fused, chained, rtol=1e-4, atol=1e-5)
@@ -568,8 +573,8 @@ class TestTrainBatchNorm:
                 Tensor(gamma, requires_grad=True),
                 Tensor(beta, requires_grad=True),
             ]
-            out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), training=True)
-            return T.tsum(T.mul(T.square(out), Tensor(weights))), leaves
+            out = T.batch_norm(*leaves, np.zeros(4), np.ones(4))
+            return T.tsum(T.mul(T.mul(out, out), Tensor(weights))), leaves
 
         loss, leaves = loss_of(*operands)
         loss.backward()
@@ -778,7 +783,7 @@ def chained_layer_norm(x, gamma, beta, eps=1e-5):
     """Layer norm as a chain of primitive ops (the unfused form)."""
     mean = T.tmean(x, axis=-1, keepdims=True)
     centered = T.sub(x, mean)
-    var = T.tmean(T.square(centered), axis=-1, keepdims=True)
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
     eps_t = Tensor(np.asarray(eps, dtype=np.float32))
     inv = T.div(Tensor(np.asarray(1.0, dtype=x.dtype)), T.sqrt(T.add(var, eps_t)))
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
@@ -812,7 +817,8 @@ class TestFusedLayerNorm:
         grads = []
         for norm in (T.layer_norm, chained_layer_norm):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-            T.tsum(T.mul(T.square(norm(*leaves)), Tensor(weights))).backward()
+            out = norm(*leaves)
+            T.tsum(T.mul(T.mul(out, out), Tensor(weights))).backward()
             grads.append([leaf.grad for leaf in leaves])
         for fused, chained in zip(*grads):
             np.testing.assert_allclose(fused, chained, rtol=1e-4, atol=1e-5)
@@ -829,7 +835,7 @@ class TestFusedLayerNorm:
                 Tensor(beta, requires_grad=True),
             ]
             out = T.layer_norm(*leaves)
-            return T.tsum(T.mul(T.square(out), Tensor(weights))), leaves
+            return T.tsum(T.mul(T.mul(out, out), Tensor(weights))), leaves
 
         loss, leaves = loss_of(*operands)
         loss.backward()
