@@ -13,6 +13,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 NUM_BLOCKS = 5
+# Most weights a config may ask of its shortcut convs and classifier
+# together: 2**28 float32 weights are 1 GiB. Every registered variant needs
+# under a million.
+MAX_HEAD_WEIGHTS = 1 << 28
 
 
 class ConfigError(ValueError):
@@ -259,4 +263,13 @@ def validate(config: VariantConfig, allow_early_shortcuts: bool = False) -> list
         violations.append(f"input_size {config.input_size} not divisible by 32")
     if config.class_count < 1:
         violations.append("class_count must be positive")
+    if not violations:
+        widths = [int(Fraction(r) * c) for r, c in zip(config.rho, config.block_channels)]
+        head = sum(w * c for w, c in zip(widths, config.block_channels))
+        head += sum(widths) * config.class_count
+        if head > MAX_HEAD_WEIGHTS:
+            violations.append(
+                f"shortcut and classifier weights ({head}) exceed {MAX_HEAD_WEIGHTS} "
+                f"(1 GiB of float32); lower rho or class_count"
+            )
     return violations

@@ -109,16 +109,17 @@ class Conv2d(Module):
         )
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True) if bias else None
 
-    def forward(self, x, scale=None, shift=None):
+    def forward(self, x, scale=None, shift=None, act=False):
         """Convolve ``x``; given a per-output-channel ``scale`` and ``shift``,
         convolve with ``weight * scale`` and add ``bias * scale + shift``,
-        which equals scaling and shifting the output."""
+        which equals scaling and shifting the output. ``act`` applies SiLU to
+        the result (inside the conv's tiles when no graph is recorded)."""
         weight, bias = self.weight, self.bias
         if scale is not None:
             weight = T.mul(weight, T.reshape(scale, (-1, 1, 1, 1)))
             bias = shift if bias is None else T.add(T.mul(bias, scale), shift)
         return T.conv2d(
-            x, weight, bias, stride=self.stride, padding=self.padding, groups=self.groups
+            x, weight, bias, stride=self.stride, padding=self.padding, groups=self.groups, act=act
         )
 
 
@@ -168,16 +169,17 @@ class Linear(Module):
         self.weight = Tensor(trunc_normal(rng, (dout, din)), requires_grad=True)
         self.bias = Tensor(np.zeros(dout, dtype=np.float32), requires_grad=True) if bias else None
 
-    def forward(self, x):
-        return T.linear(x, self.weight, self.bias)
+    def forward(self, x, act=False):
+        return T.linear(x, self.weight, self.bias, act=act)
 
 
 class ConvNormAct(Module):
     """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom.
 
     In eval mode the norm is folded into the conv at call time: the conv runs
-    with its weight scaled and the norm's shift as bias. Nothing is cached, so
-    a weight load or an optimizer step needs no invalidation.
+    with its weight scaled, the norm's shift as bias and the SiLU as its
+    epilogue. Nothing is cached, so a weight load or an optimizer step needs
+    no invalidation.
     """
 
     def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, act=True):
@@ -189,13 +191,12 @@ class ConvNormAct(Module):
     def forward(self, x):
         if self.training:
             x = self.norm(self.conv(x))
-        else:
-            n = self.norm
-            scale, shift = T.batch_norm_scale_shift(
-                n.gamma, n.beta, n.running_mean, n.running_var, n.eps
-            )
-            x = self.conv(x, scale, shift)
-        return T.silu(x) if self.act else x
+            return T.silu(x) if self.act else x
+        n = self.norm
+        scale, shift = T.batch_norm_scale_shift(
+            n.gamma, n.beta, n.running_mean, n.running_var, n.eps
+        )
+        return self.conv(x, scale, shift, act=self.act)
 
 
 class MultiHeadAttention(Module):
@@ -239,5 +240,5 @@ class TransformerLayer(Module):
 
     def forward(self, x):
         x = T.add(x, self.attn(self.norm1(x)))
-        h = T.silu(self.ffn1(self.norm2(x)))
+        h = self.ffn1(self.norm2(x), act=True)
         return T.add(x, self.ffn2(h))

@@ -65,7 +65,7 @@ class ExShortcut(Module):
                 f"shortcut {self.spec.block_index}: expected {self.spec.in_channels} "
                 f"channels, got {feature.shape[1]}"
             )
-        return T.global_avg_pool(T.silu(self.pointwise(feature)))
+        return T.global_avg_pool(self.pointwise(feature, act=True))
 
 
 class ExMobileViT(Module):
@@ -128,7 +128,7 @@ class MobileViTS(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         feat = self.backbone(x)
-        pooled = T.global_avg_pool(T.silu(self.final_conv(feat)))
+        pooled = T.global_avg_pool(self.final_conv(feat, act=True))
         return self.classifier(pooled)
 
 

@@ -12,9 +12,15 @@ closure has run, and only leaf tensors that require grad (parameters) keep
 gradient buffer it has just allocated to ``_accumulate`` rather than having
 it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``, ``silu``,
 ``softmax``) record one node each and keep in their closures only what their
-backward reads. When no graph is recorded, ``conv2d`` runs a stride-1 conv
-with one output channel per group (depthwise) over flattened padded rows
-instead of im2col, and ``silu`` writes its product into its sigmoid buffer.
+backward reads. When no graph is recorded, the eval forward works in
+cache-sized pieces: ``conv2d`` writes its output one tile (one image by a
+block of output rows, about 256 KiB) at a time, and ``conv2d`` and
+``linear`` finish each piece while it is in cache with one epilogue: bias
+add, SiLU when asked (``act``, with ``silu``'s bits) and the finite check.
+A stride-1 depthwise conv reads flattened padded rows instead of im2col
+columns. Attention folds its score scale into q's projection and runs its
+softmax in the scores buffer, and ``silu`` writes its product into its
+sigmoid buffer. A recorded forward keeps its kernels and its bits.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -55,7 +61,7 @@ class NumericError(ArithmeticError):
 
 def _check_finite(data: np.ndarray, op: str) -> None:
     # NaN/Inf is a hard error, never a value to propagate
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -257,12 +263,29 @@ def sqrt(a: Tensor) -> Tensor:
 # -- activations --------------------------------------------------------------
 
 
-def silu(a: Tensor) -> Tensor:
-    # sigmoid built in one buffer: 1 / (1 + exp(-a)), bit for bit
-    sig = np.negative(a.data)
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) built in one fresh buffer, in that op order."""
+    sig = np.negative(a)
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
+    return sig
+
+
+def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> None:
+    """Finish an unrecorded conv2d or linear output in place while it is in
+    cache: add ``bias`` (broadcast against ``buf``), apply SiLU if ``act``
+    with ``silu``'s op order (so its bits), then check ``buf`` is finite.
+    Callers hand it one tile at a time and check nothing else."""
+    if bias is not None:
+        buf += bias
+    if act:
+        np.multiply(buf, _sigmoid(buf), out=buf)
+    _check_finite(buf, op)
+
+
+def silu(a: Tensor) -> Tensor:
+    sig = _sigmoid(a.data)
     if not _recording((a,)):
         # no backward will read the sigmoid: the product goes into its buffer
         return _make(np.multiply(a.data, sig, out=sig), (a,), None, "silu")
@@ -279,9 +302,18 @@ def silu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "silu")
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    data = a.data - a.data.max(axis=-1, keepdims=True)
+def softmax(a: Tensor, overwrite: bool = False) -> Tensor:
+    """Softmax over the last axis, stabilized by max subtraction.
+
+    With ``overwrite``, an unrecorded call works in ``a``'s buffer instead of
+    a new one; only for a fresh buffer that nothing else reads (attention's
+    scores).
+    """
+    peak = a.data.max(axis=-1, keepdims=True)
+    if overwrite and not _recording((a,)):
+        data = np.subtract(a.data, peak, out=a.data)
+    else:
+        data = a.data - peak
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
 
@@ -385,16 +417,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x[..., Din] -> x @ weight.T + bias, with weight [Dout, Din]."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, act: bool = False) -> Tensor:
+    """x[..., Din] -> x @ weight.T + bias, with weight [Dout, Din], then SiLU
+    if ``act``.
+
+    Recorded, it is the op chain matmul, transpose, add, silu. Unrecorded, it
+    is one GEMM of all leading rows against a transposed view of the weight
+    (no copy), finished in place by ``_epilogue``: one finite check instead
+    of three.
+    """
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
             f"linear: input dim {x.shape[-1]} != weight in-dim {weight.shape[1]}"
         )
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if not _recording(parents):
+        # one GEMM over every leading row, not one per leading index
+        rows = x.data.reshape(-1, x.shape[-1])
+        out = np.matmul(rows, weight.data.T).reshape(x.shape[:-1] + (weight.shape[0],))
+        _epilogue(out, None if bias is None else bias.data, act, "linear")
+        return Tensor(out)
     out = matmul(x, transpose(weight, (1, 0)))
     if bias is not None:
         out = add(out, bias)
-    return out
+    return silu(out) if act else out
 
 
 # -- convolution -----------------------------------------------------------------
@@ -404,6 +450,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # and the input rows they read stay in a 2 MiB per-core L2; on such a Xeon
 # 256 KiB beat both 128 KiB and 1 MiB at exmvit-928's stride-1 shapes.
 _FLAT_CHUNK_BYTES = 1 << 18
+# Bytes of output per tile of the tiled kernel. Summed over exmvit-928's
+# tiled convs at 256x256 on the same Xeon, 256 KiB and 512 KiB tied (39-40
+# ms) ahead of 128 KiB (41 ms) and 1 MiB (42 ms).
+_TILE_BYTES = 1 << 18
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -421,19 +471,26 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
+    act: bool = False,
 ) -> Tensor:
-    """2-D cross-correlation with optional grouping.
+    """2-D cross-correlation with optional grouping, then SiLU if ``act``.
 
     x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
     standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
-    The forward is im2col plus a batched matmul. A padded stride-1 conv with
-    one output channel per group that records no graph runs the flat-row
-    kernel instead (``_conv2d_flat_rows``): it is faster at ImageNet shapes,
-    and a recorded forward keeps im2col's bits. The backward closure keeps
-    the padded input (the input itself when padding is 0), not the im2col
-    columns, and rebuilds the columns for the weight gradient. The input
-    gradient is skipped when x does not require grad; for one output channel
-    per group it is a per-tap scale of the output gradient, not a matmul.
+
+    A recorded forward is im2col plus a batched matmul, followed by a
+    recorded ``silu`` when ``act``. Its backward closure keeps the padded
+    input (the input itself when padding is 0), not the im2col columns, and
+    rebuilds the columns for the weight gradient. The input gradient is
+    skipped when x does not require grad; for one output channel per group
+    it is a per-tap scale of the output gradient, not a matmul.
+
+    An unrecorded forward writes its output one cache-sized piece at a time
+    and runs ``_epilogue`` (bias, SiLU, finite check) on each piece while it
+    is in cache. A padded stride-1 conv with one output channel per group
+    runs the flat-row kernel (``_conv2d_flat_rows``); every other conv runs
+    the tiled kernel (``_conv2d_tiles``), whose tile is one image by a block
+    of output rows.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {weight.shape}")
@@ -451,11 +508,13 @@ def conv2d(
     wo = (w + 2 * padding - kw) // stride + 1
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    if cout == groups and stride == 1 and padding and not _recording(parents):
-        out = _conv2d_flat_rows(x.data, weight.data, padding, ho, wo)
-        if bias is not None:
-            out += bias.data.reshape(1, cout, 1, 1)
-        return _make(out, parents, None, "conv2d")
+    if not _recording(parents):
+        b = None if bias is None else bias.data
+        if cout == groups and stride == 1 and padding:
+            out = _conv2d_flat_rows(x.data, weight.data, b, act, padding, ho, wo)
+        else:
+            out = _conv2d_tiles(x.data, weight.data, b, act, stride, padding, groups, ho, wo)
+        return Tensor(out)  # every piece was checked by its epilogue
 
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -504,11 +563,77 @@ def conv2d(
             gxp = gxp[:, :, padding : padding + h, padding : padding + w]
         x._accumulate(gxp, owned=True)
 
-    return _make(out, parents, backward, "conv2d")
+    out = _make(out, parents, backward, "conv2d")
+    return silu(out) if act else out
+
+
+def _conv2d_tiles(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    act: bool,
+    stride: int,
+    padding: int,
+    groups: int,
+    ho: int,
+    wo: int,
+) -> np.ndarray:
+    """Unrecorded conv, one tile of about ``_TILE_BYTES`` of output at a time.
+
+    A tile is one image by a block of output rows. Its product is written
+    into one contiguous tile buffer, finished there by ``_epilogue`` while it
+    is in cache, and copied into the output. A stride-1 1x1 conv hands BLAS
+    the tile's input rows as a strided view, with no copy. Any other conv
+    builds im2col columns for the tile's rows only, from a band of input
+    rows padded per tile, so the whole map is never padded. The tiles of an
+    image are the same at any batch size, so batch rows equal single-image
+    rows.
+    """
+    batch, cin, h, w = x.shape
+    cout, cin_g, kh, kw = weight.shape
+    dtype = np.result_type(x, weight)
+    rows = max(1, min(ho, _TILE_BYTES // (cout * wo * dtype.itemsize)))
+    wg = weight.reshape(groups, cout // groups, cin_g * kh * kw)
+    rowbias = None if bias is None else bias.reshape(cout, 1)
+    pointwise = kh == kw == 1 and stride == 1 and not padding
+    if not pointwise:
+        # the input rows one tile reads; the left and right padding stay zero
+        band = np.zeros((cin, (rows - 1) * stride + kh, w + 2 * padding), dtype=x.dtype)
+    out = np.empty((batch, cout, ho, wo), dtype=dtype)
+    tile = np.empty(cout * rows * wo, dtype=dtype)
+    for n in range(batch):
+        for lo in range(0, ho, rows):
+            hi = min(lo + rows, ho)
+            size = (hi - lo) * wo
+            if pointwise:
+                cols = x[n, :, lo:hi].reshape(groups, cin_g, size)
+            else:
+                top, height = lo * stride - padding, (hi - lo - 1) * stride + kh
+                # the image rows the band holds; none when it lies in the padding
+                first = max(top, 0)
+                last = max(min(top + height, h), first)
+                src = band[:, :height]
+                src[:, : first - top] = 0
+                src[:, first - top : last - top, padding : padding + w] = x[n, :, first:last]
+                src[:, last - top :] = 0
+                patches = _im2col(src[None], kh, kw, stride, hi - lo, wo)
+                cols = patches.reshape(groups, cin_g * kh * kw, size)
+            part = tile[: cout * size].reshape(groups, cout // groups, size)
+            np.matmul(wg, cols, out=part)
+            part = part.reshape(cout, size)
+            _epilogue(part, rowbias, act, "conv2d")
+            out[n, :, lo:hi] = part.reshape(cout, hi - lo, wo)
+    return out
 
 
 def _conv2d_flat_rows(
-    x: np.ndarray, weight: np.ndarray, padding: int, ho: int, wo: int
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    act: bool,
+    padding: int,
+    ho: int,
+    wo: int,
 ) -> np.ndarray:
     """Stride-1 conv with one output channel per group, over flattened rows.
 
@@ -516,34 +641,40 @@ def _conv2d_flat_rows(
     one flat row of ``(H+2p+1)·Wp`` values, ``Wp = W+2p``. Output pixel
     ``(r, c)`` sits at flat index ``r·Wp + c`` and tap ``(i, j)`` adds the
     input at that index plus ``i·Wp + j``, so every tap is one contiguous
-    multiply-add over ``Ho·Wp`` values. The ``Wp − Wo`` columns that wrap
-    into the next row are dropped once per chunk. Output rows (one per image
-    and channel) go in chunks whose two work buffers stay in cache; the taps
-    are summed in the same order whatever the chunk or batch size.
+    multiply-add over ``Ho·Wp`` values. Output rows (one per image and
+    channel) go in chunks: each chunk's input channels are copied into a
+    zero-bordered buffer (the whole map is never padded), its taps summed in
+    two work buffers, the ``Wp − Wo`` columns that wrap into the next row
+    dropped, and ``_epilogue`` run on its output, all while it is in cache.
+    The taps are summed in the same order whatever the chunk or batch size.
     """
-    batch = x.shape[0]
+    batch, _, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding + 1), (padding, padding)))
-    wp = xp.shape[3]
+    wp = w + 2 * padding
     rows = batch * cout
-    flat = xp.reshape(rows, cin_g, -1)
+    planes = x.reshape(rows, cin_g, h, w)
     taps = np.tile(weight.reshape(cout, cin_g * kh * kw), (batch, 1))
+    rowbias = None if bias is None else np.tile(bias, batch).reshape(rows, 1, 1)
     span = ho * wp
     dtype = np.result_type(x, weight)
-    step = max(1, _FLAT_CHUNK_BYTES // (span * dtype.itemsize))
+    step = min(rows, max(1, _FLAT_CHUNK_BYTES // (span * dtype.itemsize)))
+    padded = np.zeros((step, cin_g, h + 2 * padding + 1, wp), dtype=x.dtype)
     out = np.empty((rows, ho, wo), dtype=dtype)
-    acc = np.empty((min(step, rows), span), dtype=dtype)
+    acc = np.empty((step, span), dtype=dtype)
     term = np.empty_like(acc)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
+        padded[: hi - lo, :, padding : padding + h, padding : padding + w] = planes[lo:hi]
+        flat = padded[: hi - lo].reshape(hi - lo, cin_g, -1)
         part, tmp = acc[: hi - lo], term[: hi - lo]
         for n, (ci, i, j) in enumerate(np.ndindex(cin_g, kh, kw)):
             start = i * wp + j
-            src = flat[lo:hi, ci, start : start + span]
+            src = flat[:, ci, start : start + span]
             np.multiply(src, taps[lo:hi, n : n + 1], out=tmp if n else part)
             if n:
                 part += tmp
         out[lo:hi] = part.reshape(hi - lo, ho, wp)[:, :, :wo]
+        _epilogue(out[lo:hi], None if rowbias is None else rowbias[lo:hi], act, "conv2d")
     return out.reshape(batch, cout, ho, wo)
 
 
@@ -704,11 +835,21 @@ def multi_head_attention(
     bv: Tensor | None = None,
     bo: Tensor | None = None,
 ) -> Tensor:
-    """Scaled dot-product self-attention over [B, T, D] sequences."""
+    """Scaled dot-product self-attention over [B, T, D] sequences.
+
+    When no graph is recorded, the 1/sqrt(head dim) score scale is folded
+    into q's weight and bias at call time (nothing is cached), and the
+    softmax works in the fresh scores buffer.
+    """
     batch, t, d = x.shape
     if d % heads:
         raise ShapeError(f"attention dim {d} not divisible by heads {heads}")
     hd = d // heads
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=x.dtype)
+    recording = _recording(tuple(p for p in (x, wq, wk, wv, wo, bq, bk, bv, bo) if p is not None))
+    if not recording:
+        wq = Tensor(wq.data * scale)
+        bq = None if bq is None else Tensor(bq.data * scale)
 
     def split(z):
         return transpose(reshape(z, (batch, t, heads, hd)), (0, 2, 1, 3))
@@ -717,8 +858,9 @@ def multi_head_attention(
     k = split(linear(x, wk, bk))
     v = split(linear(x, wv, bv))
     scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    scores = mul(scores, Tensor(np.asarray(1.0 / np.sqrt(hd), dtype=x.dtype)))
-    weights = softmax(scores)
+    if recording:
+        scores = mul(scores, Tensor(scale))
+    weights = softmax(scores, overwrite=True)
     ctx = matmul(weights, v)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, t, d))
     return linear(merged, wo, bo)

@@ -8,7 +8,7 @@ from exmvit.cli import main
 from exmvit.config import ConfigError, config_from_json, resolve_variant
 from exmvit.model import build_model
 from exmvit.tensor import Tensor
-from exmvit.weights import MAGIC, WeightsFormatError, read_weights, save_weights
+from exmvit.weights import MAGIC, WeightsFormatError, load_weights, read_weights, save_weights
 
 
 def run(capsys, *argv):
@@ -171,6 +171,9 @@ MALFORMED_CONFIGS = {
     "empty-document": "",
     "nested-100000-deep": DEEP,
     "not-utf8": b'{"name": "\xff"}',
+    # a 20 M-wide or a 1 G-row classifier: over the weight ceiling
+    "rho-huge": tiny_doc(rho=["0", "0", "0", "0", "1000000"]),
+    "class-count-huge": tiny_doc(class_count=1_000_000_000),
 }
 
 
@@ -194,6 +197,49 @@ class TestMalformedConfig:
     def test_config_is_a_directory_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "audit", "--config", str(tmp_path))
         assert code == 2 and err.startswith("error: ")
+
+
+class TestHeadWeightCeiling:
+    """A config whose shortcut and classifier weights exceed the ceiling is a
+    ConfigError, exit 2, from flags and from weights metadata as from --config."""
+
+    def test_class_count_flag_exit_2(self, capsys):
+        argv = ["audit", "--variant", "exmvit-928", "--class-count", "1000000000"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "exceed" in err
+
+    def test_metadata_class_count_exit_2(self, checkpoint, tmp_path, capsys):
+        metadata, _ = read_weights(checkpoint)
+        del metadata["config"]  # rebuilt through the registry and the overrides
+        metadata["class_count"] = 1_000_000_000
+        path = str(tmp_path / "huge.exvt")
+        save_weights(build_model(resolve_variant("exmvit-640-tiny"), seed=5), path, metadata)
+        code, out, err = run(capsys, "audit", "--weights", path)
+        assert code == 2 and out == "" and "exceed" in err
+
+    def test_metadata_config_exit_2(self, checkpoint, tmp_path, capsys):
+        metadata, _ = read_weights(checkpoint)
+        doc = json.loads(metadata["config"])
+        doc["rho"][4] = "1000000"
+        metadata["config"] = json.dumps(doc)
+        path = str(tmp_path / "huge.exvt")
+        save_weights(build_model(resolve_variant("exmvit-640-tiny"), seed=5), path, metadata)
+        code, out, err = run(capsys, "audit", "--weights", path)
+        assert code == 2 and out == "" and "exceed" in err
+
+
+class TestNonFiniteWeights:
+    def test_infer_with_a_nan_weight_exits_2(self, checkpoint, tmp_path, capsys):
+        metadata, _ = read_weights(checkpoint)
+        model = build_model(resolve_variant("exmvit-640-tiny"), seed=5)
+        load_weights(model, checkpoint)
+        model.backbone.block4[1].transformer[0].ffn1.weight.data[3, 2] = np.nan
+        path = str(tmp_path / "nan.exvt")
+        save_weights(model, path, metadata)
+        image = write_ppm(tmp_path / "img.ppm")
+        code, out, err = run(capsys, "infer", "--weights", path, "--image", image)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "non-finite" in err
 
 
 class TestCustomConfigCheckpoint:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from exmvit.config import (
+    MAX_HEAD_WEIGHTS,
     ConfigError,
     REGISTRY,
     config_from_json,
@@ -78,6 +79,20 @@ class TestValidate:
         assert any("positive multiple of 32" in v for v in validate(cfg))
         with pytest.raises(ConfigError):
             resolve_variant("exmvit-576-tiny", {"input_size": size})
+
+    def test_head_weight_ceiling(self):
+        # tiny profile, rho = (0, 0, 0, 0, 1): 20 shortcut channels from 20,
+        # so 400 shortcut weights and 20 per class
+        base = resolve_variant("mobilevit-s-tiny")
+        cfg = type(base)(name="edge", rho=(0, 0, 0, 0, 1), profile="tiny")
+        largest = (MAX_HEAD_WEIGHTS - 400) // 20
+        assert validate(type(cfg)(**{**vars(cfg), "class_count": largest})) == []
+        over = validate(type(cfg)(**{**vars(cfg), "class_count": largest + 1}))
+        assert any("exceed" in v for v in over)
+        wide = type(cfg)(name="wide", rho=(0, 0, 0, 0, 1_000_000), profile="tiny", class_count=1)
+        assert any("exceed" in v for v in validate(wide))
+        with pytest.raises(ConfigError, match="exceed"):
+            resolve_variant("exmvit-928", {"class_count": 10**9})
 
     def test_early_shortcut_violation(self):
         cfg = type(resolve_variant("mobilevit-s"))(name="bad", rho=(1, 0, 0, 0, 4))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exmvit import tensor as T
-from exmvit.layers import BatchNorm2d, ConvNormAct
+from exmvit.layers import BatchNorm2d, ConvNormAct, Linear
 from exmvit.tensor import Tensor
 
 
@@ -110,3 +110,31 @@ class TestBatchNorm2dTrainOnly:
         assert np.array_equal(norm.running_var, before[1])
         norm.train()(x)
         assert not np.array_equal(norm.running_mean, before[0])
+
+
+class TestFusedActivation:
+    """Eval ConvNormAct and Linear(act=True) run SiLU inside the op, with the
+    bits of the op followed by ``T.silu``."""
+
+    @pytest.mark.parametrize("case", [c for c in TestConvNormFold.CASES if c[-1]])
+    def test_eval_conv_norm_act_equals_conv_then_silu(self, case):
+        block, rng = randomized_block(90, *case)
+        x = Tensor(rng.normal(size=(2, case[0], 9, 9)).astype(np.float32))
+        n = block.norm
+        scale, shift = T.batch_norm_scale_shift(
+            n.gamma, n.beta, n.running_mean, n.running_var, n.eps
+        )
+        with T.no_grad():
+            expected = T.silu(block.conv(x, scale, shift))
+        assert np.array_equal(block(x).data, expected.data)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_linear_act_equals_linear_then_silu(self, training):
+        rng = np.random.default_rng(91)
+        layer = Linear(rng, 8, 12).train(training)
+        layer.bias.data[:] = rng.normal(size=12)
+        x = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
+        fused = layer(x, act=True)
+        expected = T.silu(layer(x))
+        assert bool(fused._parents) == training
+        assert np.array_equal(fused.data, expected.data)

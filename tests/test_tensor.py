@@ -723,6 +723,194 @@ class TestFlatRowDepthwise:
         assert np.array_equal(batched, np.concatenate([s.data for s in single]))
 
 
+class TestTiledConv:
+    """Unrecorded convs (the tiled kernel for 1x1, dense 3x3 and stride-2
+    depthwise; the flat-row kernel for stride-1 depthwise) against the im2col
+    forward that recorded convs keep."""
+
+    # (cin, cout, kernel, stride, groups)
+    CASES = {
+        "pointwise": (6, 10, 1, 1, 1),
+        "dense-s1": (5, 7, 3, 1, 1),
+        "dense-s2": (5, 7, 3, 2, 1),
+        "depthwise-s1": (6, 6, 3, 1, 6),
+        "depthwise-s2": (6, 6, 3, 2, 6),
+    }
+    # (input H x W, output rows per tile): Ho = 9 or 5 in tiles of 2 leaves a
+    # short last tile; a one-row map; a map that fits one default tile
+    MAPS = {"multi-tile": ((9, 7), 2), "one-row": ((1, 5), None), "one-tile": ((4, 4), None)}
+
+    @staticmethod
+    def rows_per_tile(monkeypatch, rows, cout, wo, dtype):
+        monkeypatch.setattr(T, "_TILE_BYTES", rows * cout * wo * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(T, "_FLAT_CHUNK_BYTES", 1)  # flat-row chunks of one channel
+
+    @staticmethod
+    def conv(x, w, b, stride, groups, act, record):
+        padding = w.shape[2] // 2
+        weight = Tensor(w, requires_grad=record)
+        bias = Tensor(b, requires_grad=record)
+        out = T.conv2d(Tensor(x), weight, bias, stride, padding, groups, act=act)
+        assert bool(out._parents) == record
+        return out.data
+
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("layout", sorted(MAPS))
+    def test_matches_im2col(self, monkeypatch, act, dtype, case, layout):
+        cin, cout, k, stride, groups = self.CASES[case]
+        (h, w), rows = self.MAPS[layout]
+        rng = np.random.default_rng(66)
+        x = rng.normal(size=(2, cin, h, w)).astype(dtype)
+        wt = rng.normal(size=(cout, cin // groups, k, k)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        if rows is not None:
+            self.rows_per_tile(monkeypatch, rows, cout, (w - 1) // stride + 1, dtype)
+        with T.no_grad():
+            tiled = self.conv(x, wt, b, stride, groups, act, record=False)
+        recorded = self.conv(x, wt, b, stride, groups, act, record=True)
+        assert tiled.dtype == dtype and tiled.shape == recorded.shape
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(tiled, recorded, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch_rows_bitwise_equal_to_single_images(self, monkeypatch, case):
+        cin, cout, k, stride, groups = self.CASES[case]
+        rng = np.random.default_rng(67)
+        x = rng.normal(size=(3, cin, 11, 6)).astype(np.float32)
+        wt = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
+        self.rows_per_tile(monkeypatch, 3, cout, (6 - 1) // stride + 1, np.float32)
+        with T.no_grad():
+            batched = self.conv(x, wt, b, stride, groups, True, record=False)
+            single = [self.conv(x[i : i + 1], wt, b, stride, groups, True, False) for i in range(3)]
+        assert np.array_equal(batched, np.concatenate(single))
+
+    def test_padding_wider_than_the_kernel(self, monkeypatch):
+        # one output row per tile, so some tiles read nothing but padding
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)
+        rng = np.random.default_rng(74)
+        x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+        cases = [((4, 3, 1, 1), 3, 1), ((4, 3, 3, 3), 4, 1), ((3, 1, 3, 3), 3, 3)]
+        for shape, pad, groups in cases:
+            w = rng.normal(size=shape).astype(np.float32)
+            weight = Tensor(w, requires_grad=True)
+            recorded = T.conv2d(Tensor(x), weight, padding=pad, groups=groups)
+            with T.no_grad():
+                tiled = T.conv2d(Tensor(x), Tensor(w), padding=pad, groups=groups)
+            np.testing.assert_allclose(tiled.data, recorded.data, rtol=1e-5, atol=1e-5)
+
+    def test_act_equals_silu_of_conv_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(68)
+        x = Tensor(rng.normal(size=(2, 5, 9, 7)).astype(np.float32))
+        w = Tensor(rng.normal(size=(7, 5, 3, 3)).astype(np.float32))
+        b = Tensor(rng.normal(size=7).astype(np.float32))
+        self.rows_per_tile(monkeypatch, 2, 7, 7, np.float32)
+        with T.no_grad():
+            fused = T.conv2d(x, w, b, padding=1, act=True)
+            chained = T.silu(T.conv2d(x, w, b, padding=1))
+        assert np.array_equal(fused.data, chained.data)
+
+    def test_recorded_act_is_a_silu_node(self):
+        rng = np.random.default_rng(69)
+        x = Tensor(rng.normal(size=(1, 3, 5, 5)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        fused = T.conv2d(x, w, padding=1, act=True)
+        chained = T.silu(T.conv2d(x, w, padding=1))
+        assert np.array_equal(fused.data, chained.data)
+        T.tsum(fused).backward()
+        grad = w.grad.copy()
+        w.zero_grad()
+        T.tsum(chained).backward()
+        assert np.array_equal(grad, w.grad)
+
+
+class TestLeanLinear:
+    """Unrecorded linear: one GEMM against a view of the weight, fused epilogue."""
+
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_recorded_chain(self, act, dtype):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(3, 5, 8)).astype(dtype)
+        w = rng.normal(size=(6, 8)).astype(dtype)
+        b = rng.normal(size=6).astype(dtype)
+        recorded = T.linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b), act=act)
+        assert recorded._parents
+        with T.no_grad():
+            lean = T.linear(Tensor(x), Tensor(w), Tensor(b), act=act)
+        assert lean._parents == () and lean.shape == (3, 5, 6)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(lean.data, recorded.data, rtol=tol, atol=tol)
+
+    def test_act_equals_silu_of_linear_bitwise(self):
+        rng = np.random.default_rng(71)
+        x, w, b = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((4, 9), (5, 9), (5,)))
+        with T.no_grad():
+            assert np.array_equal(T.linear(x, w, b, act=True).data, T.silu(T.linear(x, w, b)).data)
+
+    def test_leaves_weight_unchanged(self):
+        rng = np.random.default_rng(72)
+        w = rng.normal(size=(5, 9)).astype(np.float32)
+        weight = Tensor(w.copy())
+        with T.no_grad():
+            T.linear(Tensor(rng.normal(size=(4, 9)).astype(np.float32)), weight, act=True)
+        assert np.array_equal(weight.data, w)
+
+
+class TestFusedFiniteCheck:
+    """Fusion keeps every finite check: a NaN in the last piece still raises."""
+
+    @pytest.mark.parametrize("kernel, stride, groups", [(1, 1, 1), (3, 1, 1), (3, 2, 4)])
+    def test_last_tile_of_tiled_conv(self, monkeypatch, kernel, stride, groups):
+        monkeypatch.setattr(T, "_TILE_BYTES", 2 * 4 * 8 * 4)  # 2 output rows of 4 x 8
+        x = np.ones((2, 4, 14 if stride == 2 else 7, 8), dtype=np.float32)
+        w = Tensor(np.full((4, 4 // groups, kernel, kernel), 0.1, dtype=np.float32))
+        def conv(a):
+            return T.conv2d(Tensor(a), w, None, stride, kernel // 2, groups, act=True)
+
+        with T.no_grad():
+            conv(x)
+            x[1, 3, -1, -1] = np.nan  # the last input row: read by the last tile
+            with pytest.raises(NumericError, match="conv2d"):
+                conv(x)
+
+    def test_last_chunk_of_flat_row_conv(self, monkeypatch):
+        monkeypatch.setattr(T, "_FLAT_CHUNK_BYTES", 2 * 6 * 8 * 4)  # 2 output rows per chunk
+        x = np.ones((2, 5, 6, 6), dtype=np.float32)
+        w = Tensor(np.full((5, 1, 3, 3), 0.1, dtype=np.float32))
+        with T.no_grad():
+            T.conv2d(Tensor(x), w, padding=1, groups=5, act=True)
+            x[1, 4, -1, -1] = np.nan
+            with pytest.raises(NumericError, match="conv2d"):
+                T.conv2d(Tensor(x), w, padding=1, groups=5, act=True)
+
+    def test_fused_linear(self):
+        x = np.ones((3, 4, 5), dtype=np.float32)
+        x[2, 3, 4] = np.nan
+        w = Tensor(np.full((6, 5), 0.1, dtype=np.float32))
+        with T.no_grad(), pytest.raises(NumericError, match="linear"):
+            T.linear(Tensor(x), w, act=True)
+
+    def test_in_place_softmax(self):
+        scores = np.zeros((2, 3, 4), dtype=np.float32)
+        scores[1, 2, 3] = np.nan
+        with T.no_grad(), pytest.raises(NumericError, match="softmax"):
+            T.softmax(Tensor(scores), overwrite=True)
+
+    def test_overwrite_only_when_unrecorded(self):
+        a = np.random.default_rng(73).normal(size=(2, 5)).astype(np.float32)
+        kept = Tensor(a.copy(), requires_grad=True)
+        T.softmax(kept, overwrite=True)
+        assert np.array_equal(kept.data, a)
+        with T.no_grad():
+            fresh = Tensor(a.copy())
+            out = T.softmax(fresh, overwrite=True)
+        assert np.shares_memory(out.data, fresh.data)
+        assert np.array_equal(out.data, T.softmax(Tensor(a)).data)
+
+
 class TestInPlaceEpilogues:
     """Unrecorded silu and the conv bias add give the bits of the old expressions."""
 
