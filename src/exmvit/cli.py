@@ -115,6 +115,15 @@ def cmd_train(args) -> int:
     config = _resolve(args)
     if args.data != "synthetic":
         raise ConfigError(f"unsupported dataset {args.data!r} (only 'synthetic')")
+    for flag, value in (
+        ("--epochs", args.epochs),
+        ("--batch-size", args.batch_size),
+        ("--samples-per-class", args.samples_per_class),
+    ):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.warmup is not None and args.warmup < 0:
+        raise ConfigError(f"--warmup must not be negative, got {args.warmup}")
     dataset = train_mod.SyntheticDataset(
         class_count=config.class_count,
         samples_per_class=args.samples_per_class,
@@ -123,9 +132,13 @@ def cmd_train(args) -> int:
     )
     steps_per_epoch = math.ceil(len(dataset) / args.batch_size)
     total_iters = steps_per_epoch * args.epochs
+    # a tenth of the run by default, and none for a one-step run
+    warmup = min(max(1, total_iters // 10), total_iters - 1) if args.warmup is None else args.warmup
+    if warmup >= total_iters:
+        raise ConfigError(f"--warmup {warmup} must be below the number of steps, {total_iters}")
     train_config = train_mod.TrainConfig(
         total_iters=total_iters,
-        warmup_iters=args.warmup if args.warmup is not None else max(1, total_iters // 10),
+        warmup_iters=warmup,
         ema_decay=0.9995 if args.ema else None,
         seed=args.seed,
         batch_size=args.batch_size,
@@ -203,6 +216,17 @@ def cmd_export_features(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _add_variant_args(p, default_profile=None):
     p.add_argument("--variant", help="registered variant name")
     p.add_argument("--config", help="JSON config document (overrides --variant)")
@@ -221,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="initialize a model and write a weights file")
     _add_variant_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -238,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="toy-scale training on synthetic data")
     _add_variant_args(p, default_profile="tiny")
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--data", default="synthetic")
     p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
     p.add_argument("--samples-per-class", type=int, default=64, dest="samples_per_class")
@@ -250,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     _add_variant_args(p, default_profile="tiny")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.set_defaults(func=cmd_grad_check)
 

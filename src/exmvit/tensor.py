@@ -20,7 +20,11 @@ add, SiLU when asked (``act``, with ``silu``'s bits) and the finite check.
 A stride-1 depthwise conv reads flattened padded rows instead of im2col
 columns. Attention folds its score scale into q's projection and runs its
 softmax in the scores buffer, and ``silu`` writes its product into its
-sigmoid buffer. A recorded forward keeps its kernels and its bits.
+sigmoid buffer. A recorded ``conv2d`` also works on flat rows: its im2col
+columns are cut from the input padded once into stride phase planes, so
+every column row is a whole band of output rows, not one output row, and
+the input gradient of a stride-1 conv is one GEMM with the rotated kernel
+instead of a scatter per tap.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -478,12 +482,19 @@ def conv2d(
     x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
     standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
 
-    A recorded forward is im2col plus a batched matmul, followed by a
-    recorded ``silu`` when ``act``. Its backward closure keeps the padded
-    input (the input itself when padding is 0), not the im2col columns, and
-    rebuilds the columns for the weight gradient. The input gradient is
-    skipped when x does not require grad; for one output channel per group
-    it is a per-tap scale of the output gradient, not a matmul.
+    A recorded forward is one batched matmul over im2col columns cut as flat
+    rows, followed by a recorded ``silu`` when ``act``. A stride-1 1x1 conv
+    without padding uses the input itself as its columns. Any other conv
+    pads its input once into phase planes (``_phase_planes``; the padded map
+    itself at stride 1) with output pitch P = Wo + (kw-1)//stride, so each
+    tap is one contiguous run of Ho·P values (``_flat_columns``) and the
+    product drops its P − Wo wrap columns once. The backward closure keeps
+    those planes (or the input), not the columns, and rebuilds the columns
+    for the weight gradient, a matmul against g padded to pitch P. The input
+    gradient is skipped when x does not require grad. At stride 1 it is one
+    grouped GEMM with the rotated kernel (``_conv2d_input_grad_s1``); at a
+    larger stride each tap adds one contiguous run into the phase planes
+    (``_conv2d_input_grad_phases``).
 
     An unrecorded forward writes its output one cache-sized piece at a time
     and runs ``_epilogue`` (bias, SiLU, finite check) on each piece while it
@@ -516,55 +527,174 @@ def conv2d(
             out = _conv2d_tiles(x.data, weight.data, b, act, stride, padding, groups, ho, wo)
         return Tensor(out)  # every piece was checked by its epilogue
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = np.ascontiguousarray(x.data)  # the layout np.pad gave, with no copy when it has it
-
-    def columns():
-        # (B, g, Cin_g*kh*kw, Ho*Wo); a copy unless the patches are the input itself (1x1)
-        return _im2col(xp, kh, kw, stride, ho, wo).reshape(batch, groups, cin_g * kh * kw, ho * wo)
-
     wg = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(wg, columns()).reshape(batch, cout, ho, wo)
+    pointwise = kh == kw == 1 and stride == 1 and not padding
+    if pointwise:
+        # the columns are the input itself, at its own pitch
+        pitch, planes = wo, np.ascontiguousarray(x.data)
+
+        def columns():
+            return planes.reshape(batch, groups, cin_g, h * w)
+
+    else:
+        # the closure keeps the phase planes, not the columns, and rebuilds them
+        pitch = wo + (kw - 1) // stride
+        planes = _phase_planes(x.data, stride, padding, padding, ho + (kh - 1) // stride + 1, pitch)
+
+        def columns():
+            cols = _flat_columns(planes, kh, kw, stride, ho, pitch)
+            return cols.reshape(batch, groups, cin_g * kh * kw, ho * pitch)
+
+    out = np.matmul(wg, columns()).reshape(batch, cout, ho, pitch)
+    out = np.ascontiguousarray(out[..., :wo])  # without the wrap columns
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)  # out is fresh: add in place
 
     def backward(g):
-        gm = g.reshape(batch, groups, cout // groups, ho * wo)
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-        # the closure keeps only xp; the columns are rebuilt here, not held
+        # g at the column pitch, zero in the wrap columns, so the columns'
+        # wrap entries add nothing to the weight gradient
+        gp = g if pitch == wo else _phase_planes(g, 1, 0, 0, ho, pitch)
+        gm = gp.reshape(batch, groups, cout // groups, ho * pitch)
         gw = np.matmul(gm, np.swapaxes(columns(), -1, -2)).sum(axis=0)
         weight._accumulate(gw.reshape(weight.shape), owned=True)
         if not x.requires_grad:
             return
-        gxp = np.zeros_like(xp)
-
-        def scatter(i, j, part):
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += part
-
-        if cout // groups == 1:
-            # one output channel per group (depthwise): each tap's input
-            # gradient is g scaled per channel, not a matmul over an inner
-            # dimension of 1
-            g5 = g.reshape(batch, groups, 1, ho, wo)
-            taps = weight.data.reshape(groups, cin_g, kh, kw, 1, 1)
-            for i in range(kh):
-                for j in range(kw):
-                    scatter(i, j, (g5 * taps[:, :, i, j]).reshape(batch, cin, ho, wo))
+        if pointwise:
+            gx = np.matmul(np.swapaxes(wg, -1, -2), gm).reshape(x.shape)
+        elif stride == 1:
+            gx = _conv2d_input_grad_s1(g, weight.data, groups, padding, h, w)
         else:
-            gcols = np.matmul(np.swapaxes(wg, -1, -2), gm)
-            gcols = gcols.reshape(batch, cin, kh, kw, ho, wo)
-            for i in range(kh):
-                for j in range(kw):
-                    scatter(i, j, gcols[:, :, i, j])
-        if padding:
-            gxp = gxp[:, :, padding : padding + h, padding : padding + w]
-        x._accumulate(gxp, owned=True)
+            gx = _conv2d_input_grad_phases(gm, wg, planes, kh, kw, padding, x.shape)
+        x._accumulate(gx, owned=True)
 
     out = _make(out, parents, backward, "conv2d")
     return silu(out) if act else out
+
+
+def _phase_span(n: int, stride: int, offset: int, phase: int, extent: int) -> tuple[slice, slice]:
+    """Along one axis: the plane positions r < ``extent`` of phase ``phase``
+    whose source index r·s + phase − offset lies in [0, n), and those source
+    indices, as a pair of slices."""
+    lo = max(0, (offset - phase + stride - 1) // stride)
+    hi = max(lo, min(extent, (n + offset - phase + stride - 1) // stride))
+    first = lo * stride + phase - offset
+    return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
+
+
+def _phase_index(size: tuple[int, int], stride: int, top: int, left: int, rows: int, pitch: int):
+    """Pairs of basic indices, one per phase (a, b): into (B, C, s, s, rows,
+    pitch) phase planes and into the (B, C, H, W) map whose pixels they hold."""
+    h, w = size
+    for a in range(stride):
+        rdst, rsrc = _phase_span(h, stride, top, a, rows)
+        for b in range(stride):
+            cdst, csrc = _phase_span(w, stride, left, b, pitch)
+            whole = slice(None)
+            yield (whole, whole, a, b, rdst, cdst), (whole, whole, rsrc, csrc)
+
+
+def _phase_planes(x: np.ndarray, stride: int, top: int, left: int, rows: int, pitch: int) -> np.ndarray:
+    """``x`` zero-padded by ``top`` rows and ``left`` columns, as (B, C, s, s,
+    rows, pitch) phase planes of stride s.
+
+    Plane (a, b) holds padded pixel (r·s + a, c·s + b) at (r, c), so tap
+    (i, j) of a stride-s conv reads plane (i % s, j % s) from (i // s, j // s)
+    on. For s = 1 this is the padded map itself. Padded pixels past rows·s or
+    pitch·s are dropped, and a negative ``top`` or ``left`` crops.
+    """
+    planes = np.zeros(x.shape[:2] + (stride, stride, rows, pitch), dtype=x.dtype)
+    for dst, src in _phase_index(x.shape[2:], stride, top, left, rows, pitch):
+        planes[dst] = x[src]
+    return planes
+
+
+def _flat_columns(planes: np.ndarray, kh: int, kw: int, stride: int, ho: int, pitch: int) -> np.ndarray:
+    """(B, C, kh·kw, Ho·P) im2col columns of phase planes at pitch P.
+
+    Output pixel (r, c) sits at flat index r·P + c, and tap (i, j) is the
+    contiguous run of plane (i % s, j % s) that starts at (i // s)·P + j // s,
+    so every column row is Ho·P long. Its P − Wo wrap columns read the next
+    row (or the planes' spare row) and are dropped from the product. For
+    s = 1 the columns are one strided view, copied by the reshape; for s > 1
+    they are one slice copy per tap.
+    """
+    batch, c, _, _, rows, _ = planes.shape
+    span = ho * pitch
+    flat = planes.reshape(batch, c, stride, stride, rows * pitch)
+    if stride == 1:
+        sb, sc, _, _, sp = flat.strides
+        view = np.lib.stride_tricks.as_strided(
+            flat, shape=(batch, c, kh, kw, span), strides=(sb, sc, pitch * sp, sp, sp)
+        )
+        return view.reshape(batch, c, kh * kw, span)
+    cols = np.empty((batch, c, kh * kw, span), dtype=planes.dtype)
+    for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+        start = (i // stride) * pitch + j // stride
+        cols[:, :, t] = flat[:, :, i % stride, j % stride, start : start + span]
+    return cols
+
+
+def _conv2d_input_grad_s1(
+    g: np.ndarray, weight: np.ndarray, groups: int, padding: int, h: int, w: int
+) -> np.ndarray:
+    """Input gradient of a stride-1 conv as one grouped GEMM.
+
+    It is the stride-1 conv of g, zero-padded by k − 1 − padding (cropped
+    where that is negative), with the kernel rotated by 180° and its in and
+    out channels swapped (Dumoulin & Visin, arXiv 1603.07285, section 4),
+    over flat-row columns of pitch W + kw − 1.
+    """
+    batch, cout = g.shape[:2]
+    _, cin_g, kh, kw = weight.shape
+    cout_g = cout // groups
+    # contiguous: a reversed-stride view sends numpy's matmul to a slow loop
+    rot = weight.reshape(groups, cout_g, cin_g, kh, kw)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+    rot = np.ascontiguousarray(rot).reshape(groups, cin_g, cout_g * kh * kw)
+    pitch = w + kw - 1
+    planes = _phase_planes(g, 1, kh - 1 - padding, kw - 1 - padding, h + kh, pitch)
+    cols = _flat_columns(planes, kh, kw, 1, h, pitch)
+    cols = cols.reshape(batch, groups, cout_g * kh * kw, h * pitch)
+    gx = np.matmul(rot, cols).reshape(batch, groups * cin_g, h, pitch)
+    return np.ascontiguousarray(gx[..., :w])  # without the wrap columns
+
+
+def _conv2d_input_grad_phases(
+    gm: np.ndarray,
+    wg: np.ndarray,
+    planes: np.ndarray,
+    kh: int,
+    kw: int,
+    padding: int,
+    shape: tuple[int, ...],
+) -> np.ndarray:
+    """Input gradient of a strided conv, in the layout of its input's phase
+    ``planes``.
+
+    ``gm`` is g at the column pitch, (B, groups, Cout/groups, Ho·P), zero in
+    its wrap columns. Each tap's share of it is added into its phase plane as
+    one contiguous run, in tap order, and the planes are copied back to the
+    input's ``shape``.
+    """
+    batch, groups, cout_g, span = gm.shape
+    _, cin, stride, _, rows, pitch = planes.shape
+    grad = np.zeros_like(planes)
+    flat = grad.reshape(batch, cin, stride, stride, rows * pitch)
+    if cout_g == 1:
+        # one output channel per group (depthwise): each tap's share is g
+        # scaled per channel, not a matmul over an inner dimension of 1
+        taps = wg.reshape(groups, cin // groups, kh * kw, 1)
+    else:
+        gcols = np.matmul(np.swapaxes(wg, -1, -2), gm).reshape(batch, cin, kh * kw, span)
+    for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+        part = (gm * taps[:, :, t]).reshape(batch, cin, span) if cout_g == 1 else gcols[:, :, t]
+        start = (i // stride) * pitch + j // stride
+        flat[:, :, i % stride, j % stride, start : start + span] += part
+    gx = np.zeros(shape, dtype=planes.dtype)
+    for dst, src in _phase_index(shape[2:], stride, padding, padding, rows, pitch):
+        gx[src] = grad[dst]
+    return gx
 
 
 def _conv2d_tiles(

@@ -8,6 +8,7 @@ synthetic blob dataset, and a central-finite-difference gradient checker.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,12 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        if self.total_iters < 1:
+            raise ValueError(f"total_iters must be at least 1, got {self.total_iters}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.warmup_iters < 0:
+            raise ValueError(f"warmup_iters must not be negative, got {self.warmup_iters}")
         if self.lr_start > self.lr_peak:
             raise ValueError("lr_start must not exceed lr_peak")
         if self.warmup_iters >= self.total_iters:
@@ -138,19 +145,26 @@ class SyntheticDataset:
         rng = np.random.default_rng(self.seed)
         size = self.image_size
         yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)
-        images, labels = [], []
+        # Samples are written in place into one array on its own anonymous
+        # mapping, returned whole to the system when the dataset is freed. From
+        # the malloc heap, a dataset built while another is alive fits a hole
+        # left by training's temporaries or extends the heap by its full size,
+        # depending on the allocation history: the peak memory of a process
+        # then moves by a dataset's size between otherwise identical runs.
+        shape = (self.class_count * self.samples_per_class, 3, size, size)
+        count = math.prod(shape)
+        pages = mmap.mmap(-1, count * 4)
+        self.images = np.frombuffer(pages, np.float32, count).reshape(shape)
+        self.labels = np.repeat(np.arange(self.class_count, dtype=np.int64), self.samples_per_class)
         for cls in range(self.class_count):
             color = 0.25 + 0.75 * rng.random(3)
             cx, cy = rng.uniform(size * 0.25, size * 0.75, size=2)
             radius = rng.uniform(size * 0.10, size * 0.22)
-            for _ in range(self.samples_per_class):
+            for i in range(cls * self.samples_per_class, (cls + 1) * self.samples_per_class):
                 jx, jy = rng.normal(0.0, size * 0.03, size=2)
                 blob = np.exp(-(((xx - cx - jx) ** 2 + (yy - cy - jy) ** 2) / (2 * radius**2)))
                 img = color[:, None, None] * blob[None] + rng.normal(0.0, 0.05, (3, size, size))
-                images.append(np.clip(img, 0.0, 1.0).astype(np.float32))
-                labels.append(cls)
-        self.images = np.stack(images)
-        self.labels = np.asarray(labels, dtype=np.int64)
+                self.images[i] = np.clip(img, 0.0, 1.0)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -419,6 +419,43 @@ class TestTrain:
         assert len(csv) == 5  # header + ceil(32 / 8) steps
 
 
+class TestBadNumericFlags:
+    SMALL = ("train", "--variant", "exmvit-576-tiny", "--epochs", "1", "--samples-per-class", "2")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epochs", "0", "--epochs must be at least 1"),
+            ("--epochs", "-1", "--epochs must be at least 1"),
+            ("--batch-size", "0", "--batch-size must be at least 1"),
+            ("--batch-size", "-4", "--batch-size must be at least 1"),
+            ("--samples-per-class", "0", "--samples-per-class must be at least 1"),
+            ("--warmup", "1000", "--warmup 1000 must be below the number of steps, 1"),
+            ("--warmup", "-3", "--warmup must not be negative"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_2(self, capsys, flag, value, message):
+        code, out, err = run(capsys, *self.SMALL, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["build", "train", "grad-check"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        argv = [command, "--variant", "exmvit-576-tiny", "--seed", "-1"]
+        if command == "build":
+            argv += ["--out", str(tmp_path / "model.exvt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: must not be negative, got -1" in capsys.readouterr().err
+
+    def test_one_step_run_defaults_to_no_warmup(self, capsys):
+        # 8 classes x 2 samples in one batch of 32: the default warm-up of
+        # one step would not fit in the run
+        code, out, _ = run(capsys, *self.SMALL)
+        assert code == 0 and "epoch 1: train_acc=" in out
+
+
 class TestGradCheck:
     def test_tiny_model_passes(self, capsys):
         code, out, _ = run(capsys, "grad-check", "--variant", "exmvit-576-tiny")

@@ -617,27 +617,126 @@ def conv_grads_reference(x, w, r, stride, padding, groups):
 
 
 class TestConv2dBackward:
+    """The recorded conv (flat-row columns cut from phase planes, the
+    stride-1 input gradient as one GEMM) against direct float64
+    accumulation. The default map is 7 x 5: odd, and not divisible by
+    stride 2 or 3."""
+
     # (cin, cout, groups): depthwise, one output channel per group of two, dense
     KINDS = {"depthwise": (4, 4, 4), "grouped": (4, 2, 2), "dense": (3, 5, 1)}
+    STRIDES, PADDINGS = [1, 2, 3], [0, 1, 2]
+
+    @classmethod
+    def operands(cls, kind, kernel, size, dtype, x_grad=True, seed=50):
+        cin, cout, groups = cls.KINDS[kind]
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, cin) + size).astype(dtype), requires_grad=x_grad)
+        w = rng.normal(size=(cout, cin // groups, kernel, kernel)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        return x, Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), groups, rng
+
+    @classmethod
+    def check(cls, kind, kernel, stride, padding, size=(7, 5), dtype=np.float32, x_grad=True):
+        x, w, b, groups, rng = cls.operands(kind, kernel, size, dtype, x_grad)
+        out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        r = rng.normal(size=out.shape).astype(dtype)
+        T.tsum(T.mul(out, Tensor(r))).backward()
+        gx, gw = conv_grads_reference(x.data, w.data, r, stride, padding, groups)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        if x_grad:
+            assert x.grad.dtype == dtype
+            np.testing.assert_allclose(x.grad, gx, rtol=tol, atol=tol)
+        else:
+            assert x.grad is None
+        assert w.grad.dtype == dtype
+        np.testing.assert_allclose(w.grad, gw, rtol=tol, atol=tol)
+        np.testing.assert_allclose(b.grad, r.astype(np.float64).sum(axis=(0, 2, 3)), rtol=tol)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("padding", PADDINGS)
+    def test_gradients_match_float64_reference(self, kind, stride, padding):
+        self.check(kind, 3, stride, padding)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kernel", [1, 5])
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("padding", PADDINGS)
+    def test_kernels_one_and_five_match_float64_reference(self, kind, kernel, stride, padding):
+        # kernel 1 covers a 1x1 conv at stride 2 and 3, and padding wider than
+        # the kernel; kernel 5 without padding spans the map's whole width
+        self.check(kind, kernel, stride, padding)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize(
+        "size, kernel, stride, padding",
+        [((3, 3), 3, 1, 0), ((1, 1), 3, 2, 1), ((2, 3), 5, 1, 2), ((4, 4), 5, 3, 1), ((1, 1), 1, 2, 0)],
+    )
+    def test_map_no_bigger_than_the_kernel(self, kind, size, kernel, stride, padding):
+        self.check(kind, kernel, stride, padding, size=size)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_gradients_match_float64_reference(self, kind, stride, padding):
-        cin, cout, groups = self.KINDS[kind]
-        rng = np.random.default_rng(50)
-        x = Tensor(rng.normal(size=(2, cin, 7, 6)).astype(np.float32), requires_grad=True)
-        w = Tensor(
-            rng.normal(size=(cout, cin // groups, 3, 3)).astype(np.float32), requires_grad=True
-        )
-        b = Tensor(rng.normal(size=cout).astype(np.float32), requires_grad=True)
+    def test_float64_operands(self, kind, stride):
+        self.check(kind, 3, stride, 1, dtype=np.float64)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_constant_input_at_stride_one(self, kind):
+        self.check(kind, 3, 1, 1, x_grad=False)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("padding", PADDINGS)
+    def test_recorded_forward_matches_naive_oracle(self, kind, kernel, stride, padding):
+        x, w, b, groups, _ = self.operands(kind, kernel, (7, 5), np.float32, seed=53)
         out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
-        r = rng.normal(size=out.shape).astype(np.float32)
-        T.tsum(T.mul(out, Tensor(r))).backward()
-        gx, gw = conv_grads_reference(x.data, w.data, r, stride, padding, groups)
-        np.testing.assert_allclose(x.grad, gx, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(w.grad, gw, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(b.grad, r.astype(np.float64).sum(axis=(0, 2, 3)), rtol=1e-5)
+        assert out._parents  # recorded
+        cin_g, cout_g = x.shape[1] // groups, w.shape[0] // groups
+        expected = np.concatenate(
+            [
+                naive_conv2d(
+                    x.data[:, k * cin_g : (k + 1) * cin_g],
+                    w.data[k * cout_g : (k + 1) * cout_g],
+                    b.data[k * cout_g : (k + 1) * cout_g],
+                    stride,
+                    padding,
+                )
+                for k in range(groups)
+            ],
+            axis=1,
+        )
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-5)
+
+    @staticmethod
+    def held_arrays(fn):
+        """Every array a closure reaches through its cells, the closures in
+        them and the Tensors in them."""
+        held = []
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, Tensor):
+                value = value.data
+            if isinstance(value, np.ndarray):
+                held.append(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                held += TestConv2dBackward.held_arrays(value)
+        return held
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_closure_holds_no_columns(self, kind, stride):
+        x, w, b, groups, _ = self.operands(kind, 3, (16, 16), np.float32)
+        out = T.conv2d(x, w, b, stride=stride, padding=1, groups=groups)
+        held = {
+            id(a): a
+            for a in self.held_arrays(out._backward)
+            if not any(np.shares_memory(a, t.data) for t in (x, w, b))
+        }.values()
+        # the padded input in phase planes is under 1.5 x the input; the
+        # columns would be over 9 x at stride 1 and 2 x at stride 2
+        assert 0 < sum(a.nbytes for a in held) < 1.5 * x.data.nbytes
 
     def test_depthwise_input_gradient_bitwise_equal_to_matmul_form(self):
         rng = np.random.default_rng(51)
@@ -669,13 +768,13 @@ class TestConv2dBackward:
 
 class TestFlatRowDepthwise:
     """The stride-1 flat-row kernel that unrecorded forwards use, against the
-    im2col kernel that recorded forwards keep."""
+    recorded forward (one GEMM over flat-row columns)."""
 
     @staticmethod
     def conv_both(x, w, b, padding, groups):
         weight = Tensor(w, requires_grad=True)
         recorded = T.conv2d(Tensor(x), weight, b, padding=padding, groups=groups)
-        assert recorded._parents  # the im2col kernel with its graph node
+        assert recorded._parents  # the recorded kernel with its graph node
         with T.no_grad():
             flat = T.conv2d(Tensor(x), Tensor(w), b, padding=padding, groups=groups)
         return flat.data, recorded.data
@@ -725,8 +824,8 @@ class TestFlatRowDepthwise:
 
 class TestTiledConv:
     """Unrecorded convs (the tiled kernel for 1x1, dense 3x3 and stride-2
-    depthwise; the flat-row kernel for stride-1 depthwise) against the im2col
-    forward that recorded convs keep."""
+    depthwise; the flat-row kernel for stride-1 depthwise) against the
+    recorded forward (one GEMM over flat-row columns)."""
 
     # (cin, cout, kernel, stride, groups)
     CASES = {

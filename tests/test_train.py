@@ -99,6 +99,24 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             TrainConfig(total_iters=10, warmup_iters=1, lr_start=1.0, lr_peak=0.1)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"total_iters": 0, "warmup_iters": 0}, "total_iters must be at least 1"),
+            ({"total_iters": -1, "warmup_iters": 0}, "total_iters must be at least 1"),
+            ({"total_iters": 10, "warmup_iters": 1, "batch_size": 0}, "batch_size must be at least 1"),
+            ({"total_iters": 10, "warmup_iters": 1, "batch_size": -4}, "batch_size must be at least 1"),
+            ({"total_iters": 10, "warmup_iters": -3}, "warmup_iters must not be negative"),
+        ],
+    )
+    def test_rejects_counts_out_of_range(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**fields)
+
+    def test_smallest_valid_run(self):
+        config = TrainConfig(total_iters=1, warmup_iters=0, batch_size=1)
+        assert lr_schedule(0, config) == pytest.approx(config.lr_peak)
+
 
 class TestAdamW:
     def test_first_step_is_signed_lr(self):
@@ -175,6 +193,14 @@ class TestSyntheticDataset:
         a = SyntheticDataset(class_count=2, samples_per_class=2, image_size=16, seed=0)
         b = SyntheticDataset(class_count=2, samples_per_class=2, image_size=16, seed=1)
         assert not np.array_equal(a.images, b.images)
+
+    def test_arrays_are_writable_class_blocks(self):
+        d = SyntheticDataset(class_count=3, samples_per_class=2, image_size=8, seed=0)
+        assert d.images.flags.c_contiguous and d.images.flags.writeable
+        assert d.labels.dtype == np.int64
+        assert d.labels.tolist() == [0, 0, 1, 1, 2, 2]
+        d.images[:] = np.nan
+        assert np.isnan(d.images).all()
 
 
 class _LinearModel(Module):
