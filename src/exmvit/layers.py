@@ -137,7 +137,7 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def forward(self, x):
+    def forward(self, x, act=False):
         if not self.training:
             raise RuntimeError("BatchNorm2d runs in train mode only; eval folds it into its conv")
         return T.batch_norm(
@@ -149,6 +149,7 @@ class BatchNorm2d(Module):
             eps=self.eps,
             momentum=self.momentum,
             update_running=self.track_running,
+            act=act,
         )
 
 
@@ -176,6 +177,7 @@ class Linear(Module):
 class ConvNormAct(Module):
     """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom.
 
+    In train mode the norm and its SiLU are one recorded ``batch_norm`` op.
     In eval mode the norm is folded into the conv at call time: the conv runs
     with its weight scaled, the norm's shift as bias and the SiLU as its
     epilogue. Nothing is cached, so a weight load or an optimizer step needs
@@ -190,8 +192,7 @@ class ConvNormAct(Module):
 
     def forward(self, x):
         if self.training:
-            x = self.norm(self.conv(x))
-            return T.silu(x) if self.act else x
+            return self.norm(self.conv(x), act=self.act)
         n = self.norm
         scale, shift = T.batch_norm_scale_shift(
             n.gamma, n.beta, n.running_mean, n.running_var, n.eps

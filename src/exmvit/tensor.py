@@ -12,10 +12,11 @@ closure has run, and only leaf tensors that require grad (parameters) keep
 gradient buffer it has just allocated to ``_accumulate`` rather than having
 it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``, ``silu``,
 ``softmax``) record one node each and keep in their closures only what their
-backward reads. When no graph is recorded, the eval forward works in
-cache-sized pieces: ``conv2d`` writes its output one tile (one image by a
-block of output rows, about 256 KiB) at a time, and ``conv2d`` and
-``linear`` finish each piece while it is in cache with one epilogue: bias
+backward reads; a training ``batch_norm`` with ``act`` also runs its SiLU in
+that node, with ``silu``'s bits. When no graph is recorded, the eval forward
+works in cache-sized pieces: ``conv2d`` writes its output one tile (one
+image by a block of output rows, about 256 KiB) at a time, and ``conv2d``
+and ``linear`` finish each piece while it is in cache with one epilogue: bias
 add, SiLU when asked (``act``, with ``silu``'s bits) and the finite check.
 A stride-1 depthwise conv reads flattened padded rows instead of im2col
 columns. Attention folds its score scale into q's projection and runs its
@@ -288,6 +289,16 @@ def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> N
     _check_finite(buf, op)
 
 
+def _silu_grad(g: np.ndarray, out: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """g * (sig + out * (1 - sig)) in one fresh buffer: SiLU's input gradient
+    from its output out = a * sig, with the bits of g * (sig + a * sig * (1 - sig))."""
+    grad = np.subtract(1.0, sig)
+    grad *= out
+    grad += sig
+    grad *= g
+    return grad
+
+
 def silu(a: Tensor) -> Tensor:
     sig = _sigmoid(a.data)
     if not _recording((a,)):
@@ -296,12 +307,7 @@ def silu(a: Tensor) -> Tensor:
     data = a.data * sig
 
     def backward(g):
-        # g * (sig + a * sig * (1 - sig)), evaluated in the same order in one buffer
-        grad = a.data * sig
-        grad *= 1.0 - sig
-        grad += sig
-        grad *= g
-        a._accumulate(grad, owned=True)
+        a._accumulate(_silu_grad(g, data, sig), owned=True)
 
     return _make(data, (a,), backward, "silu")
 
@@ -820,15 +826,24 @@ def batch_norm(
     eps: float = 1e-5,
     momentum: float = 0.1,
     update_running: bool = True,
+    act: bool = False,
 ) -> Tensor:
-    """Training-mode per-channel normalization of a [B, C, H, W] map.
+    """Training-mode per-channel normalization of a [B, C, H, W] map, then
+    SiLU if ``act``.
 
     Normalizes with batch statistics and (optionally) folds them into the
     running estimates in place. It is one recorded op whose closure holds
-    only the normalized input xhat and inv = 1/sqrt(var + eps). Its backward
-    is the closed form dbeta = sum(g), dgamma = sum(g * xhat) and
+    only the normalized input xhat and inv = 1/sqrt(var + eps), plus the
+    sigmoid when ``act``. With ``act`` the SiLU runs in the norm's output
+    buffer with ``silu``'s op order, so the output has the bits of
+    ``silu(batch_norm(x))``; only that output is checked for finite values
+    (a NaN or Inf before SiLU survives it). Its backward first takes SiLU's
+    derivative from the output (``_silu_grad``), then the closed form
+    dbeta = sum(g), dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
-    dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167).
+    dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167). The two sums are
+    one GEMV of g's (B·C, H·W) rows against ones and one einsum, not
+    reductions over axes (0, 2, 3).
     """
     if eps <= 0:
         raise ValueError(f"batch_norm eps must be positive, got {eps}")
@@ -851,18 +866,25 @@ def batch_norm(
     xhat *= inv
     out = xhat * gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
+    if act:
+        sig = _sigmoid(out)
+        out *= sig  # the pre-activation is not kept
 
     def backward(g):
-        gsum = g.sum(axis=axes, keepdims=True)
-        gdot = (g * xhat).sum(axis=axes, keepdims=True)
-        beta._accumulate(gsum.reshape(c), owned=True)
-        gamma._accumulate(gdot.reshape(c), owned=True)
+        if act:
+            g = _silu_grad(g, out, sig)
+        batch, _, h, w = x.shape
+        rows = g.reshape(batch * c, h * w)
+        gsum = (rows @ np.ones(h * w, dtype=g.dtype)).reshape(batch, c).sum(axis=0)
+        gdot = np.einsum("bcp,bcp->c", g.reshape(batch, c, h * w), xhat.reshape(batch, c, h * w))
+        beta._accumulate(gsum, owned=True)
+        gamma._accumulate(gdot, owned=True)
         if not x.requires_grad:
             return
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
         # dxhat = g * gamma; gamma is per channel, so it factors out
-        dx = xhat * (gdot * rn)
-        dx += gsum * rn
+        dx = xhat * (gdot.reshape(1, c, 1, 1) * rn)
+        dx += gsum.reshape(1, c, 1, 1) * rn
         np.subtract(g, dx, out=dx)
         dx *= gamma.data.reshape(1, c, 1, 1) * inv
         x._accumulate(dx, owned=True)

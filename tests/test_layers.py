@@ -56,7 +56,7 @@ class TestConvNormFold:
         block, rng = randomized_block(84, 8, 8, 3, 1, 8, True)
         calls = []
         forward = block.norm.forward
-        block.norm.forward = lambda x: calls.append(x.shape) or forward(x)
+        block.norm.forward = lambda x, act=False: calls.append(x.shape) or forward(x, act=act)
         block(Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32)))
         assert calls == []
         block.train()(Tensor(rng.normal(size=(2, 8, 6, 6)).astype(np.float32)))
@@ -82,6 +82,13 @@ class TestConvNormFold:
         centred = (out - norm.beta.data.reshape(1, -1, 1, 1)) / norm.gamma.data.reshape(1, -1, 1, 1)
         np.testing.assert_allclose(centred.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
         np.testing.assert_allclose(centred.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+
+    def test_train_call_records_conv_then_one_norm_node(self):
+        block, rng = randomized_block(86, 8, 8, 3, 1, 8, True)
+        out = block.train()(Tensor(rng.normal(size=(2, 8, 6, 6)).astype(np.float32)))
+        conv_out, gamma, beta = out._parents
+        assert gamma is block.norm.gamma and beta is block.norm.beta
+        assert conv_out._parents[1] is block.conv.weight
 
     def test_direct_conv_call_with_scale_and_shift_is_differentiable(self):
         block, rng = randomized_block(83, 4, 4, 3, 1, 1, False)

@@ -551,19 +551,25 @@ class TestTrainBatchNorm:
         out = T.batch_norm(*leaves, np.zeros(4), np.ones(4))
         assert out._parents == tuple(leaves)
 
-    def test_gradients_match_chain(self):
+    def assert_gradients_match(self, fused, chain):
         x, gamma, beta, weights = self.operands(np.float32)
         grads = []
-        for norm in (T.batch_norm, chained_batch_norm):
+        for norm in (fused, chain):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             out = norm(*leaves, np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32))
             T.tsum(T.mul(T.mul(out, out), Tensor(weights))).backward()
             grads.append([leaf.grad for leaf in leaves])
-        for fused, chained in zip(*grads):
-            np.testing.assert_allclose(fused, chained, rtol=1e-4, atol=1e-5)
+        for mine, theirs in zip(*grads):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-4, atol=1e-5)
+
+    def test_gradients_match_chain(self):
+        self.assert_gradients_match(T.batch_norm, chained_batch_norm)
 
     @pytest.mark.parametrize("x_requires_grad", [True, False])
     def test_gradients_match_finite_differences(self, x_requires_grad):
+        self.assert_finite_differences(x_requires_grad, act=False)
+
+    def assert_finite_differences(self, x_requires_grad, act):
         x0, gamma0, beta0, weights = self.operands(np.float64, seed=41)
         operands = [x0, gamma0, beta0]
 
@@ -573,7 +579,7 @@ class TestTrainBatchNorm:
                 Tensor(gamma, requires_grad=True),
                 Tensor(beta, requires_grad=True),
             ]
-            out = T.batch_norm(*leaves, np.zeros(4), np.ones(4))
+            out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), act=act)
             return T.tsum(T.mul(T.mul(out, out), Tensor(weights))), leaves
 
         loss, leaves = loss_of(*operands)
@@ -592,6 +598,43 @@ class TestTrainBatchNorm:
                 numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
                 analytic = leaf.grad[idx]
                 assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_act_bitwise_equal_to_silu_of_chain(self, dtype):
+        x, gamma, beta, _ = self.operands(dtype)
+        stats = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
+        chain_stats = [s.copy() for s in stats]
+        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats, act=True)
+        chain = T.silu(chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats))
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, chain.data)
+        for mine, theirs in zip(stats, chain_stats):
+            assert np.array_equal(mine, theirs)
+
+    def test_act_records_one_node(self):
+        x, gamma, beta, _ = self.operands(np.float32)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
+        assert out._parents == tuple(leaves)
+
+    def test_act_gradients_match_silu_of_chain(self):
+        def fused(*args):
+            return T.batch_norm(*args, act=True)
+
+        def chain(*args):
+            return T.silu(chained_batch_norm(*args))
+
+        self.assert_gradients_match(fused, chain)
+
+    @pytest.mark.parametrize("x_requires_grad", [True, False])
+    def test_act_gradients_match_finite_differences(self, x_requires_grad):
+        self.assert_finite_differences(x_requires_grad, act=True)
+
+    def test_act_nan_input_raises(self):
+        x, gamma, beta, _ = self.operands(np.float32)
+        x[2, 3, 4, 4] = np.nan
+        with pytest.raises(NumericError, match="batch_norm"):
+            T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(4), np.ones(4), act=True)
 
 
 def conv_grads_reference(x, w, r, stride, padding, groups):
