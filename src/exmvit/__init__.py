@@ -1,13 +1,12 @@
 """MobileViT-S with channel-expansion shortcuts into the classifier."""
 
-from .config import REGISTRY, VariantConfig, expand_width, resolve_variant
+from .config import REGISTRY, VariantConfig, resolve_variant
 from .model import ExMobileViT, build_mobilevit_s, build_model
 from .tensor import Tensor
 
 __all__ = [
     "REGISTRY",
     "VariantConfig",
-    "expand_width",
     "resolve_variant",
     "ExMobileViT",
     "build_model",

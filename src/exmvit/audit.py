@@ -190,13 +190,12 @@ def count_params(model, input_size: int | None = None, baseline_total: int | Non
             _walk(shortcut.pointwise, f"shortcut{k}.pointwise", block_shapes[k - 1], rows)
             if k < len(config.rho):
                 early_shortcut_params += _params(shortcut.pointwise)
-        width = model.classifier_spec.input_width
     elif isinstance(model, MobileViTS):
         _walk(model.final_conv, "final_conv", block_shapes[-1], rows)
-        width = model.final_conv.weight.shape[0]
     else:
         raise TypeError(f"cannot audit {type(model).__name__}")
 
+    width = config.classifier_width
     _walk(model.classifier, "classifier", (1, width), rows)
 
     strict_total = sum(r.param_count for r in rows)

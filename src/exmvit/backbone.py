@@ -48,10 +48,6 @@ class MV2Block(Module):
         self.project = ConvNormAct(rng, hidden, spec.out_channels, 1, act=False)
 
     def forward(self, x):
-        if x.shape[1] != self.spec.in_channels:
-            raise ShapeError(
-                f"mv2 block expects {self.spec.in_channels} channels, got {x.shape[1]}"
-            )
         out = self.project(self.depthwise(self.expand(x)))
         if self.spec.use_residual:
             out = T.add(out, x)
@@ -81,8 +77,6 @@ class MobileViTBlock(Module):
     def forward(self, x):
         ph, pw = self.spec.patch
         b, c, h, w = x.shape
-        if h % ph or w % pw:
-            raise ShapeError(f"mobilevit block: {h}x{w} not divisible by patch {ph}x{pw}")
         local = self.local_proj(self.local_conv(x))
         d = self.spec.transformer_dim
         seq = T.unfold_patches(local, ph, pw)

@@ -26,17 +26,15 @@ def _resolve(args) -> VariantConfig:
     if getattr(args, "class_count", None) is not None:
         overrides["class_count"] = args.class_count
     allow_early = getattr(args, "allow_early_shortcuts", False)
-    if allow_early:
-        overrides["allow_early_shortcuts"] = True
     if getattr(args, "config", None):
         # --profile is not applied to a document: train and grad-check give it
         # a default, so a flag the user gave cannot be told from the default
         with open(args.config, "rb") as fh:
             document = config_from_json(fh.read(), allow_early_shortcuts=allow_early)
-        return apply_overrides(document, overrides)
+        return apply_overrides(document, overrides, allow_early_shortcuts=allow_early)
     if getattr(args, "profile", None):
         overrides["profile"] = args.profile
-    return resolve_variant(args.variant, overrides)
+    return resolve_variant(args.variant, overrides, allow_early_shortcuts=allow_early)
 
 
 def _metadata(config, seed: int) -> dict:

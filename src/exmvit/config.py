@@ -73,23 +73,12 @@ TINY_PROFILE = BackboneProfile(
 PROFILES = {"imagenet": IMAGENET_PROFILE, "tiny": TINY_PROFILE}
 
 
-def expand_width(rho: tuple[Fraction, ...], channels: tuple[int, ...]) -> int:
-    """Total classifier input width: sum of rho_k * C_k over all blocks."""
-    if len(rho) != len(channels):
-        raise ConfigError(f"rho has {len(rho)} entries, channels has {len(channels)}")
-    total = 0
-    for k, (r, c) in enumerate(zip(rho, channels), start=1):
-        term = Fraction(r) * c
-        if term.denominator != 1:
-            raise ConfigError(f"block {k}: rho={r} times {c} channels is not an integer")
-        if term < 0:
-            raise ConfigError(f"block {k}: negative shortcut width")
-        total += int(term)
-    return total
-
-
 @dataclass(frozen=True)
 class VariantConfig:
+    """A registered or custom variant. Construction checks every invariant
+    but the early-shortcut rule and raises ConfigError naming each
+    violation, so ``dataclasses.replace`` re-checks too."""
+
     name: str
     rho: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
     profile: str = "imagenet"
@@ -105,6 +94,9 @@ class VariantConfig:
             object.__setattr__(self, "class_count", prof.class_count)
         if self.input_size is None:
             object.__setattr__(self, "input_size", prof.input_size)
+        violations = self._violations()
+        if violations:
+            raise ConfigError("; ".join(violations))
 
     @property
     def backbone(self) -> BackboneProfile:
@@ -116,8 +108,41 @@ class VariantConfig:
         return self.backbone.block_channels
 
     @property
+    def widths(self) -> tuple[int, ...]:
+        """Shortcut width rho_k * C_k of each block, 0 where it has none."""
+        return tuple(int(r * c) for r, c in zip(self.rho, self.block_channels))
+
+    @property
     def classifier_width(self) -> int:
-        return expand_width(self.rho, self.block_channels)
+        return sum(self.widths)
+
+    def _violations(self) -> list[str]:
+        if len(self.rho) != NUM_BLOCKS:
+            return [f"rho must have {NUM_BLOCKS} entries, got {len(self.rho)}"]
+        violations = []
+        for k, r in enumerate(self.rho, start=1):
+            if r < 0:
+                violations.append(f"rho_{k} is negative")
+        for k, (r, c) in enumerate(zip(self.rho, self.block_channels), start=1):
+            if r > 0 and (r * c).denominator != 1:
+                violations.append(f"rho_{k}={r} gives fractional width for {c} channels")
+        if all(r == 0 for r in self.rho):
+            violations.append("at least one rho must be positive")
+        if self.input_size <= 0:
+            violations.append(f"input_size {self.input_size} must be a positive multiple of 32")
+        elif self.input_size % 32:
+            violations.append(f"input_size {self.input_size} not divisible by 32")
+        if self.class_count < 1:
+            violations.append("class_count must be positive")
+        if not violations:
+            head = sum(w * c for w, c in zip(self.widths, self.block_channels))
+            head += self.classifier_width * self.class_count
+            if head > MAX_HEAD_WEIGHTS:
+                violations.append(
+                    f"shortcut and classifier weights ({head}) exceed {MAX_HEAD_WEIGHTS} "
+                    f"(1 GiB of float32); lower rho or class_count"
+                )
+        return violations
 
     def to_json(self) -> str:
         doc = {
@@ -147,6 +172,12 @@ def _rho_entry(value) -> Fraction:
         return Fraction(value)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(f"rho entry {value!r} is not a finite rational ({exc})") from None
+
+
+def _check_early_shortcuts(cfg: VariantConfig, allow: bool) -> VariantConfig:
+    if not allow and (cfg.rho[0] != 0 or cfg.rho[1] != 0):
+        raise ConfigError("rho_1 and rho_2 must be 0 (early blocks only down-sample)")
+    return cfg
 
 
 def config_from_json(text: str | bytes, allow_early_shortcuts: bool = False) -> VariantConfig:
@@ -184,10 +215,7 @@ def config_from_json(text: str | bytes, allow_early_shortcuts: bool = False) -> 
             f"block_channels {doc['block_channels']} differ from the {cfg.profile} profile's "
             f"{list(cfg.block_channels)}; block widths are fixed by the profile"
         )
-    violations = validate(cfg, allow_early_shortcuts=allow_early_shortcuts)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    return cfg
+    return _check_early_shortcuts(cfg, allow_early_shortcuts)
 
 
 def _registry() -> dict[str, VariantConfig]:
@@ -211,65 +239,27 @@ def _registry() -> dict[str, VariantConfig]:
 REGISTRY: dict[str, VariantConfig] = _registry()
 
 
-def resolve_variant(name: str, overrides: dict | None = None) -> VariantConfig:
+def resolve_variant(
+    name: str, overrides: dict | None = None, allow_early_shortcuts: bool = False
+) -> VariantConfig:
     """Look up a registered variant, optionally overriding class_count,
-    input_size, profile, or rho (re-validated)."""
+    input_size, profile, or rho (see ``apply_overrides``)."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown variant {name!r}; registered: {', '.join(REGISTRY)}")
-    return apply_overrides(REGISTRY[name], overrides)
+    return apply_overrides(REGISTRY[name], overrides, allow_early_shortcuts)
 
 
-def apply_overrides(cfg: VariantConfig, overrides: dict | None = None) -> VariantConfig:
-    """``cfg`` with class_count, input_size, profile, or rho overridden,
-    re-validated; ``allow_early_shortcuts`` relaxes the validation."""
+def apply_overrides(
+    cfg: VariantConfig, overrides: dict | None = None, allow_early_shortcuts: bool = False
+) -> VariantConfig:
+    """``cfg`` with class_count, input_size, profile, or rho overridden, and
+    re-checked; ``allow_early_shortcuts`` lifts the early-shortcut rule."""
     overrides = dict(overrides or {})
-    allow_early = overrides.pop("allow_early_shortcuts", False)
-    if overrides:
-        bad = set(overrides) - {"class_count", "input_size", "profile", "rho"}
-        if bad:
-            raise ConfigError(f"unsupported overrides: {sorted(bad)}")
-        if "profile" in overrides and "class_count" not in overrides:
-            overrides["class_count"] = None
-        if "profile" in overrides and "input_size" not in overrides:
-            overrides["input_size"] = None
-        if "rho" in overrides:
-            overrides["rho"] = tuple(Fraction(r) for r in overrides["rho"])
-        cfg = replace(cfg, **overrides)
-    violations = validate(cfg, allow_early_shortcuts=allow_early)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    return cfg
-
-
-def validate(config: VariantConfig, allow_early_shortcuts: bool = False) -> list[str]:
-    """Return a list of invariant violations; an empty list means valid."""
-    violations = []
-    if len(config.rho) != NUM_BLOCKS:
-        violations.append(f"rho must have {NUM_BLOCKS} entries, got {len(config.rho)}")
-        return violations
-    for k, r in enumerate(config.rho, start=1):
-        if r < 0:
-            violations.append(f"rho_{k} is negative")
-    if not allow_early_shortcuts and (config.rho[0] != 0 or config.rho[1] != 0):
-        violations.append("rho_1 and rho_2 must be 0 (early blocks only down-sample)")
-    for k, (r, c) in enumerate(zip(config.rho, config.block_channels), start=1):
-        if r > 0 and (Fraction(r) * c).denominator != 1:
-            violations.append(f"rho_{k}={r} gives fractional width for {c} channels")
-    if all(r == 0 for r in config.rho):
-        violations.append("at least one rho must be positive")
-    if config.input_size <= 0:
-        violations.append(f"input_size {config.input_size} must be a positive multiple of 32")
-    elif config.input_size % 32:
-        violations.append(f"input_size {config.input_size} not divisible by 32")
-    if config.class_count < 1:
-        violations.append("class_count must be positive")
-    if not violations:
-        widths = [int(Fraction(r) * c) for r, c in zip(config.rho, config.block_channels)]
-        head = sum(w * c for w, c in zip(widths, config.block_channels))
-        head += sum(widths) * config.class_count
-        if head > MAX_HEAD_WEIGHTS:
-            violations.append(
-                f"shortcut and classifier weights ({head}) exceed {MAX_HEAD_WEIGHTS} "
-                f"(1 GiB of float32); lower rho or class_count"
-            )
-    return violations
+    bad = set(overrides) - {"class_count", "input_size", "profile", "rho"}
+    if bad:
+        raise ConfigError(f"unsupported overrides: {sorted(bad)}")
+    if "profile" in overrides and "class_count" not in overrides:
+        overrides["class_count"] = None
+    if "profile" in overrides and "input_size" not in overrides:
+        overrides["input_size"] = None
+    return _check_early_shortcuts(replace(cfg, **overrides), allow_early_shortcuts)

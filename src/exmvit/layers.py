@@ -131,7 +131,6 @@ class BatchNorm2d(Module):
         super().__init__()
         self.eps = eps
         self.momentum = momentum
-        self.track_running = True
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -148,7 +147,6 @@ class BatchNorm2d(Module):
             self.running_var,
             eps=self.eps,
             momentum=self.momentum,
-            update_running=self.track_running,
             act=act,
         )
 

@@ -825,14 +825,14 @@ def batch_norm(
     running_var: np.ndarray,
     eps: float = 1e-5,
     momentum: float = 0.1,
-    update_running: bool = True,
     act: bool = False,
 ) -> Tensor:
     """Training-mode per-channel normalization of a [B, C, H, W] map, then
     SiLU if ``act``.
 
-    Normalizes with batch statistics and (optionally) folds them into the
-    running estimates in place. It is one recorded op whose closure holds
+    Normalizes with batch statistics and, once the output is checked finite,
+    folds them into the running estimates in place, so a NaN or Inf input
+    leaves them as they were. It is one recorded op whose closure holds
     only the normalized input xhat and inv = 1/sqrt(var + eps), plus the
     sigmoid when ``act``. With ``act`` the SiLU runs in the norm's output
     buffer with ``silu``'s op order, so the output has the bits of
@@ -856,12 +856,6 @@ def batch_norm(
     mean = x.data.sum(axis=axes, keepdims=True) * rn
     xhat = x.data - mean
     var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
-    if update_running:
-        unbiased = var.reshape(c) * (n / max(n - 1, 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(eps, dtype=DEFAULT_DTYPE))
     xhat *= inv
     out = xhat * gamma.data.reshape(1, c, 1, 1)
@@ -889,7 +883,13 @@ def batch_norm(
         dx *= gamma.data.reshape(1, c, 1, 1) * inv
         x._accumulate(dx, owned=True)
 
-    return _make(out, (x, gamma, beta), backward, "batch_norm")
+    result = _make(out, (x, gamma, beta), backward, "batch_norm")
+    unbiased = var.reshape(c) * (n / max(n - 1, 1))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.reshape(c)
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased
+    return result
 
 
 def batch_norm_scale_shift(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm2d, Module
+from .layers import Module
 from .tensor import NumericError, Tensor
 
 
@@ -170,12 +170,6 @@ class SyntheticDataset:
         return len(self.labels)
 
 
-def freeze_batchnorm_stats(model: Module) -> None:
-    for _, m in model.modules():
-        if isinstance(m, BatchNorm2d):
-            m.track_running = False
-
-
 @dataclass
 class GradCheckEntry:
     param: str
@@ -209,22 +203,21 @@ def grad_check(
     """Compare analytic gradients with central finite differences.
 
     Samples at least one scalar from every trainable parameter tensor, so
-    every layer kind is covered. Runs the model in float64, in train mode
-    with frozen batch-norm statistics, and uses a step small enough that the
-    quadratic truncation term of the central difference stays below the
-    comparison tolerance (the batch-norm denominators give the loss large
-    third derivatives). The model is left as it was found: its parameter
-    and buffer arrays, gradients, train/eval mode and batch-norm tracking
-    are restored on return, also when the check raises.
+    every layer kind is covered. Runs the model in float64 and in train
+    mode, whose batch norm reads batch statistics, never the running ones.
+    Uses a step small enough that the quadratic truncation term of the
+    central difference stays below the comparison tolerance (the batch-norm
+    denominators give the loss large third derivatives). The model is left as it was found: its parameter
+    and buffer arrays, gradients and train/eval mode are restored on
+    return, also when the check raises.
     """
-    # the caller's arrays, gradients, modes and batch-norm tracking, put back
-    # in the finally: the check casts, perturbs and switches them
+    # the caller's arrays, gradients and modes, put back in the finally: the
+    # check casts, perturbs and switches them
     saved_params = [(p, p.data, p.grad) for p in model.parameters()]
     saved_modules = [(m, dict(vars(m))) for _, m in model.modules()]
     try:
         model.astype(np.float64)
         model.train()
-        freeze_batchnorm_stats(model)
         x = Tensor(inputs.astype(np.float64))
         named = list(model.named_parameters())
 
@@ -284,7 +277,6 @@ def train_loop(
     model: Module,
     dataset: SyntheticDataset,
     config: TrainConfig,
-    log_every: int = 1,
 ) -> list[HistoryRow]:
     """Deterministic mini-batch training; returns the per-step history."""
     model.train()
@@ -315,8 +307,7 @@ def train_loop(
             if shadow is not None:
                 ema_update(shadow, named, config.ema_decay)
             acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
-            if iteration % log_every == 0:
-                history.append(HistoryRow(iteration, loss_val, acc, lr))
+            history.append(HistoryRow(iteration, loss_val, acc, lr))
             iteration += 1
     if shadow is not None:
         for name, p in named:

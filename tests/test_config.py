@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,10 +8,10 @@ from exmvit.config import (
     MAX_HEAD_WEIGHTS,
     ConfigError,
     REGISTRY,
+    VariantConfig,
+    apply_overrides,
     config_from_json,
-    expand_width,
     resolve_variant,
-    validate,
 )
 
 IMAGENET_VARIANTS = ["mobilevit-s", "exmvit-576", "exmvit-640", "exmvit-704", "exmvit-864", "exmvit-928"]
@@ -50,54 +51,85 @@ class TestResolve:
     def test_rho_override_revalidated(self):
         with pytest.raises(ConfigError):
             resolve_variant("exmvit-864", {"rho": (1, 0, 0, 0, 4)})
-        cfg = resolve_variant(
-            "exmvit-864", {"rho": (1, 0, 0, 0, 4), "allow_early_shortcuts": True}
-        )
+        cfg = resolve_variant("exmvit-864", {"rho": (1, 0, 0, 0, 4)}, allow_early_shortcuts=True)
         assert cfg.rho[0] == 1
+        # the option is a keyword, not an overrides key
+        with pytest.raises(ConfigError, match="unsupported overrides"):
+            resolve_variant("exmvit-864", {"allow_early_shortcuts": True})
 
 
 class TestValidate:
+    """A VariantConfig checks itself when it is built."""
+
     def test_registered_variants_valid(self):
         for name, cfg in REGISTRY.items():
-            assert validate(cfg) == [], name
+            assert dataclasses.replace(cfg) == cfg, name
 
     def test_fractional_width_violation(self):
-        cfg = resolve_variant("mobilevit-s")
-        bad = type(cfg)(name="bad", rho=(0, 0, Fraction(1, 7), 0, 4))
-        violations = validate(bad)
-        assert any("fractional" in v for v in violations)
+        with pytest.raises(ConfigError, match="fractional"):
+            VariantConfig(name="bad", rho=(0, 0, Fraction(1, 7), 0, 4))
 
     def test_input_size_divisibility(self):
-        cfg = type(resolve_variant("mobilevit-s"))(
-            name="bad", rho=(0, 0, 0, 0, 4), input_size=250
-        )
-        assert any("not divisible by 32" in v for v in validate(cfg))
+        with pytest.raises(ConfigError, match="not divisible by 32"):
+            VariantConfig(name="bad", rho=(0, 0, 0, 0, 4), input_size=250)
 
     @pytest.mark.parametrize("size", [0, -32, -64])
     def test_input_size_must_be_positive(self, size):
-        cfg = type(resolve_variant("mobilevit-s"))(name="bad", rho=(0, 0, 0, 0, 4), input_size=size)
-        assert any("positive multiple of 32" in v for v in validate(cfg))
+        with pytest.raises(ConfigError, match="positive multiple of 32"):
+            VariantConfig(name="bad", rho=(0, 0, 0, 0, 4), input_size=size)
         with pytest.raises(ConfigError):
             resolve_variant("exmvit-576-tiny", {"input_size": size})
 
     def test_head_weight_ceiling(self):
         # tiny profile, rho = (0, 0, 0, 0, 1): 20 shortcut channels from 20,
         # so 400 shortcut weights and 20 per class
-        base = resolve_variant("mobilevit-s-tiny")
-        cfg = type(base)(name="edge", rho=(0, 0, 0, 0, 1), profile="tiny")
+        cfg = VariantConfig(name="edge", rho=(0, 0, 0, 0, 1), profile="tiny")
         largest = (MAX_HEAD_WEIGHTS - 400) // 20
-        assert validate(type(cfg)(**{**vars(cfg), "class_count": largest})) == []
-        over = validate(type(cfg)(**{**vars(cfg), "class_count": largest + 1}))
-        assert any("exceed" in v for v in over)
-        wide = type(cfg)(name="wide", rho=(0, 0, 0, 0, 1_000_000), profile="tiny", class_count=1)
-        assert any("exceed" in v for v in validate(wide))
+        assert dataclasses.replace(cfg, class_count=largest).class_count == largest
+        with pytest.raises(ConfigError, match="exceed"):
+            dataclasses.replace(cfg, class_count=largest + 1)
+        with pytest.raises(ConfigError, match="exceed"):
+            VariantConfig(name="wide", rho=(0, 0, 0, 0, 1_000_000), profile="tiny", class_count=1)
         with pytest.raises(ConfigError, match="exceed"):
             resolve_variant("exmvit-928", {"class_count": 10**9})
 
     def test_early_shortcut_violation(self):
-        cfg = type(resolve_variant("mobilevit-s"))(name="bad", rho=(1, 0, 0, 0, 4))
-        assert any("rho_1" in v for v in validate(cfg))
-        assert validate(cfg, allow_early_shortcuts=True) == []
+        # the one rule construction leaves to the entry points, which take
+        # allow_early_shortcuts
+        cfg = VariantConfig(name="early", rho=(1, 0, 0, 0, 4))
+        entry_points = [
+            lambda allow: resolve_variant("mobilevit-s", {"rho": cfg.rho}, allow_early_shortcuts=allow),
+            lambda allow: apply_overrides(cfg, allow_early_shortcuts=allow),
+            lambda allow: config_from_json(cfg.to_json(), allow_early_shortcuts=allow),
+        ]
+        for entry_point in entry_points:
+            with pytest.raises(ConfigError, match="rho_1"):
+                entry_point(False)
+            assert entry_point(True).rho == cfg.rho
+
+    INVALID = [
+        ({"rho": (0, 0, 0, 4)}, "5 entries"),
+        ({"rho": (0, 0, -1, 0, 4)}, "rho_3 is negative"),
+        ({"rho": (0, 0, Fraction(1, 7), 0, 4)}, "fractional width"),
+        ({"rho": (0, 0, 0, 0, 0)}, "at least one rho must be positive"),
+        ({"input_size": 0}, "positive multiple of 32"),
+        ({"input_size": 100}, "not divisible by 32"),
+        ({"class_count": 0}, "class_count must be positive"),
+        ({"class_count": 10**9}, "exceed"),
+        ({"profile": "huge"}, "unknown profile"),
+    ]
+
+    @pytest.mark.parametrize("field,message", INVALID, ids=[m for _, m in INVALID])
+    def test_every_invalid_field_fails_to_build(self, field, message):
+        fields = {"name": "bad", "rho": (0, 0, 1, 1, 4), **field}
+        with pytest.raises(ConfigError, match=message):
+            VariantConfig(**fields)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(REGISTRY["exmvit-864"], **field)
+
+    def test_violations_are_joined(self):
+        with pytest.raises(ConfigError, match="rho_3 is negative; .*input_size 100"):
+            VariantConfig(name="bad", rho=(0, 0, -1, 0, 4), input_size=100)
 
 
 class TestJsonRoundTrip:
@@ -127,4 +159,5 @@ class TestJsonRoundTrip:
         cfg = resolve_variant("exmvit-928")
         again = config_from_json(cfg.to_json())
         assert again.rho[2] == Fraction(4, 3)
-        assert expand_width(again.rho, again.block_channels) == 928
+        assert again.widths == (0, 0, 128, 160, 640)
+        assert again.classifier_width == 928

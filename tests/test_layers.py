@@ -118,6 +118,17 @@ class TestBatchNorm2dTrainOnly:
         norm.train()(x)
         assert not np.array_equal(norm.running_mean, before[0])
 
+    def test_nan_input_raises_and_leaves_statistics_unchanged(self):
+        rng = np.random.default_rng(86)
+        norm = BatchNorm2d(4).train()
+        before = (norm.running_mean.copy(), norm.running_var.copy())
+        x = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
+        x[0, 1, 2, 2] = np.nan
+        with pytest.raises(T.NumericError):
+            norm(Tensor(x))
+        assert np.array_equal(norm.running_mean, before[0])
+        assert np.array_equal(norm.running_var, before[1])
+
 
 class TestFusedActivation:
     """Eval ConvNormAct and Linear(act=True) run SiLU inside the op, with the

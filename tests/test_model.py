@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from exmvit import tensor as T
-from exmvit.config import ConfigError, expand_width, resolve_variant
+from exmvit.config import REGISTRY, ConfigError, VariantConfig, resolve_variant
 from exmvit.model import ExShortcut, ShortcutSpec, build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
 from exmvit.train import SyntheticDataset, TrainConfig, label_smoothing_ce, train_loop
@@ -13,39 +14,38 @@ from exmvit.train import SyntheticDataset, TrainConfig, label_smoothing_ce, trai
 
 class TestExpandWidth:
     def test_baseline_640(self):
-        assert expand_width((0, 0, 0, 0, 4), (32, 64, 96, 128, 160)) == 640
+        assert resolve_variant("mobilevit-s").widths == (0, 0, 0, 0, 640)
+        assert resolve_variant("mobilevit-s").classifier_width == 640
 
     def test_576(self):
-        assert expand_width((0, 0, Fraction(1, 3), Fraction(1, 2), 3), (32, 64, 96, 128, 160)) == 576
+        assert resolve_variant("exmvit-576").widths == (0, 0, 32, 64, 480)
+        assert resolve_variant("exmvit-576").classifier_width == 576
 
     def test_928(self):
-        assert expand_width((0, 0, Fraction(4, 3), Fraction(5, 4), 4), (32, 64, 96, 128, 160)) == 928
+        assert resolve_variant("exmvit-928").widths == (0, 0, 128, 160, 640)
+        assert resolve_variant("exmvit-928").classifier_width == 928
 
     def test_fractional_term_rejected(self):
         with pytest.raises(ConfigError):
-            expand_width((0, 0, Fraction(1, 7), 0, 4), (32, 64, 96, 128, 160))
+            VariantConfig(name="bad", rho=(0, 0, Fraction(1, 7), 0, 4))
 
     def test_monotone_width(self):
         base = resolve_variant("mobilevit-s")
-        wider = expand_width((0, 0, Fraction(1, 3), 0, 4), base.block_channels)
-        assert wider > base.classifier_width
+        wider = dataclasses.replace(base, rho=(0, 0, Fraction(1, 3), 0, 4))
+        assert wider.classifier_width > base.classifier_width
 
 
 class TestShortcutSpec:
     def test_paper_widths(self):
-        assert ShortcutSpec(3, Fraction(1, 3), 96).out_channels == 32
-        assert ShortcutSpec(4, Fraction(5, 4), 128).out_channels == 160
-
-    def test_rejects_zero_rho(self):
-        with pytest.raises(ValueError):
-            ShortcutSpec(3, Fraction(0), 96)
-
-    def test_rejects_fractional_width(self):
-        with pytest.raises(ValueError):
-            ShortcutSpec(3, Fraction(1, 7), 96)
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0)
+        assert [(s.block_index, s.in_channels, s.out_channels) for s in model.shortcut_specs] == [
+            (3, 12, 16),
+            (4, 16, 20),
+            (5, 20, 80),
+        ]
 
     def test_param_count_formula(self):
-        spec = ShortcutSpec(4, Fraction(5, 4), 128)
+        spec = ShortcutSpec(4, 128, 160)
         shortcut = ExShortcut(np.random.default_rng(0), spec)
         total = sum(p.size for p in shortcut.parameters())
         assert total == 128 * 160 + 160  # weights + bias
@@ -53,7 +53,7 @@ class TestShortcutSpec:
 
 class TestMakeShortcut:
     def test_identity_conv_constant_feature(self):
-        spec = ShortcutSpec(3, Fraction(1), 4)
+        spec = ShortcutSpec(3, 4, 4)
         shortcut = ExShortcut(np.random.default_rng(0), spec)
         shortcut.pointwise.weight.data[...] = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
         shortcut.pointwise.bias.data[...] = 0.0
@@ -63,7 +63,7 @@ class TestMakeShortcut:
         np.testing.assert_allclose(out.data, silu, atol=1e-6)
 
     def test_channel_mismatch(self):
-        spec = ShortcutSpec(3, Fraction(1), 4)
+        spec = ShortcutSpec(3, 4, 4)
         shortcut = ExShortcut(np.random.default_rng(0), spec)
         with pytest.raises(T.ShapeError):
             shortcut(Tensor(np.zeros((1, 5, 2, 2), dtype=np.float32)))
@@ -86,8 +86,8 @@ class TestAssembleAndClassify:
             sc(feats[spec.block_index - 1])
             for spec, sc in zip(model.shortcut_specs, model.shortcuts)
         ]
-        normal = model.classify(T.concat(parts, axis=1)).data
-        shuffled = model.classify(T.concat(parts[::-1], axis=1)).data
+        normal = model.classifier(T.concat(parts, axis=1)).data
+        shuffled = model.classifier(T.concat(parts[::-1], axis=1)).data
         assert not np.allclose(normal, shuffled)
 
     def test_zero_classifier_gives_zero_logits(self):
@@ -116,11 +116,12 @@ class TestAssembleAndClassify:
         np.testing.assert_allclose(both[0], model(Tensor(a)).data[0], atol=1e-5)
         np.testing.assert_allclose(both[1], model(Tensor(b)).data[0], atol=1e-5)
 
-    def test_classifier_width_asserted_at_build(self):
-        for name in ["mobilevit-s", "exmvit-576", "exmvit-640", "exmvit-704", "exmvit-864", "exmvit-928"]:
-            cfg = resolve_variant(f"{name}-tiny")
+    def test_widths_match_built_model(self):
+        for name, cfg in REGISTRY.items():
             model = build_model(cfg, seed=0)
-            assert model.classifier_spec.input_width == cfg.classifier_width
+            built = [shortcut.pointwise.weight.shape[0] for shortcut in model.shortcuts]
+            assert built == [w for w in cfg.widths if w], name
+            assert model.classifier.weight.shape[1] == sum(built) == cfg.classifier_width, name
 
 
 class TestDtype:

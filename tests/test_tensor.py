@@ -142,6 +142,24 @@ class TestNorms:
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
         np.testing.assert_allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
+    @pytest.mark.parametrize("act", [False, True])
+    def test_batch_norm_nan_input_leaves_running_stats(self, act):
+        x = np.random.default_rng(6).normal(size=(2, 3, 4, 4)).astype(np.float32)
+        x[1, 2, 3, 0] = np.nan
+        running_mean = np.full(3, 0.25, dtype=np.float32)
+        running_var = np.full(3, 0.75, dtype=np.float32)
+        with pytest.raises(NumericError):
+            T.batch_norm(
+                Tensor(x),
+                Tensor(np.ones(3, dtype=np.float32)),
+                Tensor(np.zeros(3, dtype=np.float32)),
+                running_mean,
+                running_var,
+                act=act,
+            )
+        assert np.array_equal(running_mean, np.full(3, 0.25, dtype=np.float32))
+        assert np.array_equal(running_var, np.full(3, 0.75, dtype=np.float32))
+
     def test_batch_norm_rejects_bad_eps(self):
         x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):
