@@ -55,7 +55,8 @@ _BUILD_METADATA = {"variant": str, "profile": str, "class_count": int, "input_si
 def _model_from_weights(path: str):
     metadata, tensors = read_weights(path)
     for key, kind in _BUILD_METADATA.items():
-        if not isinstance(metadata.get(key), kind):
+        value = metadata.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise WeightsFormatError(
                 f"{path}: metadata field {key!r} is missing or not {kind.__name__}"
             )

@@ -119,6 +119,10 @@ class VariantConfig:
     def _violations(self) -> list[str]:
         if len(self.rho) != NUM_BLOCKS:
             return [f"rho must have {NUM_BLOCKS} entries, got {len(self.rho)}"]
+        for key in ("class_count", "input_size"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                return [f"{key} must be an integer, got {value!r}"]
         violations = []
         for k, r in enumerate(self.rho, start=1):
             if r < 0:
@@ -197,10 +201,6 @@ def config_from_json(text: str | bytes, allow_early_shortcuts: bool = False) -> 
     for key in ("name", "profile"):
         if not isinstance(doc.get(key, ""), str):
             raise ConfigError(f"config field {key!r} must be a string")
-    for key in ("class_count", "input_size"):
-        value = doc.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
     if not isinstance(doc["rho"], list):
         raise ConfigError(f"rho must be a list, got a {type(doc['rho']).__name__}")
     cfg = VariantConfig(

@@ -110,14 +110,15 @@ class Conv2d(Module):
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True) if bias else None
 
     def forward(self, x, scale=None, shift=None, act=False):
-        """Convolve ``x``; given a per-output-channel ``scale`` and ``shift``,
-        convolve with ``weight * scale`` and add ``bias * scale + shift``,
-        which equals scaling and shifting the output. ``act`` applies SiLU to
-        the result (inside the conv's tiles when no graph is recorded)."""
+        """Convolve ``x``; given per-output-channel ``scale`` and ``shift``
+        arrays, convolve with the constant ``weight * scale`` and add
+        ``bias * scale + shift``, which equals scaling and shifting the
+        output (eval's batch-norm fold). ``act`` applies SiLU to the result
+        (inside the conv's tiles when no graph is recorded)."""
         weight, bias = self.weight, self.bias
         if scale is not None:
-            weight = T.mul(weight, T.reshape(scale, (-1, 1, 1, 1)))
-            bias = shift if bias is None else T.add(T.mul(bias, scale), shift)
+            weight = Tensor(weight.data * scale.reshape(-1, 1, 1, 1))
+            bias = Tensor(shift if bias is None else bias.data * scale + shift)
         return T.conv2d(
             x, weight, bias, stride=self.stride, padding=self.padding, groups=self.groups, act=act
         )
@@ -176,10 +177,10 @@ class ConvNormAct(Module):
     """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom.
 
     In train mode the norm and its SiLU are one recorded ``batch_norm`` op.
-    In eval mode the norm is folded into the conv at call time: the conv runs
-    with its weight scaled, the norm's shift as bias and the SiLU as its
-    epilogue. Nothing is cached, so a weight load or an optimizer step needs
-    no invalidation.
+    In eval mode the norm is folded into the conv at call time (Jacob et al.,
+    arXiv 1712.05877, section 3.2): the conv runs with its weight scaled, the
+    norm's shift as bias and the SiLU as its epilogue. Nothing is cached, so a
+    weight load or an optimizer step needs no invalidation.
     """
 
     def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, act=True):
@@ -192,9 +193,8 @@ class ConvNormAct(Module):
         if self.training:
             return self.norm(self.conv(x), act=self.act)
         n = self.norm
-        scale, shift = T.batch_norm_scale_shift(
-            n.gamma, n.beta, n.running_mean, n.running_var, n.eps
-        )
+        scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + n.eps))
+        shift = n.beta.data - n.running_mean * scale
         return self.conv(x, scale, shift, act=self.act)
 
 

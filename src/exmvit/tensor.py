@@ -10,22 +10,20 @@ intermediate drops its gradient, its closure and its parents once its
 closure has run, and only leaf tensors that require grad (parameters) keep
 ``grad``; constants and input batches never get one. A closure hands a
 gradient buffer it has just allocated to ``_accumulate`` rather than having
-it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``, ``silu``,
-``softmax``) record one node each and keep in their closures only what their
-backward reads; a training ``batch_norm`` with ``act`` also runs its SiLU in
-that node, with ``silu``'s bits. When no graph is recorded, the eval forward
-works in cache-sized pieces: ``conv2d`` writes its output one tile (one
-image by a block of output rows, about 256 KiB) at a time, and ``conv2d``
-and ``linear`` finish each piece while it is in cache with one epilogue: bias
-add, SiLU when asked (``act``, with ``silu``'s bits) and the finite check.
-A stride-1 depthwise conv reads flattened padded rows instead of im2col
-columns. Attention folds its score scale into q's projection and runs its
-softmax in the scores buffer, and ``silu`` writes its product into its
-sigmoid buffer. A recorded ``conv2d`` also works on flat rows: its im2col
-columns are cut from the input padded once into stride phase planes, so
-every column row is a whole band of output rows, not one output row, and
-the input gradient of a stride-1 conv is one GEMM with the rotated kernel
-instead of a scatter per tap.
+it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``,
+``linear``, ``silu``, ``softmax``, attention's ``_attend`` and the two patch
+folds) record one node each, with a closed-form backward whose closure keeps
+only what it reads; ``linear`` and attention run the same numpy recorded or
+not. A training ``batch_norm`` with ``act`` also runs its SiLU in that node,
+with ``silu``'s bits. ``linear`` and an unrecorded ``conv2d`` finish their
+output in place with one epilogue: bias add, SiLU when asked (``act``, with
+``silu``'s bits) and the finite check. The conv runs it on one cache-sized
+tile (one image by a block of output rows, about 256 KiB) at a time, and at
+stride 1 a depthwise conv reads flattened padded rows, not im2col columns.
+A recorded ``conv2d`` works on flat rows too: its im2col columns are cut
+from the input padded once into stride phase planes, so every column row is
+a whole band of output rows, not one output row, and the input gradient of
+a stride-1 conv is one GEMM with the rotated kernel, not a scatter per tap.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -184,14 +182,20 @@ def _recording(parents: tuple[Tensor, ...]) -> bool:
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    _check_finite(data, op)
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """The result of an op whose data is already checked finite, recorded
+    when ``_recording(parents)``."""
     out = Tensor(data)
     if _recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
     return out
+
+
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
+    _check_finite(data, op)
+    return _node(data, parents, backward)
 
 
 # -- elementwise arithmetic ---------------------------------------------------
@@ -277,16 +281,20 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> None:
-    """Finish an unrecorded conv2d or linear output in place while it is in
-    cache: add ``bias`` (broadcast against ``buf``), apply SiLU if ``act``
-    with ``silu``'s op order (so its bits), then check ``buf`` is finite.
-    Callers hand it one tile at a time and check nothing else."""
+def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> np.ndarray | None:
+    """Finish a conv2d or linear output in place while it is in cache: add
+    ``bias`` (broadcast against ``buf``), apply SiLU if ``act`` with
+    ``silu``'s op order (so its bits), then check ``buf`` is finite. Returns
+    the sigmoid when ``act``, for a backward to read. Callers hand it one
+    tile at a time and check nothing else."""
     if bias is not None:
         buf += bias
+    sig = None
     if act:
-        np.multiply(buf, _sigmoid(buf), out=buf)
+        sig = _sigmoid(buf)
+        buf *= sig
     _check_finite(buf, op)
+    return sig
 
 
 def _silu_grad(g: np.ndarray, out: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -301,9 +309,6 @@ def _silu_grad(g: np.ndarray, out: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 def silu(a: Tensor) -> Tensor:
     sig = _sigmoid(a.data)
-    if not _recording((a,)):
-        # no backward will read the sigmoid: the product goes into its buffer
-        return _make(np.multiply(a.data, sig, out=sig), (a,), None, "silu")
     data = a.data * sig
 
     def backward(g):
@@ -312,18 +317,9 @@ def silu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "silu")
 
 
-def softmax(a: Tensor, overwrite: bool = False) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction.
-
-    With ``overwrite``, an unrecorded call works in ``a``'s buffer instead of
-    a new one; only for a fresh buffer that nothing else reads (attention's
-    scores).
-    """
-    peak = a.data.max(axis=-1, keepdims=True)
-    if overwrite and not _recording((a,)):
-        data = np.subtract(a.data, peak, out=a.data)
-    else:
-        data = a.data - peak
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, stabilized by max subtraction."""
+    data = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
 
@@ -344,16 +340,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         a._accumulate(g.reshape(a.shape))
 
     return _make(data, (a,), backward, "reshape")
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    data = np.ascontiguousarray(a.data.transpose(axes))
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        a._accumulate(g.transpose(inverse))
-
-    return _make(data, (a,), backward, "transpose")
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
@@ -431,26 +417,32 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, act: bool = Fa
     """x[..., Din] -> x @ weight.T + bias, with weight [Dout, Din], then SiLU
     if ``act``.
 
-    Recorded, it is the op chain matmul, transpose, add, silu. Unrecorded, it
-    is one GEMM of all leading rows against a transposed view of the weight
-    (no copy), finished in place by ``_epilogue``: one finite check instead
-    of three.
+    One op, recorded or not: one GEMM of all leading rows against a
+    transposed view of the weight (no copy), finished in place by
+    ``_epilogue``. Its closure keeps the input rows and the sigmoid; the
+    backward takes SiLU's derivative from the output first (``_silu_grad``),
+    then dW = gᵀx, db = Σg and, when x requires grad, dx = gW.
     """
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
             f"linear: input dim {x.shape[-1]} != weight in-dim {weight.shape[1]}"
         )
+    rows = x.data.reshape(-1, x.shape[-1])
+    out = np.matmul(rows, weight.data.T)
+    sig = _epilogue(out, None if bias is None else bias.data, act, "linear")
+
+    def backward(g):
+        g = g.reshape(out.shape)
+        if act:
+            g = _silu_grad(g, out, sig)
+        weight._accumulate(np.matmul(g.T, rows), owned=True)
+        if bias is not None:
+            bias._accumulate(g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, weight.data).reshape(x.shape), owned=True)
+
     parents = (x, weight) if bias is None else (x, weight, bias)
-    if not _recording(parents):
-        # one GEMM over every leading row, not one per leading index
-        rows = x.data.reshape(-1, x.shape[-1])
-        out = np.matmul(rows, weight.data.T).reshape(x.shape[:-1] + (weight.shape[0],))
-        _epilogue(out, None if bias is None else bias.data, act, "linear")
-        return Tensor(out)
-    out = matmul(x, transpose(weight, (1, 0)))
-    if bias is not None:
-        out = add(out, bias)
-    return silu(out) if act else out
+    return _node(out.reshape(x.shape[:-1] + (weight.shape[0],)), parents, backward)
 
 
 # -- convolution -----------------------------------------------------------------
@@ -892,20 +884,6 @@ def batch_norm(
     return result
 
 
-def batch_norm_scale_shift(
-    gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray, eps: float
-) -> tuple[Tensor, Tensor]:
-    """Eval batch-norm as one (C,) scale gamma / sqrt(var + eps) and one (C,)
-    shift beta - mean * scale, differentiable in gamma and beta.
-
-    An eval ``ConvNormAct`` folds them into its conv's weight and bias at
-    call time (Jacob et al., arXiv 1712.05877, section 3.2).
-    """
-    scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
-    shift = sub(beta, mul(Tensor(running_mean), scale))
-    return scale, shift
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis only.
 
@@ -950,15 +928,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- patch folding ------------------------------------------------------------------
 
 
+def _permute(x: Tensor, split: tuple, axes: tuple, shape: tuple, op: str) -> Tensor:
+    """``x`` viewed as ``split``, its axes permuted by ``axes`` and the copy
+    reshaped to ``shape``: one recorded op whose backward is the inverse
+    permutation."""
+    data = np.ascontiguousarray(x.data.reshape(split).transpose(axes)).reshape(shape)
+    permuted = tuple(split[a] for a in axes)
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        gx = np.array(g.reshape(permuted).transpose(inverse), order="C")
+        x._accumulate(gx.reshape(x.shape), owned=True)
+
+    return _make(data, (x,), backward, op)
+
+
 def unfold_patches(x: Tensor, ph: int, pw: int) -> Tensor:
     """[B, C, H, W] -> [B*ph*pw, (H/ph)*(W/pw), C] patch-position sequences."""
     batch, c, h, w = x.shape
     if h % ph or w % pw:
         raise ShapeError(f"unfold_patches: spatial {h}x{w} not divisible by patch {ph}x{pw}")
     hp, wp = h // ph, w // pw
-    t = reshape(x, (batch, c, hp, ph, wp, pw))
-    t = transpose(t, (0, 3, 5, 2, 4, 1))  # (B, ph, pw, Hp, Wp, C)
-    return reshape(t, (batch * ph * pw, hp * wp, c))
+    split = (batch, c, hp, ph, wp, pw)  # permuted to (B, ph, pw, Hp, Wp, C)
+    return _permute(x, split, (0, 3, 5, 2, 4, 1), (batch * ph * pw, hp * wp, c), "unfold_patches")
 
 
 def fold_patches(x: Tensor, ph: int, pw: int, out_shape: tuple[int, int, int, int]) -> Tensor:
@@ -967,12 +959,49 @@ def fold_patches(x: Tensor, ph: int, pw: int, out_shape: tuple[int, int, int, in
     hp, wp = h // ph, w // pw
     if x.shape != (batch * ph * pw, hp * wp, c):
         raise ShapeError(f"fold_patches: got {x.shape}, expected {(batch * ph * pw, hp * wp, c)}")
-    t = reshape(x, (batch, ph, pw, hp, wp, c))
-    t = transpose(t, (0, 5, 3, 1, 4, 2))  # (B, C, Hp, ph, Wp, pw)
-    return reshape(t, (batch, c, h, w))
+    split = (batch, ph, pw, hp, wp, c)  # permuted to (B, C, Hp, ph, Wp, pw)
+    return _permute(x, split, (0, 5, 3, 1, 4, 2), (batch, c, h, w), "fold_patches")
 
 
 # -- attention ------------------------------------------------------------------------
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q_h k_hᵀ) v_h for each head h of [B, T, D] sequences, merged
+    back to [B, T, D]: one recorded op.
+
+    q arrives scaled. The scores are checked finite before the softmax, which
+    runs in their buffer: a score that overflowed to -inf would otherwise
+    become a silent zero. The closure keeps the per-head q, k and v and the
+    probabilities P; the backward is dV = Pᵀ dO, dP = dO Vᵀ,
+    dS = P ⊙ (dP − rowsum(dP ⊙ P)), dQ = dS K and dK = dSᵀ Q.
+    """
+    batch, t, d = q.shape
+
+    def split(z):
+        return np.ascontiguousarray(z.reshape(batch, t, heads, -1).transpose(0, 2, 1, 3))
+
+    def merge(z):
+        return np.ascontiguousarray(z.transpose(0, 2, 1, 3)).reshape(batch, t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # kᵀ copied, as in the reference chain: BLAS sums a transposed view in another order
+    probs = np.matmul(qh, np.ascontiguousarray(kh.transpose(0, 1, 3, 2)))
+    _check_finite(probs, "attention")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        go = split(g)
+        v._accumulate(merge(np.matmul(probs.transpose(0, 1, 3, 2), go)), owned=True)
+        ds = np.matmul(go, vh.transpose(0, 1, 3, 2))
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        q._accumulate(merge(np.matmul(ds, kh)), owned=True)
+        k._accumulate(merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)), owned=True)
+
+    return _make(merge(np.matmul(probs, vh)), (q, k, v), backward, "attention")
 
 
 def multi_head_attention(
@@ -989,30 +1018,15 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product self-attention over [B, T, D] sequences.
 
-    When no graph is recorded, the 1/sqrt(head dim) score scale is folded
-    into q's weight and bias at call time (nothing is cached), and the
-    softmax works in the fresh scores buffer.
+    The 1/sqrt(head dim) score scale is folded into q's weight and bias at
+    call time (nothing is cached). Then three ``linear`` projections, one
+    ``_attend`` and the output ``linear``: the same ops recorded or not.
     """
-    batch, t, d = x.shape
+    d = x.shape[-1]
     if d % heads:
         raise ShapeError(f"attention dim {d} not divisible by heads {heads}")
-    hd = d // heads
-    scale = np.asarray(1.0 / np.sqrt(hd), dtype=x.dtype)
-    recording = _recording(tuple(p for p in (x, wq, wk, wv, wo, bq, bk, bv, bo) if p is not None))
-    if not recording:
-        wq = Tensor(wq.data * scale)
-        bq = None if bq is None else Tensor(bq.data * scale)
-
-    def split(z):
-        return transpose(reshape(z, (batch, t, heads, hd)), (0, 2, 1, 3))
-
-    q = split(linear(x, wq, bq))
-    k = split(linear(x, wk, bk))
-    v = split(linear(x, wv, bv))
-    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    if recording:
-        scores = mul(scores, Tensor(scale))
-    weights = softmax(scores, overwrite=True)
-    ctx = matmul(weights, v)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, t, d))
-    return linear(merged, wo, bo)
+    scale = Tensor(np.asarray(1.0 / np.sqrt(d // heads), dtype=x.dtype))
+    wq = mul(wq, scale)
+    bq = None if bq is None else mul(bq, scale)
+    q, k, v = (linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    return linear(_attend(q, k, v, heads), wo, bo)

@@ -368,6 +368,21 @@ class TestWeightsMetadata:
         assert code == 2
         assert "'variant' is missing" in err
 
+    @pytest.mark.parametrize("command", ["audit", "infer"])
+    def test_bool_class_count_exit_2(self, checkpoint, tmp_path, command, capsys):
+        # True is an int to isinstance; it must not reach the model builder
+        metadata, _ = read_weights(checkpoint)
+        del metadata["config"]
+        metadata["class_count"] = True
+        path = str(tmp_path / "bool.exvt")
+        save_weights(build_model(resolve_variant("exmvit-640-tiny"), seed=5), path, metadata)
+        argv = [command, "--weights", path]
+        if command == "infer":
+            argv += ["--image", write_ppm(tmp_path / "img.ppm")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "'class_count'" in err
+
 
 class TestTrace:
     def test_tiny_trace_reaches_2x2(self, capsys):

@@ -116,6 +116,9 @@ class TestValidate:
         ({"input_size": 100}, "not divisible by 32"),
         ({"class_count": 0}, "class_count must be positive"),
         ({"class_count": 10**9}, "exceed"),
+        ({"class_count": True}, "class_count must be an integer, got True"),
+        ({"class_count": 8.5}, "class_count must be an integer, got 8.5"),
+        ({"input_size": True}, "input_size must be an integer, got True"),
         ({"profile": "huge"}, "unknown profile"),
     ]
 

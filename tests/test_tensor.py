@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exmvit import tensor as T
+from exmvit.layers import ConvNormAct
 from exmvit.tensor import NumericError, ShapeError, Tensor
 
 
@@ -427,7 +428,8 @@ class TestNoGrad:
 
 
 class TestEvalBatchNorm:
-    """Eval batch norm as the per-channel scale and shift an eval ConvNormAct folds."""
+    """Eval batch norm as the per-channel scale and shift an eval ConvNormAct
+    folds into its conv."""
 
     @staticmethod
     def operands(rng, dtype):
@@ -438,44 +440,21 @@ class TestEvalBatchNorm:
         var = rng.uniform(0.5, 2.0, 3).astype(dtype)
         return x, gamma, beta, mean, var
 
-    @staticmethod
-    def apply(x, gamma, beta, mean, var):
-        """x * scale + shift, with scale and shift broadcast over (1, C, 1, 1)."""
-        scale, shift = T.batch_norm_scale_shift(gamma, beta, mean, var, 1e-5)
-        c = (1, x.shape[1], 1, 1)
-        return T.add(T.mul(x, T.reshape(scale, c)), T.reshape(shift, c))
-
     def test_matches_normalize_then_affine(self):
         x, gamma, beta, mean, var = self.operands(np.random.default_rng(20), np.float32)
-        out = self.apply(Tensor(x), Tensor(gamma), Tensor(beta), mean, var)
+        # an identity 1x1 conv, so the block's output is x * scale + shift
+        block = ConvNormAct(np.random.default_rng(0), 3, 3, 1, act=False).eval()
+        block.conv.weight.data[:] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
+        norm = block.norm
+        norm.gamma.data[:], norm.beta.data[:] = gamma, beta
+        norm.running_mean[:], norm.running_var[:] = mean, var
+        out = block(Tensor(x))
         c = (1, 3, 1, 1)
         expected = (x - mean.reshape(c)) / np.sqrt(var.reshape(c) + 1e-5) * gamma.reshape(
             c
         ) + beta.reshape(c)
         assert out.dtype == np.float32
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-6)
-
-    def test_gradients_match_finite_differences(self):
-        operands = self.operands(np.random.default_rng(21), np.float64)
-        mean, var = operands[3], operands[4]
-
-        def loss_of(x, gamma, beta):
-            leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-            out = self.apply(*leaves, mean, var)
-            return T.tsum(T.mul(out, out)), leaves
-
-        loss, leaves = loss_of(*operands[:3])
-        loss.backward()
-        h = 1e-6
-        for which, leaf in enumerate(leaves):
-            for idx in np.ndindex(leaf.shape):
-                up = [v.copy() for v in operands[:3]]
-                down = [v.copy() for v in operands[:3]]
-                up[which][idx] += h
-                down[which][idx] -= h
-                numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
-                analytic = leaf.grad[idx]
-                assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
 
 
 class TestBackwardConsumesGraph:
@@ -987,11 +966,12 @@ class TestTiledConv:
 
 
 class TestLeanLinear:
-    """Unrecorded linear: one GEMM against a view of the weight, fused epilogue."""
+    """Linear, recorded or not: one GEMM against a view of the weight, fused epilogue."""
 
     @pytest.mark.parametrize("act", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_recorded_chain(self, act, dtype):
+        # the recorded op runs the same numpy: bitwise
         rng = np.random.default_rng(70)
         x = rng.normal(size=(3, 5, 8)).astype(dtype)
         w = rng.normal(size=(6, 8)).astype(dtype)
@@ -1001,8 +981,7 @@ class TestLeanLinear:
         with T.no_grad():
             lean = T.linear(Tensor(x), Tensor(w), Tensor(b), act=act)
         assert lean._parents == () and lean.shape == (3, 5, 6)
-        tol = 1e-5 if dtype == np.float32 else 1e-12
-        np.testing.assert_allclose(lean.data, recorded.data, rtol=tol, atol=tol)
+        assert np.array_equal(lean.data, recorded.data)
 
     def test_act_equals_silu_of_linear_bitwise(self):
         rng = np.random.default_rng(71)
@@ -1053,22 +1032,33 @@ class TestFusedFiniteCheck:
         with T.no_grad(), pytest.raises(NumericError, match="linear"):
             T.linear(Tensor(x), w, act=True)
 
-    def test_in_place_softmax(self):
-        scores = np.zeros((2, 3, 4), dtype=np.float32)
-        scores[1, 2, 3] = np.nan
-        with T.no_grad(), pytest.raises(NumericError, match="softmax"):
-            T.softmax(Tensor(scores), overwrite=True)
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_attention_score_nan_or_overflow_raises(self, score, recorded):
+        q = np.ones((1, 3, 4), dtype=np.float32)
+        k = np.ones((1, 3, 4), dtype=np.float32)
+        if score == "nan":
+            q[0, 2, 1] = np.nan
+        else:
+            # 1e20 * 1e20 overflows float32; a -inf score would softmax to a silent 0
+            q[0, 2] = 1e20
+            k[0, 1] = 1e20 if score == "inf" else -1e20
+        leaves = [Tensor(a, requires_grad=recorded) for a in (q, k, np.ones_like(q))]
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="attention"):
+            T._attend(*leaves, heads=2)
 
-    def test_overwrite_only_when_unrecorded(self):
-        a = np.random.default_rng(73).normal(size=(2, 5)).astype(np.float32)
-        kept = Tensor(a.copy(), requires_grad=True)
-        T.softmax(kept, overwrite=True)
-        assert np.array_equal(kept.data, a)
-        with T.no_grad():
-            fresh = Tensor(a.copy())
-            out = T.softmax(fresh, overwrite=True)
-        assert np.shares_memory(out.data, fresh.data)
-        assert np.array_equal(out.data, T.softmax(Tensor(a)).data)
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_softmax_and_attention_leave_inputs_unchanged(self, recorded):
+        rng = np.random.default_rng(73)
+        shapes = [(2, 5, 4), (4, 4), (4, 4), (4, 4), (4, 4), (4,), (2, 5, 4), (2, 5, 4)]
+        arrays = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+        before = [a.copy() for a in arrays]
+        x, wq, wk, wv, wo, bq, k, v = (Tensor(a, requires_grad=recorded) for a in arrays)
+        outs = [T.softmax(x), T.multi_head_attention(x, wq, wk, wv, wo, 2, bq=bq)]
+        outs.append(T._attend(x, k, v, heads=2))
+        assert all(bool(out._parents) == recorded for out in outs)
+        for now, then in zip(arrays, before):
+            assert np.array_equal(now, then)
 
 
 class TestInPlaceEpilogues:
@@ -1201,3 +1191,167 @@ class TestFusedLayerNorm:
                 numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
                 analytic = leaf.grad[idx]
                 assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+
+def permuted(a, axes):
+    """``a.transpose(axes)`` as a chain of ``T.reshape`` and one ``T.matmul``
+    against a 0/1 permutation matrix, which moves every value exactly."""
+    n = a.size
+    source = np.arange(n).reshape(a.shape).transpose(axes).reshape(-1)
+    perm = np.zeros((n, n), dtype=a.dtype)
+    perm[source, np.arange(n)] = 1.0
+    flat = T.matmul(T.reshape(a, (1, n)), Tensor(perm))
+    return T.reshape(flat, tuple(a.shape[i] for i in axes))
+
+
+def chained_linear(x, weight, bias=None, act=False):
+    """Linear as the op chain matmul, transpose, add, silu."""
+    out = T.matmul(x, permuted(weight, (1, 0)))
+    if bias is not None:
+        out = T.add(out, bias)
+    return T.silu(out) if act else out
+
+
+def chained_unfold(x, ph, pw):
+    b, c, h, w = x.shape
+    t = permuted(T.reshape(x, (b, c, h // ph, ph, w // pw, pw)), (0, 3, 5, 2, 4, 1))
+    return T.reshape(t, (b * ph * pw, (h // ph) * (w // pw), c))
+
+
+def chained_fold(x, ph, pw, out_shape):
+    b, c, h, w = out_shape
+    t = permuted(T.reshape(x, (b, ph, pw, h // ph, w // pw, c)), (0, 5, 3, 1, 4, 2))
+    return T.reshape(t, out_shape)
+
+
+def chained_attend(q, k, v, heads):
+    """Per-head softmax(q kᵀ) v as the op chain split, matmul, softmax, matmul, merge."""
+    b, t, d = q.shape
+
+    def split(z):
+        return permuted(T.reshape(z, (b, t, heads, d // heads)), (0, 2, 1, 3))
+
+    scores = T.matmul(split(q), permuted(split(k), (0, 1, 3, 2)))
+    ctx = T.matmul(T.softmax(scores), split(v))
+    return T.reshape(permuted(ctx, (0, 2, 1, 3)), (b, t, d))
+
+
+class TestOneNodeOps:
+    """``linear``, attention's ``_attend`` and the patch folds: one recorded
+    node each, against the op chains they replace."""
+
+    # name: (fused, chain, operand shapes, bitwise forward); linear's GEMM is
+    # one call over all rows against a transposed view, the chain's a batched
+    # matmul against a copy, so only the other ops share the chain's op order
+    CASES = {
+        "linear": (T.linear, chained_linear, [(2, 3, 5), (4, 5)], False),
+        "linear-bias": (T.linear, chained_linear, [(2, 3, 5), (4, 5), (4,)], False),
+        "linear-act": (
+            lambda x, w: T.linear(x, w, act=True),
+            lambda x, w: chained_linear(x, w, act=True),
+            [(2, 3, 5), (4, 5)],
+            False,
+        ),
+        "linear-bias-act": (
+            lambda x, w, b: T.linear(x, w, b, act=True),
+            lambda x, w, b: chained_linear(x, w, b, act=True),
+            [(6, 5), (4, 5), (4,)],
+            False,
+        ),
+        "unfold": (
+            lambda x: T.unfold_patches(x, 2, 2),
+            lambda x: chained_unfold(x, 2, 2),
+            [(2, 3, 4, 6)],
+            True,
+        ),
+        "fold": (
+            lambda x: T.fold_patches(x, 2, 2, (2, 3, 4, 6)),
+            lambda x: chained_fold(x, 2, 2, (2, 3, 4, 6)),
+            [(8, 6, 3)],
+            True,
+        ),
+        "attend": (
+            lambda q, k, v: T._attend(q, k, v, heads=2),
+            lambda q, k, v: chained_attend(q, k, v, heads=2),
+            [(2, 4, 6)] * 3,
+            True,
+        ),
+    }
+
+    @classmethod
+    def operands(cls, case, dtype, seed=90):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=shape).astype(dtype) for shape in cls.CASES[case][2]]
+
+    @staticmethod
+    def loss(out, seed=91):
+        weights = np.random.default_rng(seed).normal(size=out.shape).astype(out.dtype)
+        return T.tsum(T.mul(T.mul(out, out), Tensor(weights)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_records_one_node(self, case):
+        leaves = [Tensor(a, requires_grad=True) for a in self.operands(case, np.float32)]
+        out = self.CASES[case][0](*leaves)
+        assert out._parents == tuple(leaves)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_forward_matches_chain(self, case, dtype):
+        fused, chain, _, bitwise = self.CASES[case]
+        arrays = self.operands(case, dtype)
+        out = fused(*(Tensor(a, requires_grad=True) for a in arrays))
+        expected = chain(*(Tensor(a, requires_grad=True) for a in arrays))
+        assert out.dtype == dtype and out.shape == expected.shape
+        if bitwise:
+            assert np.array_equal(out.data, expected.data)
+        else:
+            tol = 1e-6 if dtype == np.float32 else 1e-14
+            np.testing.assert_allclose(out.data, expected.data, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradients_match_chain(self, case):
+        arrays = self.operands(case, np.float32)
+        grads = []
+        for op in self.CASES[case][:2]:
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            self.loss(op(*leaves)).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for mine, theirs in zip(*grads):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradients_match_finite_differences(self, case):
+        fused = self.CASES[case][0]
+        arrays = self.operands(case, np.float64, seed=92)
+
+        def loss_of(values):
+            leaves = [Tensor(a, requires_grad=True) for a in values]
+            return self.loss(fused(*leaves)), leaves
+
+        loss, leaves = loss_of(arrays)
+        loss.backward()
+        h = 1e-6
+        for which, leaf in enumerate(leaves):
+            for idx in np.ndindex(leaf.shape):
+                up = [a.copy() for a in arrays]
+                down = [a.copy() for a in arrays]
+                up[which][idx] += h
+                down[which][idx] -= h
+                numeric = (loss_of(up)[0].item() - loss_of(down)[0].item()) / (2 * h)
+                analytic = leaf.grad[idx]
+                assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_gradient_for_constant_inputs(self, case):
+        # the first `constant` operands do not require grad: x, then weight
+        # or k, so attention's q and k together
+        arrays = self.operands(case, np.float32)
+        for constant in range(1, len(arrays) + 1):
+            leaves = [Tensor(a, requires_grad=i >= constant) for i, a in enumerate(arrays)]
+            out = self.CASES[case][0](*leaves)
+            if constant == len(arrays):
+                assert out._parents == ()  # nothing requires grad: nothing is recorded
+                continue
+            self.loss(out).backward()
+            expected = [i < constant for i in range(len(leaves))]
+            assert [leaf.grad is None for leaf in leaves] == expected
