@@ -14,6 +14,7 @@ last one — the accounting the published overhead columns follow.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -176,10 +177,11 @@ def _walk_backbone(backbone, in_shape, rows):
     return trace, block_shapes
 
 
-def count_params(model, input_size: int | None = None, baseline_total: int | None = None) -> AuditReport:
-    """Enumerate every parameter of a built model into an AuditReport."""
+def _rows(model) -> tuple[list[LayerRow], int]:
+    """The audit rows of a built model for a batch-1 input of its size, and
+    the parameter count of its shortcuts before the last block."""
     config: VariantConfig = model.config
-    size = input_size or config.input_size
+    size = config.input_size
     rows: list[LayerRow] = []
     _, block_shapes = _walk_backbone(model.backbone, (1, 3, size, size), rows)
 
@@ -194,31 +196,34 @@ def count_params(model, input_size: int | None = None, baseline_total: int | Non
         _walk(model.final_conv, "final_conv", block_shapes[-1], rows)
     else:
         raise TypeError(f"cannot audit {type(model).__name__}")
+    _walk(model.classifier, "classifier", (1, config.classifier_width), rows)
+    return rows, early_shortcut_params
 
-    width = config.classifier_width
-    _walk(model.classifier, "classifier", (1, width), rows)
 
+@functools.cache
+def _baseline_total(profile: str, class_count: int) -> int:
+    """Parameter total of mobilevit-s built for this profile and class count."""
+    cfg = resolve_variant("mobilevit-s", {"profile": profile, "class_count": class_count})
+    rows, _ = _rows(build_model(cfg, seed=0))
+    return sum(r.param_count for r in rows)
+
+
+def count_params(model) -> AuditReport:
+    """Enumerate every parameter of a built model into an AuditReport; its
+    overhead is against mobilevit-s of the same profile and class count."""
+    config: VariantConfig = model.config
+    rows, early_shortcut_params = _rows(model)
     strict_total = sum(r.param_count for r in rows)
     paper_total = strict_total - early_shortcut_params
     flops = sum(r.macs for r in rows)
-
-    if baseline_total is None:
-        baseline_total = paper_total if config.name.startswith("mobilevit") else None
-    if baseline_total is None:
-        base_cfg = resolve_variant("mobilevit-s", {"profile": config.profile})
-        if config.class_count != base_cfg.class_count:
-            base_cfg = resolve_variant(
-                "mobilevit-s", {"profile": config.profile, "class_count": config.class_count}
-            )
-        baseline_total = count_params(build_model(base_cfg, seed=0), size).paper_convention_total
+    baseline_total = _baseline_total(config.profile, config.class_count)
     overhead = (paper_total - baseline_total) / baseline_total * 100.0
-
     return AuditReport(
         variant=config.name,
         rows=rows,
         strict_total=strict_total,
         paper_convention_total=paper_total,
-        classifier_width=width,
+        classifier_width=config.classifier_width,
         overhead_vs_baseline_percent=overhead,
         flops_estimate=flops,
     )
@@ -240,17 +245,14 @@ def block_output_shapes(model, input_size: int) -> list[tuple[int, ...]]:
     return _trace(model, input_size)[1]
 
 
-def overhead_report(variants: list[str], profile: str = "imagenet") -> list[dict]:
-    """Per-variant width and parameter overheads relative to the baseline."""
-    base_cfg = resolve_variant("mobilevit-s", {"profile": profile})
-    base_report = count_params(build_model(base_cfg, seed=0))
+def overhead_report(variants: list[str]) -> list[dict]:
+    """Per-variant width and parameter overheads of the ImageNet-profile
+    variants relative to the baseline."""
+    base_report = count_params(build_model(resolve_variant("mobilevit-s"), seed=0))
     base_width = base_report.classifier_width
     out = []
     for name in variants:
-        cfg = resolve_variant(name, {"profile": profile} if profile != "imagenet" else None)
-        report = count_params(
-            build_model(cfg, seed=0), baseline_total=base_report.paper_convention_total
-        )
+        report = count_params(build_model(resolve_variant(name), seed=0))
         out.append(
             {
                 "variant": name,

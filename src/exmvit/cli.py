@@ -112,8 +112,6 @@ def cmd_trace(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve(args)
-    if args.data != "synthetic":
-        raise ConfigError(f"unsupported dataset {args.data!r} (only 'synthetic')")
     for flag, value in (
         ("--epochs", args.epochs),
         ("--batch-size", args.batch_size),
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variant_args(p, default_profile="tiny")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--data", default="synthetic")
     p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
     p.add_argument("--samples-per-class", type=int, default=64, dest="samples_per_class")
     p.add_argument("--warmup", type=int, default=None)

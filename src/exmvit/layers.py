@@ -18,8 +18,9 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Normal draw with rejection outside two standard deviations."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2 * std
     while bad.any():
@@ -125,13 +126,11 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Training-mode batch norm: an eval ``ConvNormAct`` folds it into its
-    conv instead of calling it, so an eval-mode call raises."""
+    """Training-mode batch norm (``T.NORM_EPS``, ``T.BN_MOMENTUM``): an eval
+    ``ConvNormAct`` folds it into its conv instead, so an eval-mode call raises."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -141,26 +140,20 @@ class BatchNorm2d(Module):
         if not self.training:
             raise RuntimeError("BatchNorm2d runs in train mode only; eval folds it into its conv")
         return T.batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            eps=self.eps,
-            momentum=self.momentum,
-            act=act,
+            x, self.gamma, self.beta, self.running_mean, self.running_var, act=act
         )
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-5):
+    """Layer norm over the last axis with ``T.NORM_EPS``."""
+
+    def __init__(self, dim):
         super().__init__()
-        self.eps = eps
         self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Linear(Module):
@@ -193,7 +186,7 @@ class ConvNormAct(Module):
         if self.training:
             return self.norm(self.conv(x), act=self.act)
         n = self.norm
-        scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + n.eps))
+        scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + T.NORM_EPS))
         shift = n.beta.data - n.running_mean * scale
         return self.conv(x, scale, shift, act=self.act)
 

@@ -35,6 +35,8 @@ from contextlib import contextmanager
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+NORM_EPS = 1e-5  # added to the variance by batch_norm, layer_norm and eval's fold
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch_norm's running ones
 
 # Whether operations record the autodiff graph; switched off by no_grad().
 _GRAD_ENABLED = True
@@ -275,7 +277,8 @@ def sqrt(a: Tensor) -> Tensor:
 def _sigmoid(a: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-a)) built in one fresh buffer, in that op order."""
     sig = np.negative(a)
-    np.exp(sig, out=sig)
+    with np.errstate(over="ignore"):  # exp(-a) overflows to inf below about -88: sig is 0
+        np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
     return sig
@@ -815,8 +818,8 @@ def batch_norm(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
+    eps: float = NORM_EPS,
+    momentum: float = BN_MOMENTUM,
     act: bool = False,
 ) -> Tensor:
     """Training-mode per-channel normalization of a [B, C, H, W] map, then
@@ -884,7 +887,7 @@ def batch_norm(
     return result
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) -> Tensor:
     """Normalize over the last axis only.
 
     One recorded op. Its forward runs the numpy operations of the op chain
@@ -986,7 +989,8 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # kᵀ copied, as in the reference chain: BLAS sums a transposed view in another order
-    probs = np.matmul(qh, np.ascontiguousarray(kh.transpose(0, 1, 3, 2)))
+    with np.errstate(over="ignore"):  # an overflowed score raises below instead
+        probs = np.matmul(qh, np.ascontiguousarray(kh.transpose(0, 1, 3, 2)))
     _check_finite(probs, "attention")
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)

@@ -7,6 +7,7 @@ synthetic blob dataset, and a central-finite-difference gradient checker.
 
 from __future__ import annotations
 
+import copy
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -15,17 +16,24 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Module
-from .tensor import NumericError, Tensor
+from .tensor import Tensor
+
+# MobileViT's recipe (Mehta & Rastegari, arXiv 2110.02178), which the paper keeps
+LR_START, LR_PEAK = 2e-4, 2e-3  # warm-up start and end, cosine-decay start
+WEIGHT_DECAY = 0.01  # decoupled, on weight matrices and kernels only
+ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
+SMOOTHING = 0.1  # label smoothing
+# grad_check's step: its truncation error stays below the check's tolerance,
+# although batch norm gives the loss large third derivatives
+GRAD_CHECK_STEP = 1e-4
 
 
 @dataclass
 class TrainConfig:
+    """The run's length and schedule shape; the recipe's rates are constants."""
+
     total_iters: int
-    lr_start: float = 2e-4
-    lr_peak: float = 2e-3
     warmup_iters: int = 3000
-    weight_decay: float = 0.01
-    smoothing: float = 0.1
     ema_decay: float | None = None  # 0.9995 when enabled
     seed: int = 0
     batch_size: int = 32
@@ -37,22 +45,18 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.warmup_iters < 0:
             raise ValueError(f"warmup_iters must not be negative, got {self.warmup_iters}")
-        if self.lr_start > self.lr_peak:
-            raise ValueError("lr_start must not exceed lr_peak")
         if self.warmup_iters >= self.total_iters:
             raise ValueError("warmup_iters must be smaller than total_iters")
 
 
-def label_smoothing_ce(logits: Tensor, labels: np.ndarray, smoothing: float) -> Tensor:
-    """Mean cross-entropy against a smoothed target distribution."""
-    if not 0 <= smoothing < 1:
-        raise ValueError(f"smoothing must be in [0, 1), got {smoothing}")
+def label_smoothing_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy against a target smoothed by ``SMOOTHING``."""
     batch, k = logits.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-    target = np.full((batch, k), smoothing / k, dtype=logits.dtype)
-    target[np.arange(batch), labels] += 1.0 - smoothing
+    target = np.full((batch, k), SMOOTHING / k, dtype=logits.dtype)
+    target[np.arange(batch), labels] += 1.0 - SMOOTHING
     # log-softmax, stabilized by a detached max shift
     shift = Tensor(logits.data.max(axis=-1, keepdims=True))
     shifted = T.sub(logits, shift)
@@ -63,40 +67,29 @@ def label_smoothing_ce(logits: Tensor, labels: np.ndarray, smoothing: float) -> 
 
 
 def lr_schedule(iteration: int, config: TrainConfig) -> float:
-    """Linear warm-up from lr_start to lr_peak, then cosine decay back."""
+    """Linear warm-up from LR_START to LR_PEAK, then cosine decay back."""
     if iteration < config.warmup_iters:
         frac = iteration / config.warmup_iters
-        return config.lr_start + (config.lr_peak - config.lr_start) * frac
+        return LR_START + (LR_PEAK - LR_START) * frac
     span = config.total_iters - config.warmup_iters
     t = (iteration - config.warmup_iters) / span
-    return config.lr_start + (config.lr_peak - config.lr_start) * 0.5 * (1.0 + math.cos(math.pi * t))
+    return LR_START + (LR_PEAK - LR_START) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
 class AdamW:
-    """AdamW with decoupled decay; biases and norm parameters are not decayed."""
+    """AdamW with ``ADAM_BETAS`` and ``ADAM_EPS``, decaying every parameter of
+    more than one axis by ``WEIGHT_DECAY`` (decoupled); biases and norm
+    parameters are not decayed."""
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        weight_decay: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, named_params: list[tuple[str, Tensor]]):
         self.named_params = named_params
-        self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in named_params}
 
-    @staticmethod
-    def decayable(name: str, p: Tensor) -> bool:
-        return p.ndim > 1
-
     def step(self, lr: float) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for name, p in self.named_params:
@@ -111,9 +104,9 @@ class AdamW:
             m += (1.0 - b1) * grad
             v *= b2
             v += (1.0 - b2) * grad * grad
-            if self.weight_decay and self.decayable(name, p):
-                p.data -= lr * self.weight_decay * p.data
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if p.ndim > 1:
+                p.data -= lr * WEIGHT_DECAY * p.data
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def ema_update(shadow: dict[str, np.ndarray], named_params, decay: float) -> None:
@@ -195,67 +188,47 @@ def grad_check(
     model: Module,
     inputs: np.ndarray,
     labels: np.ndarray,
-    smoothing: float = 0.1,
     num_samples: int = 200,
-    h: float = 1e-4,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
+    """Compare analytic gradients with central finite differences of step
+    ``GRAD_CHECK_STEP``.
 
     Samples at least one scalar from every trainable parameter tensor, so
-    every layer kind is covered. Runs the model in float64 and in train
-    mode, whose batch norm reads batch statistics, never the running ones.
-    Uses a step small enough that the quadratic truncation term of the
-    central difference stays below the comparison tolerance (the batch-norm
-    denominators give the loss large third derivatives). The model is left as it was found: its parameter
-    and buffer arrays, gradients and train/eval mode are restored on
-    return, also when the check raises.
+    every layer kind is covered. Runs on a float64 copy of the model in train
+    mode, whose batch norm reads batch statistics, never the running ones;
+    the caller's model is never touched.
     """
-    # the caller's arrays, gradients and modes, put back in the finally: the
-    # check casts, perturbs and switches them
-    saved_params = [(p, p.data, p.grad) for p in model.parameters()]
-    saved_modules = [(m, dict(vars(m))) for _, m in model.modules()]
-    try:
-        model.astype(np.float64)
-        model.train()
-        x = Tensor(inputs.astype(np.float64))
-        named = list(model.named_parameters())
+    model = copy.deepcopy(model).astype(np.float64).train()
+    model.zero_grad()
+    x = Tensor(inputs.astype(np.float64))
+    named = list(model.named_parameters())
 
-        def loss_value() -> Tensor:
-            return label_smoothing_ce(model(x), labels, smoothing)
+    def loss_value() -> Tensor:
+        return label_smoothing_ce(model(x), labels)
 
-        model.zero_grad()
-        loss = loss_value()
-        loss.backward()
-        if not np.isfinite(loss.item()):
-            raise NumericError("non-finite loss in gradient check")
-
-        rng = np.random.default_rng(seed)
-        per_tensor = max(1, math.ceil(num_samples / len(named)))
-        entries = []
-        for name, p in named:
-            count = min(per_tensor, p.size)
-            idxs = rng.choice(p.size, size=count, replace=False)
-            flat = p.data.reshape(-1)
-            gflat = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
-            for idx in idxs:
-                original = flat[idx]
-                with T.no_grad():  # the differences need values, not graphs
-                    flat[idx] = original + h
-                    up = loss_value().item()
-                    flat[idx] = original - h
-                    down = loss_value().item()
-                flat[idx] = original
-                numeric = (up - down) / (2 * h)
-                analytic = float(gflat[idx])
-                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-                entries.append(GradCheckEntry(name, int(idx), analytic, numeric, rel))
-        return GradCheckReport(entries)
-    finally:
-        for p, data, grad in saved_params:
-            p.data, p.grad = data, grad
-        for m, attrs in saved_modules:
-            vars(m).update(attrs)
+    loss_value().backward()
+    rng = np.random.default_rng(seed)
+    per_tensor = max(1, math.ceil(num_samples / len(named)))
+    entries = []
+    for name, p in named:
+        count = min(per_tensor, p.size)
+        idxs = rng.choice(p.size, size=count, replace=False)
+        flat = p.data.reshape(-1)
+        gflat = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
+        for idx in idxs:
+            original = flat[idx]
+            with T.no_grad():  # the differences need values, not graphs
+                flat[idx] = original + GRAD_CHECK_STEP
+                up = loss_value().item()
+                flat[idx] = original - GRAD_CHECK_STEP
+                down = loss_value().item()
+            flat[idx] = original
+            numeric = (up - down) / (2 * GRAD_CHECK_STEP)
+            analytic = float(gflat[idx])
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+            entries.append(GradCheckEntry(name, int(idx), analytic, numeric, rel))
+    return GradCheckReport(entries)
 
 
 @dataclass
@@ -281,7 +254,7 @@ def train_loop(
     """Deterministic mini-batch training; returns the per-step history."""
     model.train()
     named = list(model.named_parameters())
-    optimizer = AdamW(named, weight_decay=config.weight_decay)
+    optimizer = AdamW(named)
     shadow = init_ema(named) if config.ema_decay is not None else None
     order_rng = np.random.default_rng(config.seed)
     history: list[HistoryRow] = []
@@ -297,17 +270,14 @@ def train_loop(
             labels = dataset.labels[batch]
             model.zero_grad()
             logits = model(x)
-            loss = label_smoothing_ce(logits, labels, config.smoothing)
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                raise NumericError(f"non-finite loss at iteration {iteration}")
+            loss = label_smoothing_ce(logits, labels)
             loss.backward()
             lr = lr_schedule(iteration, config)
             optimizer.step(lr)
             if shadow is not None:
                 ema_update(shadow, named, config.ema_decay)
             acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
-            history.append(HistoryRow(iteration, loss_val, acc, lr))
+            history.append(HistoryRow(iteration, loss.item(), acc, lr))
             iteration += 1
     if shadow is not None:
         for name, p in named:

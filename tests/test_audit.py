@@ -10,7 +10,7 @@ from exmvit.audit import (
     trace_shapes,
 )
 from exmvit.backbone import MV2Block, Mv2Spec
-from exmvit.config import resolve_variant
+from exmvit.config import VariantConfig, resolve_variant
 from exmvit.layers import BatchNorm2d, Conv2d, LayerNorm, Linear, MultiHeadAttention
 from exmvit.model import build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
@@ -55,6 +55,15 @@ class TestCountParams:
         a = count_params(build_model(cfg, seed=0))
         b = count_params(build_mobilevit_s(cfg, seed=0))
         assert a.strict_total == b.strict_total
+        assert a.overhead_vs_baseline_percent == b.overhead_vs_baseline_percent == 0.0
+
+    def test_overhead_does_not_depend_on_the_name(self):
+        reports = [
+            count_params(build_model(VariantConfig(name, (0, 0, 1, 1, 4), profile="tiny"), seed=0))
+            for name in ("mobilevit-wide", "exmvit-wide")
+        ]
+        overheads = [r.overhead_vs_baseline_percent for r in reports]
+        assert overheads[0] == overheads[1] > 0
 
 
 class TestFlops:

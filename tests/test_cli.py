@@ -123,6 +123,18 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--config", str(path), "--input-size", "100")
         assert code == 2 and "divisible by 32" in err
 
+    def test_config_overhead_does_not_depend_on_the_name(self, tmp_path, capsys):
+        doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())
+        doc["rho"] = ["0", "0", "1", "1", "4"]
+        overheads = []
+        for name in ("mobilevit-wide", "exmvit-wide"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(doc, name=name)))
+            code, out, _ = run(capsys, "audit", "--config", str(path), "--format", "json")
+            assert code == 0
+            overheads.append(json.loads(out)["overhead_vs_baseline_percent"])
+        assert overheads[0] == overheads[1] > 0
+
     def test_config_takes_allow_early_shortcuts(self, tmp_path, capsys):
         doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())
         doc["rho"][0] = "1"

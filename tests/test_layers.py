@@ -43,7 +43,7 @@ class TestConvNormFold:
                 Tensor(x), conv.weight, stride=stride, padding=conv.padding, groups=groups
             ).data
         c = (1, cout, 1, 1)
-        ref = (y - norm.running_mean.reshape(c)) / np.sqrt(norm.running_var.reshape(c) + norm.eps)
+        ref = (y - norm.running_mean.reshape(c)) / np.sqrt(norm.running_var.reshape(c) + T.NORM_EPS)
         ref = ref * norm.gamma.data.reshape(c) + norm.beta.data.reshape(c)
         if act:
             ref = ref / (1.0 + np.exp(-ref))
@@ -127,7 +127,7 @@ class TestFusedActivation:
         block, rng = randomized_block(90, *case)
         x = Tensor(rng.normal(size=(2, case[0], 9, 9)).astype(np.float32))
         n = block.norm
-        scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + n.eps))
+        scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + T.NORM_EPS))
         shift = n.beta.data - n.running_mean * scale
         with T.no_grad():
             expected = T.silu(block.conv(x, scale, shift))

@@ -194,7 +194,7 @@ class TestGraphRecording:
         model.train()
         logits = model(x)
         assert logits.requires_grad and logits._parents
-        label_smoothing_ce(logits, np.array([0, 1]), 0.1).backward()
+        label_smoothing_ce(logits, np.array([0, 1])).backward()
         for spec, shortcut in zip(model.shortcut_specs, model.shortcuts):
             grad = shortcut.pointwise.weight.grad
             assert grad is not None and np.linalg.norm(grad) > 0, spec.block_index

@@ -6,8 +6,13 @@ import pytest
 from exmvit.config import resolve_variant
 from exmvit.layers import Linear, Module
 from exmvit.model import build_model
-from exmvit.tensor import Tensor
+from exmvit.tensor import NumericError, Tensor
 from exmvit.train import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    LR_PEAK,
+    SMOOTHING,
+    WEIGHT_DECAY,
     AdamW,
     GradCheckReport,
     SyntheticDataset,
@@ -27,26 +32,15 @@ class TestLabelSmoothingCE:
     def test_uniform_logits_give_ln_k(self):
         for k in (2, 8, 1000):
             logits = Tensor(np.zeros((3, k), dtype=np.float32))
-            loss = label_smoothing_ce(logits, np.zeros(3, dtype=np.int64), 0.1)
+            loss = label_smoothing_ce(logits, np.zeros(3, dtype=np.int64))
             assert math.isclose(loss.item(), math.log(k), rel_tol=1e-5)
-
-    def test_zero_smoothing_is_plain_ce(self):
-        rng = np.random.default_rng(0)
-        logits_np = rng.normal(size=(4, 5)).astype(np.float64)
-        labels = np.array([0, 3, 2, 4])
-        loss = label_smoothing_ce(Tensor(logits_np), labels, 0.0)
-        # direct formula
-        shifted = logits_np - logits_np.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        expected = -log_probs[np.arange(4), labels].mean()
-        assert math.isclose(loss.item(), expected, rel_tol=1e-10)
 
     def test_smoothed_direct_formula(self):
         rng = np.random.default_rng(1)
         logits_np = rng.normal(size=(2, 6)).astype(np.float64)
         labels = np.array([1, 5])
-        s = 0.1
-        loss = label_smoothing_ce(Tensor(logits_np), labels, s)
+        s = SMOOTHING
+        loss = label_smoothing_ce(Tensor(logits_np), labels)
         shifted = logits_np - logits_np.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         target = np.full((2, 6), s / 6)
@@ -58,16 +52,14 @@ class TestLabelSmoothingCE:
         rng = np.random.default_rng(2)
         logits_np = rng.normal(size=(3, 4)).astype(np.float64)
         labels = np.array([0, 1, 2])
-        a = label_smoothing_ce(Tensor(logits_np), labels, 0.1).item()
-        b = label_smoothing_ce(Tensor(logits_np + 1000.0), labels, 0.1).item()
+        a = label_smoothing_ce(Tensor(logits_np), labels).item()
+        b = label_smoothing_ce(Tensor(logits_np + 1000.0), labels).item()
         assert math.isclose(a, b, rel_tol=1e-9)
 
     def test_bad_inputs(self):
         logits = Tensor(np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ValueError):
-            label_smoothing_ce(logits, np.array([0, 3]), 0.1)
-        with pytest.raises(ValueError):
-            label_smoothing_ce(logits, np.array([0, 1]), 1.0)
+            label_smoothing_ce(logits, np.array([0, 3]))
 
 
 class TestLrSchedule:
@@ -96,8 +88,6 @@ class TestLrSchedule:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             TrainConfig(total_iters=10, warmup_iters=10)
-        with pytest.raises(ValueError):
-            TrainConfig(total_iters=10, warmup_iters=1, lr_start=1.0, lr_peak=0.1)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -115,47 +105,49 @@ class TestLrSchedule:
 
     def test_smallest_valid_run(self):
         config = TrainConfig(total_iters=1, warmup_iters=0, batch_size=1)
-        assert lr_schedule(0, config) == pytest.approx(config.lr_peak)
+        assert lr_schedule(0, config) == pytest.approx(LR_PEAK)
 
 
 class TestAdamW:
     def test_first_step_is_signed_lr(self):
-        # with bias correction the first update is exactly -lr * sign(grad)
+        # with bias correction the first update is -lr * grad / (|grad| + eps)
         p = Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True)
         p.grad = np.array([0.5, -3.0])
-        opt = AdamW([("p", p)], weight_decay=0.0, eps=0.0)
+        opt = AdamW([("p", p)])
         opt.step(lr=0.1)
-        np.testing.assert_allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], rtol=1e-12)
+        expected = [1.0 - 0.1 * 0.5 / (0.5 + ADAM_EPS), -2.0 + 0.1 * 3.0 / (3.0 + ADAM_EPS)]
+        np.testing.assert_allclose(p.data, expected, rtol=1e-12)
 
     def test_scalar_recursion_oracle(self):
         # hand-rolled Adam recursion on one weight matrix entry
         p = Tensor(np.array([[2.0]], dtype=np.float64), requires_grad=True)
-        opt = AdamW([("w", p)], weight_decay=0.01)
+        opt = AdamW([("w", p)])
+        b1, b2 = ADAM_BETAS
         grads = [0.3, -0.7, 1.1]
         m = v = 0.0
         x = 2.0
         for t, g in enumerate(grads, start=1):
             p.grad = np.array([[g]])
             opt.step(lr=0.05)
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            x -= 0.05 * 0.01 * x  # decoupled decay (ndim > 1)
-            x -= 0.05 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            x -= 0.05 * WEIGHT_DECAY * x  # decoupled decay (ndim > 1)
+            x -= 0.05 * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + ADAM_EPS)
         assert math.isclose(p.data[0, 0], x, rel_tol=1e-12)
 
     def test_vectors_not_decayed(self):
         p = Tensor(np.array([5.0], dtype=np.float64), requires_grad=True)
         p.grad = np.zeros(1)
-        opt = AdamW([("bias", p)], weight_decay=0.5)
+        opt = AdamW([("bias", p)])
         opt.step(lr=1.0)
         assert p.data[0] == 5.0  # zero grad, no decay on 1-D params
 
     def test_matrices_decayed(self):
         p = Tensor(np.array([[5.0]], dtype=np.float64), requires_grad=True)
         p.grad = np.zeros((1, 1))
-        opt = AdamW([("w", p)], weight_decay=0.5)
+        opt = AdamW([("w", p)])
         opt.step(lr=1.0)
-        assert math.isclose(p.data[0, 0], 2.5, rel_tol=1e-12)
+        assert math.isclose(p.data[0, 0], 5.0 * (1.0 - WEIGHT_DECAY), rel_tol=1e-12)
 
 
 class TestEma:
@@ -217,7 +209,7 @@ class TestGradCheck:
         model = _LinearModel(np.random.default_rng(0), 6, 4)
         x = np.random.default_rng(1).normal(size=(3, 6))
         labels = np.array([0, 2, 3])
-        report = grad_check(model, x, labels, num_samples=28, h=1e-5)
+        report = grad_check(model, x, labels, num_samples=28)
         assert report.max_rel_err < 1e-6
 
     def test_every_parameter_sampled(self):
@@ -312,13 +304,18 @@ class TestTrainLoop:
         history = train_loop(
             model,
             self.dataset(),
-            TrainConfig(
-                total_iters=20, warmup_iters=2, seed=0, batch_size=8, lr_peak=1e-3
-            ),
+            TrainConfig(total_iters=20, warmup_iters=2, seed=0, batch_size=8),
         )
         first = np.mean([r.loss for r in history[:4]])
         last = np.mean([r.loss for r in history[-4:]])
         assert last < first
+
+    def test_nan_weight_raises(self):
+        model = build_model(resolve_variant("exmvit-576-tiny", {"class_count": 4}), seed=0)
+        model.classifier.weight.data[0, 0] = np.nan
+        config = TrainConfig(total_iters=2, warmup_iters=1, seed=0, batch_size=8)
+        with pytest.raises(NumericError):
+            train_loop(model, self.dataset(), config)
 
     def test_epoch_accuracy_grouping(self):
         history = train_loop(
