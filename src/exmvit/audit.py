@@ -14,13 +14,12 @@ last one — the accounting the published overhead columns follow.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 
-from .backbone import MV2Block, MobileViTBlock
-from .config import VariantConfig, resolve_variant
+from .backbone import PATCH, MV2Block, MobileViTBlock
+from .config import REGISTRY, VariantConfig, resolve_variant
 from .layers import (
     BatchNorm2d,
     Conv2d,
@@ -150,7 +149,7 @@ def _walk(module, name, in_shape, rows) -> tuple[int, ...]:
         return shape
     if isinstance(module, MobileViTBlock):
         b, c, h, w = in_shape
-        ph, pw = module.spec.patch
+        ph, pw = PATCH
         local = _walk(module.local_conv, f"{name}.local_conv", in_shape, rows)
         local = _walk(module.local_proj, f"{name}.local_proj", local, rows)
         seq = (b * ph * pw, (h // ph) * (w // pw), local[1])
@@ -177,13 +176,15 @@ def _walk_backbone(backbone, in_shape, rows):
     return trace, block_shapes
 
 
-def _rows(model) -> tuple[list[LayerRow], int]:
-    """The audit rows of a built model for a batch-1 input of its size, and
-    the parameter count of its shortcuts before the last block."""
+def _rows(model) -> tuple[list[LayerRow], int, int]:
+    """The audit rows of a built model for a batch-1 input of its size, the
+    parameter count of its backbone, and that of its shortcuts before the
+    last block."""
     config: VariantConfig = model.config
     size = config.input_size
     rows: list[LayerRow] = []
     _, block_shapes = _walk_backbone(model.backbone, (1, 3, size, size), rows)
+    backbone_params = sum(r.param_count for r in rows)
 
     early_shortcut_params = 0
     if isinstance(model, ExMobileViT):
@@ -197,26 +198,26 @@ def _rows(model) -> tuple[list[LayerRow], int]:
     else:
         raise TypeError(f"cannot audit {type(model).__name__}")
     _walk(model.classifier, "classifier", (1, config.classifier_width), rows)
-    return rows, early_shortcut_params
+    return rows, backbone_params, early_shortcut_params
 
 
-@functools.cache
-def _baseline_total(profile: str, class_count: int) -> int:
-    """Parameter total of mobilevit-s built for this profile and class count."""
-    cfg = resolve_variant("mobilevit-s", {"profile": profile, "class_count": class_count})
-    rows, _ = _rows(build_model(cfg, seed=0))
-    return sum(r.param_count for r in rows)
+def _baseline_total(backbone_params: int, config: VariantConfig) -> int:
+    """Parameter total of mobilevit-s with this backbone and class count: its
+    head is a biased 1x1 conv from the last block to width W and a classifier."""
+    c5 = config.block_channels[-1]
+    width = int(REGISTRY["mobilevit-s"].rho[-1] * c5)
+    return backbone_params + (c5 + 1) * width + (width + 1) * config.class_count
 
 
 def count_params(model) -> AuditReport:
     """Enumerate every parameter of a built model into an AuditReport; its
     overhead is against mobilevit-s of the same profile and class count."""
     config: VariantConfig = model.config
-    rows, early_shortcut_params = _rows(model)
+    rows, backbone_params, early_shortcut_params = _rows(model)
     strict_total = sum(r.param_count for r in rows)
     paper_total = strict_total - early_shortcut_params
     flops = sum(r.macs for r in rows)
-    baseline_total = _baseline_total(config.profile, config.class_count)
+    baseline_total = _baseline_total(backbone_params, config)
     overhead = (paper_total - baseline_total) / baseline_total * 100.0
     return AuditReport(
         variant=config.name,

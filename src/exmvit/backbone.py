@@ -1,55 +1,37 @@
 """MobileViT-S style backbone: a stem plus five blocks, each halving the
 spatial extent once, the last three ending in a local-global-local
 transformer operator. Per-block outputs are collected so shortcut branches
-can tap them.
+can tap them. The profile sets the widths and transformer sizes; the
+constants below are MobileViT-S's, which ExMobileViT keeps at every scale.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import tensor as T
 from .config import BackboneProfile
 from .layers import Conv2d, ConvNormAct, LayerNorm, Module, TransformerLayer
 from .tensor import ShapeError, Tensor
 
-
-@dataclass(frozen=True)
-class Mv2Spec:
-    in_channels: int
-    out_channels: int
-    stride: int
-    expansion_factor: int = 4
-
-    @property
-    def use_residual(self) -> bool:
-        return self.stride == 1 and self.in_channels == self.out_channels
-
-
-@dataclass(frozen=True)
-class MobileVitBlockSpec:
-    channels: int
-    transformer_dim: int
-    transformer_depth: int
-    heads: int
-    ffn_dim: int
-    patch: tuple[int, int]
+HEADS = 4  # attention heads of every transformer layer
+PATCH = (2, 2)  # patch height and width of the unfold
+MV2_EXPANSION = 4  # hidden channels of an MV2 block per input channel
+FFN_MULT = 2  # feed-forward width per transformer dimension
 
 
 class MV2Block(Module):
     """Inverted residual: 1x1 expand, depthwise 3x3, 1x1 linear project."""
 
-    def __init__(self, rng, spec: Mv2Spec):
+    def __init__(self, rng, cin, cout, stride):
         super().__init__()
-        self.spec = spec
-        hidden = spec.in_channels * spec.expansion_factor
-        self.expand = ConvNormAct(rng, spec.in_channels, hidden, 1)
-        self.depthwise = ConvNormAct(rng, hidden, hidden, 3, stride=spec.stride, groups=hidden)
-        self.project = ConvNormAct(rng, hidden, spec.out_channels, 1, act=False)
+        self.residual = stride == 1 and cin == cout
+        hidden = cin * MV2_EXPANSION
+        self.expand = ConvNormAct(rng, cin, hidden, 1)
+        self.depthwise = ConvNormAct(rng, hidden, hidden, 3, stride=stride, groups=hidden)
+        self.project = ConvNormAct(rng, hidden, cout, 1, act=False)
 
     def forward(self, x):
         out = self.project(self.depthwise(self.expand(x)))
-        if self.spec.use_residual:
+        if self.residual:
             out = T.add(out, x)
         return out
 
@@ -60,25 +42,20 @@ class MobileViTBlock(Module):
     Spatial extent and channel count are preserved.
     """
 
-    def __init__(self, rng, spec: MobileVitBlockSpec):
+    def __init__(self, rng, channels, dim, depth):
         super().__init__()
-        self.spec = spec
-        c, d = spec.channels, spec.transformer_dim
-        self.local_conv = ConvNormAct(rng, c, c, 3)
-        self.local_proj = Conv2d(rng, c, d, 1, bias=False)
-        self.transformer = [
-            TransformerLayer(rng, d, spec.heads, spec.ffn_dim)
-            for _ in range(spec.transformer_depth)
-        ]
-        self.out_norm = LayerNorm(d)
-        self.unproj = ConvNormAct(rng, d, c, 1)
-        self.fusion = ConvNormAct(rng, 2 * c, c, 3)
+        self.local_conv = ConvNormAct(rng, channels, channels, 3)
+        self.local_proj = Conv2d(rng, channels, dim, 1, bias=False)
+        self.transformer = [TransformerLayer(rng, dim, HEADS, FFN_MULT * dim) for _ in range(depth)]
+        self.out_norm = LayerNorm(dim)
+        self.unproj = ConvNormAct(rng, dim, channels, 1)
+        self.fusion = ConvNormAct(rng, 2 * channels, channels, 3)
 
     def forward(self, x):
-        ph, pw = self.spec.patch
-        b, c, h, w = x.shape
+        ph, pw = PATCH
+        b, _, h, w = x.shape
         local = self.local_proj(self.local_conv(x))
-        d = self.spec.transformer_dim
+        d = local.shape[1]
         seq = T.unfold_patches(local, ph, pw)
         for layer in self.transformer:
             seq = layer(seq)
@@ -95,37 +72,30 @@ class Backbone(Module):
 
     def __init__(self, rng, profile: BackboneProfile):
         super().__init__()
-        self.profile = profile
         ch = profile.block_channels
         stem = profile.stem_channels
-        exp = profile.mv2_expansion
         dims = profile.transformer_dims
         depths = profile.transformer_depths
 
         self.stem = ConvNormAct(rng, 3, stem, 3, stride=2)
-        self.block1 = [MV2Block(rng, Mv2Spec(stem, ch[0], 1, exp))]
+        self.block1 = [MV2Block(rng, stem, ch[0], 1)]
         self.block2 = [
-            MV2Block(rng, Mv2Spec(ch[0], ch[1], 2, exp)),
-            MV2Block(rng, Mv2Spec(ch[1], ch[1], 1, exp)),
-            MV2Block(rng, Mv2Spec(ch[1], ch[1], 1, exp)),
+            MV2Block(rng, ch[0], ch[1], 2),
+            MV2Block(rng, ch[1], ch[1], 1),
+            MV2Block(rng, ch[1], ch[1], 1),
         ]
         self.block3 = [
-            MV2Block(rng, Mv2Spec(ch[1], ch[2], 2, exp)),
-            self._vit(rng, ch[2], dims[0], depths[0]),
+            MV2Block(rng, ch[1], ch[2], 2),
+            MobileViTBlock(rng, ch[2], dims[0], depths[0]),
         ]
         self.block4 = [
-            MV2Block(rng, Mv2Spec(ch[2], ch[3], 2, exp)),
-            self._vit(rng, ch[3], dims[1], depths[1]),
+            MV2Block(rng, ch[2], ch[3], 2),
+            MobileViTBlock(rng, ch[3], dims[1], depths[1]),
         ]
         self.block5 = [
-            MV2Block(rng, Mv2Spec(ch[3], ch[4], 2, exp)),
-            self._vit(rng, ch[4], dims[2], depths[2]),
+            MV2Block(rng, ch[3], ch[4], 2),
+            MobileViTBlock(rng, ch[4], dims[2], depths[2]),
         ]
-
-    def _vit(self, rng, channels, dim, depth):
-        p = self.profile
-        spec = MobileVitBlockSpec(channels, dim, depth, p.heads, p.ffn_mult * dim, p.patch)
-        return MobileViTBlock(rng, spec)
 
     @property
     def blocks(self):

@@ -12,7 +12,14 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import train as train_mod
-from .config import ConfigError, VariantConfig, apply_overrides, config_from_json, resolve_variant
+from .config import (
+    MAX_VALUES,
+    ConfigError,
+    VariantConfig,
+    apply_overrides,
+    config_from_json,
+    resolve_variant,
+)
 from .image_io import ImageParseError, prepare_input
 from .model import build_model
 from .tensor import NumericError, ShapeError, Tensor
@@ -121,6 +128,9 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     if args.warmup is not None and args.warmup < 0:
         raise ConfigError(f"--warmup must not be negative, got {args.warmup}")
+    values = config.class_count * args.samples_per_class * 3 * config.input_size**2
+    if values > MAX_VALUES:
+        raise ConfigError(f"synthetic set of {values} values exceeds {MAX_VALUES} (1 GiB)")
     dataset = train_mod.SyntheticDataset(
         class_count=config.class_count,
         samples_per_class=args.samples_per_class,
@@ -186,6 +196,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_export_features(args) -> int:
+    if not args.export_classifier_input and not 1 <= args.block <= 5:
+        raise ConfigError(f"--block {args.block} out of valid range 1..5")
     model, metadata = _model_from_weights(args.weights)
     x = Tensor(prepare_input(args.image, metadata["input_size"]))
     features = model.backbone.forward_collect(x)
@@ -193,8 +205,6 @@ def cmd_export_features(args) -> int:
         tensor = model.assemble_classifier_input(features)
         label = "classifier_input"
     else:
-        if not 1 <= args.block <= 5:
-            raise ConfigError(f"--block {args.block} out of valid range 1..5")
         tensor = features[args.block - 1]
         label = f"block{args.block}"
     data = np.ascontiguousarray(tensor.data, dtype="<f4")
@@ -221,6 +231,14 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tolerance`` value: finite and not negative (no error exceeds a NaN)."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and not negative, got {text}")
     return value
 
 
@@ -271,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     _add_variant_args(p, default_profile="tiny")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("infer", help="classify a PPM/PGM image")

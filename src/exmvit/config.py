@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 NUM_BLOCKS = 5
-# Most weights a config may ask of its shortcut convs and classifier
-# together: 2**28 float32 weights are 1 GiB. Every registered variant needs
-# under a million.
-MAX_HEAD_WEIGHTS = 1 << 28
+# Most float32 values (1 GiB) that one input image, the shortcut convs and
+# classifier together, or the CLI's synthetic training set may hold. Every
+# registered variant's head needs under a million.
+MAX_VALUES = 1 << 28
 
 
 class ConfigError(ValueError):
@@ -25,31 +25,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class BackboneProfile:
-    """Scale-dependent backbone dimensions shared by every variant."""
+    """Scale-dependent backbone dimensions shared by every variant. Heads,
+    patch, MV2 expansion and feed-forward width are the same at every scale:
+    they are constants of ``exmvit.backbone``."""
 
-    name: str
     stem_channels: int
     block_channels: tuple[int, int, int, int, int]
     transformer_dims: tuple[int, int, int]
     transformer_depths: tuple[int, int, int]
-    heads: int
-    patch: tuple[int, int]
-    mv2_expansion: int
-    ffn_mult: int
     class_count: int
     input_size: int
 
 
 IMAGENET_PROFILE = BackboneProfile(
-    name="imagenet",
     stem_channels=16,
     block_channels=(32, 64, 96, 128, 160),
     transformer_dims=(144, 192, 240),
     transformer_depths=(2, 4, 3),
-    heads=4,
-    patch=(2, 2),
-    mv2_expansion=4,
-    ffn_mult=2,
     class_count=1000,
     input_size=256,
 )
@@ -57,15 +49,10 @@ IMAGENET_PROFILE = BackboneProfile(
 # 1/8-width shallow mirror for desk-scale training and gradient checks; the
 # shortcut ratios are ratios, so they carry over unchanged.
 TINY_PROFILE = BackboneProfile(
-    name="tiny",
     stem_channels=2,
     block_channels=(4, 8, 12, 16, 20),
     transformer_dims=(16, 16, 16),
     transformer_depths=(1, 1, 1),
-    heads=4,
-    patch=(2, 2),
-    mv2_expansion=4,
-    ffn_mult=2,
     class_count=8,
     input_size=64,
 )
@@ -136,14 +123,16 @@ class VariantConfig:
             violations.append(f"input_size {self.input_size} must be a positive multiple of 32")
         elif self.input_size % 32:
             violations.append(f"input_size {self.input_size} not divisible by 32")
+        elif 3 * self.input_size**2 > MAX_VALUES:
+            violations.append(f"input_size {self.input_size}: an image exceeds {MAX_VALUES} values")
         if self.class_count < 1:
             violations.append("class_count must be positive")
         if not violations:
             head = sum(w * c for w, c in zip(self.widths, self.block_channels))
             head += self.classifier_width * self.class_count
-            if head > MAX_HEAD_WEIGHTS:
+            if head > MAX_VALUES:
                 violations.append(
-                    f"shortcut and classifier weights ({head}) exceed {MAX_HEAD_WEIGHTS} "
+                    f"shortcut and classifier weights ({head}) exceed {MAX_VALUES} "
                     f"(1 GiB of float32); lower rho or class_count"
                 )
         return violations

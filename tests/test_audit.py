@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exmvit.audit import (
+    _baseline_total,
     block_output_shapes,
     conv_macs,
     count_params,
@@ -9,7 +10,7 @@ from exmvit.audit import (
     overhead_report,
     trace_shapes,
 )
-from exmvit.backbone import MV2Block, Mv2Spec
+from exmvit.backbone import MV2Block
 from exmvit.config import VariantConfig, resolve_variant
 from exmvit.layers import BatchNorm2d, Conv2d, LayerNorm, Linear, MultiHeadAttention
 from exmvit.model import build_mobilevit_s, build_model
@@ -18,7 +19,7 @@ from exmvit.tensor import Tensor
 
 class TestCountParams:
     def test_tiny_mv2_hand_enumeration(self):
-        block = MV2Block(np.random.default_rng(0), Mv2Spec(8, 8, 1, expansion_factor=4))
+        block = MV2Block(np.random.default_rng(0), 8, 8, 1)
         hidden = 32
         expected = (
             8 * hidden + 2 * hidden  # expand conv + BN
@@ -56,6 +57,15 @@ class TestCountParams:
         b = count_params(build_mobilevit_s(cfg, seed=0))
         assert a.strict_total == b.strict_total
         assert a.overhead_vs_baseline_percent == b.overhead_vs_baseline_percent == 0.0
+
+    def test_baseline_total_builds_no_second_config(self):
+        tiny = count_params(build_model(resolve_variant("mobilevit-s-tiny"), seed=0))
+        backbone = sum(r.param_count for r in tiny.rows[:-2])  # all but final_conv, classifier
+        assert _baseline_total(backbone, resolve_variant("exmvit-576-tiny")) == tiny.strict_total
+        # 3.5 M classes fit the head ceiling at exmvit-576's width 72 but not
+        # at mobilevit-s's 80; the baseline is counted, not resolved or built
+        cfg = resolve_variant("exmvit-576-tiny", {"class_count": 3_500_000})
+        assert _baseline_total(backbone, cfg) == backbone + 21 * 80 + 81 * 3_500_000
 
     def test_overhead_does_not_depend_on_the_name(self):
         reports = [
@@ -204,6 +214,20 @@ class TestOverheadReport:
     def test_640_total_below_baseline(self, rows):
         assert rows["exmvit-640"]["paper_convention_total"] < rows["mobilevit-s"]["paper_convention_total"]
         assert rows["exmvit-640"]["overhead_percent"] < 0
+
+    def test_totals_pinned(self, rows):
+        pinned = {
+            "mobilevit-s": (5577992, 5577992, 0.0),
+            "exmvit-576": (5499592, 5488232, -1.61),
+            "exmvit-640": (5571848, 5552232, -0.46),
+            "exmvit-704": (5649224, 5641992, 1.15),
+            "exmvit-864": (5827816, 5801992, 4.02),
+            "exmvit-928": (5899048, 5865992, 5.16),
+        }
+        for v in self.VARIANTS:
+            row = rows[v]
+            got = (row["strict_total"], row["paper_convention_total"], row["overhead_percent"])
+            assert got == pinned[v], v
 
     def test_display_rounding(self):
         assert display_m(5_577_992) == 5.578

@@ -3,7 +3,7 @@ import pytest
 
 from exmvit import tensor as T
 from exmvit.audit import block_output_shapes, trace_shapes
-from exmvit.backbone import Backbone, MV2Block, MobileViTBlock, MobileVitBlockSpec, Mv2Spec
+from exmvit.backbone import Backbone, MV2Block, MobileViTBlock
 from exmvit.config import TINY_PROFILE, resolve_variant
 from exmvit.model import build_model
 from exmvit.tensor import ShapeError, Tensor
@@ -24,7 +24,7 @@ def mv2_param_oracle(cin, cout, exp):
 
 class TestMV2Block:
     def test_zero_weights_pure_residual(self):
-        block = MV2Block(rng(), Mv2Spec(8, 8, 1))
+        block = MV2Block(rng(), 8, 8, 1)
         for p in block.parameters():
             if p.ndim == 4:  # conv weights only; norms keep gamma=1
                 p.data[...] = 0.0
@@ -33,7 +33,7 @@ class TestMV2Block:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_stride_two_halves_spatial(self):
-        block = MV2Block(rng(), Mv2Spec(4, 8, 2))
+        block = MV2Block(rng(), 4, 8, 2)
         x = Tensor(np.zeros((1, 4, 64, 64), dtype=np.float32))
         assert block.eval()(x).shape == (1, 8, 32, 32)
         # the same module in a tiny model: block1 leaves 4x64x64 at input 128
@@ -42,31 +42,29 @@ class TestMV2Block:
         assert rows["block2.0.mv2"] == (1, 8, 32, 32)
 
     def test_param_count_oracle(self):
-        block = MV2Block(rng(), Mv2Spec(64, 96, 1, expansion_factor=4))
+        block = MV2Block(rng(), 64, 96, 1)
         total = sum(p.size for p in block.parameters())
         assert total == mv2_param_oracle(64, 96, 4)
 
     def test_channel_mismatch(self):
-        block = MV2Block(rng(), Mv2Spec(4, 8, 1))
+        block = MV2Block(rng(), 4, 8, 1)
         with pytest.raises(ShapeError):
             block(Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32)))
 
     def test_residual_rule(self):
-        assert Mv2Spec(8, 8, 1).use_residual
-        assert not Mv2Spec(8, 8, 2).use_residual
-        assert not Mv2Spec(8, 16, 1).use_residual
+        assert MV2Block(rng(), 8, 8, 1).residual
+        assert not MV2Block(rng(), 8, 8, 2).residual
+        assert not MV2Block(rng(), 8, 16, 1).residual
 
 
 class TestMobileViTBlock:
     def test_preserves_shape(self):
-        spec = MobileVitBlockSpec(8, 12, 1, heads=4, ffn_dim=24, patch=(2, 2))
-        block = MobileViTBlock(rng(), spec).eval()
+        block = MobileViTBlock(rng(), 8, 12, 1).eval()
         x = Tensor(np.random.default_rng(2).normal(size=(2, 8, 8, 8)).astype(np.float32))
         assert block(x).shape == x.shape
 
     def test_degenerate_depth_zero_is_conv_path(self):
-        spec = MobileVitBlockSpec(8, 12, 0, heads=4, ffn_dim=24, patch=(1, 1))
-        block = MobileViTBlock(rng(), spec).eval()
+        block = MobileViTBlock(rng(), 8, 12, 0).eval()
         x = Tensor(np.random.default_rng(3).normal(size=(1, 8, 4, 4)).astype(np.float32))
         out = block(x)
         # same result from composing the convolutional pieces directly
@@ -76,8 +74,7 @@ class TestMobileViTBlock:
         np.testing.assert_array_equal(out.data, expected.data)
 
     def test_matches_primitive_composition_oracle(self):
-        spec = MobileVitBlockSpec(8, 12, 1, heads=4, ffn_dim=24, patch=(2, 2))
-        block = MobileViTBlock(rng(), spec).eval()
+        block = MobileViTBlock(rng(), 8, 12, 1).eval()
         x = Tensor(np.random.default_rng(4).normal(size=(1, 8, 4, 4)).astype(np.float32))
         out = block(x)
 
@@ -92,8 +89,7 @@ class TestMobileViTBlock:
         np.testing.assert_allclose(out.data, expected.data, atol=1e-5)
 
     def test_divisibility_error(self):
-        spec = MobileVitBlockSpec(8, 12, 1, heads=4, ffn_dim=24, patch=(2, 2))
-        block = MobileViTBlock(rng(), spec)
+        block = MobileViTBlock(rng(), 8, 12, 1)
         with pytest.raises(ShapeError):
             block(Tensor(np.zeros((1, 8, 5, 4), dtype=np.float32)))
 
@@ -105,17 +101,16 @@ class TestBackbone:
         channels = []
         for block in model.backbone.blocks:
             last = block[-1]
-            channels.append(
-                last.spec.out_channels if isinstance(last, MV2Block) else last.spec.channels
-            )
+            conv = last.project.conv if isinstance(last, MV2Block) else last.fusion.conv
+            channels.append(conv.weight.shape[0])
         assert channels == [32, 64, 96, 128, 160]
 
     def test_downsampling_module_first_in_each_block(self):
         backbone = Backbone(rng(), TINY_PROFILE)
         for block in backbone.blocks[1:]:
             first = block[0]
-            assert isinstance(first, MV2Block) and first.spec.stride == 2
-        assert backbone.blocks[0][0].spec.stride == 1  # block1 downsampling is the stem
+            assert isinstance(first, MV2Block) and first.depthwise.conv.stride == 2
+        assert backbone.blocks[0][0].depthwise.conv.stride == 1  # block1 downsampling is the stem
         assert backbone.stem.conv.stride == 2
 
     def test_forward_collect_spatial_sides(self):
@@ -158,7 +153,7 @@ class TestBackbone:
         backbone = Backbone(rng(), TINY_PROFILE)
         for _, module in backbone.modules():
             if isinstance(module, MV2Block):
-                spec = module.spec
-                assert spec.use_residual == (
-                    spec.stride == 1 and spec.in_channels == spec.out_channels
-                )
+                cin = module.expand.conv.weight.shape[1]
+                cout = module.project.conv.weight.shape[0]
+                stride = module.depthwise.conv.stride
+                assert module.residual == (stride == 1 and cin == cout)

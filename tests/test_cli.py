@@ -476,6 +476,24 @@ class TestBadNumericFlags:
         assert exc.value.code == 2
         assert "argument --seed: must not be negative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("train", "--epochs", "1", "--input-size", str(2**32)), "an image exceeds"),
+            (("grad-check", "--input-size", str(2**40)), "an image exceeds"),
+            (("train", "--epochs", "1", "--samples-per-class", str(10**15)), "synthetic set"),
+        ],
+    )
+    def test_oversize_count_exits_2_before_allocating(self, monkeypatch, capsys, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a model or a dataset")
+
+        monkeypatch.setattr("exmvit.cli.build_model", refuse)
+        monkeypatch.setattr("exmvit.train.SyntheticDataset", refuse)
+        code, out, err = run(capsys, *argv, "--variant", "exmvit-928-tiny")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_one_step_run_defaults_to_no_warmup(self, capsys):
         # 8 classes x 2 samples in one batch of 32: the default warm-up of
         # one step would not fit in the run
@@ -495,6 +513,13 @@ class TestGradCheck:
         )
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--variant", "exmvit-576-tiny", "--tolerance", value])
+        assert exc.value.code == 2
+        assert "argument --tolerance: must be finite and not negative" in capsys.readouterr().err
 
 
 class TestInfer:
@@ -597,5 +622,12 @@ class TestExportFeatures:
             "--out",
             str(tmp_path / "x.bin"),
         )
+        assert code == 2
+        assert "1..5" in err
+
+    def test_block_checked_before_any_work(self, checkpoint, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ppm")
+        argv = ["--weights", checkpoint, "--image", missing, "--out", str(tmp_path / "x.bin")]
+        code, _, err = run(capsys, "export-features", *argv, "--block", "6")
         assert code == 2
         assert "1..5" in err

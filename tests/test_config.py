@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from exmvit.config import (
-    MAX_HEAD_WEIGHTS,
+    MAX_VALUES,
     ConfigError,
     REGISTRY,
     VariantConfig,
@@ -80,11 +80,19 @@ class TestValidate:
         with pytest.raises(ConfigError):
             resolve_variant("exmvit-576-tiny", {"input_size": size})
 
+    def test_image_size_ceiling(self):
+        # one 3 x s x s image may hold at most MAX_VALUES values
+        assert 3 * 9440**2 <= MAX_VALUES < 3 * 9472**2
+        assert resolve_variant("exmvit-576-tiny", {"input_size": 9440}).input_size == 9440
+        for size in (9472, 2**32, 2**40):
+            with pytest.raises(ConfigError, match="an image exceeds"):
+                resolve_variant("exmvit-576-tiny", {"input_size": size})
+
     def test_head_weight_ceiling(self):
         # tiny profile, rho = (0, 0, 0, 0, 1): 20 shortcut channels from 20,
         # so 400 shortcut weights and 20 per class
         cfg = VariantConfig(name="edge", rho=(0, 0, 0, 0, 1), profile="tiny")
-        largest = (MAX_HEAD_WEIGHTS - 400) // 20
+        largest = (MAX_VALUES - 400) // 20
         assert dataclasses.replace(cfg, class_count=largest).class_count == largest
         with pytest.raises(ConfigError, match="exceed"):
             dataclasses.replace(cfg, class_count=largest + 1)

@@ -25,6 +25,8 @@ EPS = 1e-5  # batch norm and layer norm
 # MobileViT-S: the stride of each MV2 unit per block; blocks 3-5 end in a
 # MobileViT block
 MV2_STRIDES = {1: [1], 2: [2, 1, 1], 3: [2], 4: [2], 5: [2]}
+HEADS = 4  # attention heads of every transformer layer
+PATCH = (2, 2)  # patch height and width of a MobileViT block
 
 # float32 eval logits must lie this close to the reference, times max|logit|
 RELATIVE_BOUND = 1e-4
@@ -94,12 +96,11 @@ class Reference:
 
     def attention(self, name, x):
         seqs, tokens, dim = x.shape
-        heads = self.config.backbone.heads
-        hd = dim // heads
+        hd = dim // HEADS
 
         def project(which):
             z = self.linear(name, x, f"w{which}", f"b{which}")
-            return z.reshape(seqs, tokens, heads, hd).transpose(0, 2, 1, 3)
+            return z.reshape(seqs, tokens, HEADS, hd).transpose(0, 2, 1, 3)
 
         q, k, v = project("q"), project("k"), project("v")
         weights = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd))
@@ -119,7 +120,7 @@ class Reference:
         inside their patch, then fusion with the block input."""
         local = self.conv_norm_act(f"{name}.local_conv", x)
         local = conv(local, self.p[f"{name}.local_proj.weight"])
-        ph, pw = self.config.backbone.patch
+        ph, pw = PATCH
         batch, dim, h, w = local.shape
         # one sequence per image and in-patch offset (i, j); its tokens are the patches
         offsets = [(b, i, j) for b in range(batch) for i in range(ph) for j in range(pw)]
