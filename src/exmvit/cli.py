@@ -13,7 +13,6 @@ import numpy as np
 from . import audit as audit_mod
 from . import train as train_mod
 from .config import (
-    MAX_VALUES,
     ConfigError,
     VariantConfig,
     apply_overrides,
@@ -23,7 +22,7 @@ from .config import (
 from .image_io import ImageParseError, prepare_input
 from .model import build_model
 from .tensor import NumericError, ShapeError, Tensor
-from .weights import WeightsFormatError, load_tensors, read_weights, save_weights
+from .weights import WeightsFormatError, load_weights, read_metadata, save_weights
 
 
 def _resolve(args) -> VariantConfig:
@@ -60,7 +59,7 @@ _BUILD_METADATA = {"variant": str, "profile": str, "class_count": int, "input_si
 
 
 def _model_from_weights(path: str):
-    metadata, tensors = read_weights(path)
+    metadata = read_metadata(path)
     for key, kind in _BUILD_METADATA.items():
         value = metadata.get(key)
         if isinstance(value, bool) or not isinstance(value, kind):
@@ -83,7 +82,7 @@ def _model_from_weights(path: str):
             {key: metadata[key] for key in ("profile", "class_count", "input_size")},
         )
     model = build_model(cfg, seed=0)  # the load overwrites every tensor, so any seed will do
-    load_tensors(model, tensors)
+    load_weights(model, path)
     model.eval()
     return model, metadata
 
@@ -128,9 +127,9 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     if args.warmup is not None and args.warmup < 0:
         raise ConfigError(f"--warmup must not be negative, got {args.warmup}")
-    values = config.class_count * args.samples_per_class * 3 * config.input_size**2
-    if values > MAX_VALUES:
-        raise ConfigError(f"synthetic set of {values} values exceeds {MAX_VALUES} (1 GiB)")
+    # SyntheticDataset runs the same check; calling it first keeps an oversize
+    # request from reaching any constructor
+    train_mod.check_synthetic_size(config.class_count, args.samples_per_class, config.input_size)
     dataset = train_mod.SyntheticDataset(
         class_count=config.class_count,
         samples_per_class=args.samples_per_class,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 NUM_BLOCKS = 5
 # Most float32 values (1 GiB) that one input image, the shortcut convs and
-# classifier together, or the CLI's synthetic training set may hold. Every
+# classifier together, or a synthetic training set may hold. Every
 # registered variant's head needs under a million.
 MAX_VALUES = 1 << 28
 

@@ -13,20 +13,43 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+CHUNK = 1 << 15  # float64 draws held at a time while a weight is initialised
+
+
+def _normal(rng: np.random.Generator, shape, std, limit=None):
+    """``rng.normal(0.0, std, shape).astype(np.float32)``, bit for bit, drawn
+    CHUNK values at a time so no float64 copy of the weight exists. With a
+    ``limit``, also the flat indices of the draws beyond it in magnitude."""
+    out = np.empty(shape, np.float32)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(CHUNK, flat.size))
+    rejected = [np.empty(0, np.intp)]
+    for start in range(0, flat.size, CHUNK):
+        draw = scratch[: flat.size - start]
+        rng.standard_normal(out=draw)
+        draw *= std
+        flat[start : start + draw.size] = draw
+        if limit is not None:
+            rejected.append(start + np.flatnonzero(np.abs(draw) > limit))
+    return out, np.concatenate(rejected)
+
+
 def kaiming_normal(rng: np.random.Generator, shape, fan_out: int) -> np.ndarray:
-    std = np.sqrt(2.0 / fan_out)
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
+    return _normal(rng, shape, np.sqrt(2.0 / fan_out))[0]
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal draw with rejection outside two standard deviations."""
+    """Normal draw with rejection outside two standard deviations: rejected
+    values are redrawn in index order until every one falls inside."""
     std = 0.02
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
-    return out.astype(np.float32)
+    out, bad = _normal(rng, shape, std, limit=2 * std)
+    flat = out.reshape(-1)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        keep = np.abs(redraw) <= 2 * std
+        flat[bad[keep]] = redraw[keep]
+        bad = bad[~keep]
+    return out
 
 
 class Module:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import MAX_VALUES, ConfigError
 from .layers import Module
 from .tensor import Tensor
 
@@ -123,6 +124,14 @@ def init_ema(named_params) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in named_params}
 
 
+def check_synthetic_size(class_count: int, samples_per_class: int, image_size: int) -> None:
+    """Refuse a synthetic set of more than MAX_VALUES values before any of it
+    is allocated."""
+    values = class_count * samples_per_class * 3 * image_size**2
+    if values > MAX_VALUES:
+        raise ConfigError(f"synthetic set of {values} values exceeds {MAX_VALUES} (1 GiB)")
+
+
 @dataclass
 class SyntheticDataset:
     """Class-dependent Gaussian blobs plus noise; deterministic given seed."""
@@ -135,6 +144,7 @@ class SyntheticDataset:
     labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        check_synthetic_size(self.class_count, self.samples_per_class, self.image_size)
         rng = np.random.default_rng(self.seed)
         size = self.image_size
         yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)

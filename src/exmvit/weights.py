@@ -8,14 +8,25 @@ Layout (little-endian throughout):
 Both trainable parameters and batch-norm running statistics are stored, so
 a loaded model is inference-ready. A file that is truncated or garbled is
 rejected with ``WeightsFormatError``, and so is any name or shape that does
-not match the target graph; every name and shape is checked before the
-first tensor is copied, so a rejected load leaves the model untouched.
+not match the target graph.
+
+A walk of the header reads the metadata and each entry's name, shape and
+data offset, seeking past the data, and checks every length against the
+file's size. ``load_weights`` holds no copy of the model: it checks every
+name and shape against the model before the first tensor is written, so a
+rejected load leaves the model untouched, then streams each tensor's bytes
+straight into the model's own array. Only a file that shrinks during the
+load can stop it part-way. ``read_weights`` holds one copy: the
+whole file in one buffer, which the tensors it returns are views into.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,6 +34,10 @@ from .layers import Module
 
 MAGIC = b"EXVT"
 VERSION = 1
+_F32 = np.dtype("<f4")
+
+# one tensor entry of the header: name, shape and the offset of its data
+Entry = tuple[str, tuple[int, ...], int]
 
 
 class WeightsFormatError(ValueError):
@@ -48,71 +63,121 @@ def save_weights(model: Module, path: str, metadata: dict) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<I", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(data, dtype=_F32).tobytes())
 
 
-def read_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise WeightsFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+def _header(fh: BinaryIO, path: str) -> tuple[dict, list[Entry]]:
+    """Walk an open weights file from its start: metadata and every entry."""
+    size = os.fstat(fh.fileno()).st_size
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise WeightsFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    offset = 4
+
+    def take(count: int) -> bytes:
+        nonlocal offset
+        if offset + count > size:
+            raise WeightsFormatError(
+                f"{path}: truncated or corrupt weights file "
+                f"({count} bytes wanted at offset {offset} of {size})"
+            )
+        offset += count
+        return fh.read(count)
+
     try:
-        return _parse(blob)
+        (version,) = struct.unpack("<H", take(2))
+        if version != VERSION:
+            raise WeightsFormatError(f"unsupported weights version {version}")
+        (meta_len,) = struct.unpack("<I", take(4))
+        metadata = json.loads(take(meta_len).decode("utf-8"))
+        if not isinstance(metadata, dict):
+            raise WeightsFormatError(f"metadata is a {type(metadata).__name__}, not an object")
+        entries: list[Entry] = []
+        while offset < size:
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank))
+            entries.append((name, shape, offset))
+            offset += 4 * math.prod(shape)
+            if offset > size:
+                raise WeightsFormatError(
+                    f"{path}: truncated or corrupt weights file "
+                    f"(data of {name!r} ends at {offset}, past the file's {size} bytes)"
+                )
+            fh.seek(offset)
     except WeightsFormatError:
         raise
     except (ValueError, struct.error, RecursionError) as exc:
         raise WeightsFormatError(f"{path}: truncated or corrupt weights file ({exc})") from exc
+    return metadata, entries
 
 
-def _parse(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise WeightsFormatError(f"unsupported weights version {version}")
-    (meta_len,) = struct.unpack_from("<I", blob, 6)
-    offset = 10
-    metadata = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-    if not isinstance(metadata, dict):
-        raise WeightsFormatError(f"metadata is a {type(metadata).__name__}, not an object")
-    offset += meta_len
-    tensors: dict[str, np.ndarray] = {}
-    while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        offset += 4 * count
-        tensors[name] = data.copy()
+def read_metadata(path: str) -> dict:
+    """The metadata of a weights file, after a walk of its whole header."""
+    with open(path, "rb") as fh:
+        return _header(fh, path)[0]
+
+
+def read_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata and every tensor of a weights file, as float32 views into
+    one buffer that holds the whole file."""
+    with open(path, "rb") as fh:
+        metadata, entries = _header(fh, path)
+        blob = bytearray(fh.tell())  # the walk ends at the end of the file
+        fh.seek(0)
+        _read_into(fh, blob, path)
+    tensors = {
+        name: np.frombuffer(blob, _F32, math.prod(shape), offset).reshape(shape)
+        for name, shape, offset in entries
+    }
     return metadata, tensors
 
 
-def load_weights(model: Module, path: str) -> dict:
-    """Load a weights file into a built model graph; returns the metadata."""
-    metadata, tensors = read_weights(path)
-    load_tensors(model, tensors)
-    return metadata
-
-
-def load_tensors(model: Module, tensors: dict[str, np.ndarray]) -> None:
-    """Copy ``read_weights`` tensors into a built model graph, all or nothing."""
-    expected = _entries(model)
-    expected_names = [name for name, _ in expected]
-    if expected_names != list(tensors):
-        missing = set(expected_names) - set(tensors)
-        extra = set(tensors) - set(expected_names)
+def _read_into(fh: BinaryIO, target, path: str) -> None:
+    """Fill ``target`` from the file's current position; a short read means
+    the file shrank after its header was walked."""
+    view = memoryview(target).cast("B")
+    got = fh.readinto(view)
+    if got != len(view):
         raise WeightsFormatError(
-            f"parameter name mismatch (missing: {sorted(missing)}, unexpected: {sorted(extra)})"
+            f"{path}: truncated weights file (read {got} of {len(view)} bytes; "
+            "did it change while loading?)"
         )
-    for name, target in expected:
-        src = tensors[name]
-        if src.shape != target.shape:
+
+
+def load_weights(model: Module, path: str) -> dict:
+    """Load a weights file into a built model graph; returns the metadata.
+
+    Every name and shape is checked before the first tensor is written, so a
+    file that does not fit the model leaves it untouched. Each tensor is then
+    read straight into the model's own array, with no copy of the model on
+    the way. The only way a load stops part-way is a file that shrinks after
+    its header was walked: the short read raises ``WeightsFormatError``, and
+    the model then holds some tensors from the file.
+    """
+    with open(path, "rb") as fh:
+        metadata, entries = _header(fh, path)
+        expected = _entries(model)
+        names = [name for name, _, _ in entries]
+        expected_names = [name for name, _ in expected]
+        if names != expected_names:
+            missing = set(expected_names) - set(names)
+            extra = set(names) - set(expected_names)
             raise WeightsFormatError(
-                f"shape mismatch for {name}: file has {src.shape}, model has {target.shape}"
+                f"parameter name mismatch (missing: {sorted(missing)}, unexpected: {sorted(extra)})"
             )
-    for name, target in expected:
-        target[...] = tensors[name]
+        for (name, shape, _), (_, target) in zip(entries, expected):
+            if shape != target.shape:
+                raise WeightsFormatError(
+                    f"shape mismatch for {name}: file has {shape}, model has {target.shape}"
+                )
+        for (_, shape, offset), (_, target) in zip(entries, expected):
+            fh.seek(offset)
+            if target.dtype == _F32 and target.flags.c_contiguous:
+                _read_into(fh, target, path)
+            else:
+                data = np.empty(shape, _F32)
+                _read_into(fh, data, path)
+                target[...] = data
+    return metadata

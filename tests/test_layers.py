@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exmvit import tensor as T
-from exmvit.layers import BatchNorm2d, ConvNormAct, Linear
+from exmvit.layers import CHUNK, BatchNorm2d, ConvNormAct, Linear, kaiming_normal, trunc_normal
 from exmvit.tensor import Tensor
 
 
@@ -143,3 +143,54 @@ class TestFusedActivation:
         expected = T.silu(layer(x))
         assert bool(fused._parents) == training
         assert np.array_equal(fused.data, expected.data)
+
+
+def whole_trunc_normal(rng, shape):
+    """The whole-array rejection loop: one float64 draw of the full shape,
+    then every rejected value redrawn in index order until none is left.
+    Returns the result and the number of redraw rounds."""
+    std = 0.02
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2 * std
+    rounds = 0
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * std
+        rounds += 1
+    return out.astype(np.float32), rounds
+
+
+SHAPES = [(), (7,), (2, 0, 3), (3, 5), (CHUNK,), (CHUNK + 1,), (3, CHUNK // 2 + 5)]
+
+
+class TestChunkedInit:
+    """Initialisers draw in chunks of CHUNK float64 values, with the bits and
+    the generator state of a whole-array draw."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_kaiming_normal_equals_whole_draw(self, shape, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kaiming_normal(rng, shape, fan_out=27)
+        expected = ref.normal(0.0, np.sqrt(2.0 / 27), shape).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 3, 9])
+    def test_trunc_normal_equals_whole_rejection_loop(self, shape, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = trunc_normal(rng, shape)
+        expected, _ = whole_trunc_normal(ref, shape)
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert (np.abs(got) <= np.float32(0.04)).all()
+
+    @pytest.mark.parametrize("seed, shape", [(261, (20,)), (9, (CHUNK + 1,))])
+    def test_trunc_normal_over_several_rejection_rounds(self, seed, shape):
+        expected, rounds = whole_trunc_normal(np.random.default_rng(seed), shape)
+        assert rounds >= 3
+        got = trunc_normal(np.random.default_rng(seed), shape)
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exmvit.config import resolve_variant
+from exmvit import train
+from exmvit.config import MAX_VALUES, ConfigError, resolve_variant
 from exmvit.layers import Linear, Module
 from exmvit.model import build_model
 from exmvit.tensor import NumericError, Tensor
@@ -193,6 +195,37 @@ class TestSyntheticDataset:
         assert d.labels.tolist() == [0, 0, 1, 1, 2, 2]
         d.images[:] = np.nan
         assert np.isnan(d.images).all()
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            dict(class_count=8, samples_per_class=10**15, image_size=64),
+            # 3 values over the ceiling: 2**28 + 2
+            dict(class_count=1, samples_per_class=(MAX_VALUES + 2) // 3, image_size=1),
+        ],
+    )
+    def test_oversize_set_is_a_config_error_before_allocating(self, monkeypatch, sizes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mapped the dataset")
+
+        monkeypatch.setattr(train.mmap, "mmap", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"values exceeds {MAX_VALUES}"):
+                SyntheticDataset(**sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    def test_largest_set_under_the_ceiling_is_accepted(self, monkeypatch):
+        # 2**28 - 1 values pass the check and reach the allocation
+        def stop(*args, **kwargs):
+            raise RuntimeError("reached the allocation")
+
+        monkeypatch.setattr(train.mmap, "mmap", stop)
+        with pytest.raises(RuntimeError, match="reached the allocation"):
+            SyntheticDataset(class_count=1, samples_per_class=MAX_VALUES // 3, image_size=1)
 
 
 class _LinearModel(Module):
