@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .backbone import PATCH, MV2Block, MobileViTBlock
 from .config import REGISTRY, VariantConfig, resolve_variant
@@ -29,7 +29,7 @@ from .layers import (
     MultiHeadAttention,
     TransformerLayer,
 )
-from .model import ExMobileViT, MobileViTS, build_model
+from .model import ExMobileViT, MobileViTS
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,7 @@ class AuditReport:
             "classifier_width": self.classifier_width,
             "overhead_vs_baseline_percent": round(self.overhead_vs_baseline_percent, 2),
             "flops_estimate": self.flops_estimate,
-            "layers": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "out_shape": list(r.out_shape),
-                    "param_count": r.param_count,
-                    "macs": r.macs,
-                }
-                for r in self.rows
-            ],
+            "layers": [asdict(r) for r in self.rows],
         }
 
     def to_json(self) -> str:
@@ -249,11 +240,11 @@ def block_output_shapes(model, input_size: int) -> list[tuple[int, ...]]:
 def overhead_report(variants: list[str]) -> list[dict]:
     """Per-variant width and parameter overheads of the ImageNet-profile
     variants relative to the baseline."""
-    base_report = count_params(build_model(resolve_variant("mobilevit-s"), seed=0))
+    base_report = count_params(ExMobileViT(resolve_variant("mobilevit-s")))
     base_width = base_report.classifier_width
     out = []
     for name in variants:
-        report = count_params(build_model(resolve_variant(name), seed=0))
+        report = count_params(ExMobileViT(resolve_variant(name)))
         out.append(
             {
                 "variant": name,

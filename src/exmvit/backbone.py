@@ -21,13 +21,13 @@ FFN_MULT = 2  # feed-forward width per transformer dimension
 class MV2Block(Module):
     """Inverted residual: 1x1 expand, depthwise 3x3, 1x1 linear project."""
 
-    def __init__(self, rng, cin, cout, stride):
+    def __init__(self, cin, cout, stride):
         super().__init__()
         self.residual = stride == 1 and cin == cout
         hidden = cin * MV2_EXPANSION
-        self.expand = ConvNormAct(rng, cin, hidden, 1)
-        self.depthwise = ConvNormAct(rng, hidden, hidden, 3, stride=stride, groups=hidden)
-        self.project = ConvNormAct(rng, hidden, cout, 1, act=False)
+        self.expand = ConvNormAct(cin, hidden, 1)
+        self.depthwise = ConvNormAct(hidden, hidden, 3, stride=stride, groups=hidden)
+        self.project = ConvNormAct(hidden, cout, 1, act=False)
 
     def forward(self, x):
         out = self.project(self.depthwise(self.expand(x)))
@@ -42,14 +42,14 @@ class MobileViTBlock(Module):
     Spatial extent and channel count are preserved.
     """
 
-    def __init__(self, rng, channels, dim, depth):
+    def __init__(self, channels, dim, depth):
         super().__init__()
-        self.local_conv = ConvNormAct(rng, channels, channels, 3)
-        self.local_proj = Conv2d(rng, channels, dim, 1, bias=False)
-        self.transformer = [TransformerLayer(rng, dim, HEADS, FFN_MULT * dim) for _ in range(depth)]
+        self.local_conv = ConvNormAct(channels, channels, 3)
+        self.local_proj = Conv2d(channels, dim, 1, bias=False)
+        self.transformer = [TransformerLayer(dim, HEADS, FFN_MULT * dim) for _ in range(depth)]
         self.out_norm = LayerNorm(dim)
-        self.unproj = ConvNormAct(rng, dim, channels, 1)
-        self.fusion = ConvNormAct(rng, 2 * channels, channels, 3)
+        self.unproj = ConvNormAct(dim, channels, 1)
+        self.fusion = ConvNormAct(2 * channels, channels, 3)
 
     def forward(self, x):
         ph, pw = PATCH
@@ -70,32 +70,23 @@ class Backbone(Module):
     """Stem + five blocks; block k output is the feature map tapped by the
     k-th shortcut."""
 
-    def __init__(self, rng, profile: BackboneProfile):
+    def __init__(self, profile: BackboneProfile):
         super().__init__()
         ch = profile.block_channels
         stem = profile.stem_channels
         dims = profile.transformer_dims
         depths = profile.transformer_depths
 
-        self.stem = ConvNormAct(rng, 3, stem, 3, stride=2)
-        self.block1 = [MV2Block(rng, stem, ch[0], 1)]
+        self.stem = ConvNormAct(3, stem, 3, stride=2)
+        self.block1 = [MV2Block(stem, ch[0], 1)]
         self.block2 = [
-            MV2Block(rng, ch[0], ch[1], 2),
-            MV2Block(rng, ch[1], ch[1], 1),
-            MV2Block(rng, ch[1], ch[1], 1),
+            MV2Block(ch[0], ch[1], 2),
+            MV2Block(ch[1], ch[1], 1),
+            MV2Block(ch[1], ch[1], 1),
         ]
-        self.block3 = [
-            MV2Block(rng, ch[1], ch[2], 2),
-            MobileViTBlock(rng, ch[2], dims[0], depths[0]),
-        ]
-        self.block4 = [
-            MV2Block(rng, ch[2], ch[3], 2),
-            MobileViTBlock(rng, ch[3], dims[1], depths[1]),
-        ]
-        self.block5 = [
-            MV2Block(rng, ch[3], ch[4], 2),
-            MobileViTBlock(rng, ch[4], dims[2], depths[2]),
-        ]
+        self.block3 = [MV2Block(ch[1], ch[2], 2), MobileViTBlock(ch[2], dims[0], depths[0])]
+        self.block4 = [MV2Block(ch[2], ch[3], 2), MobileViTBlock(ch[3], dims[1], depths[1])]
+        self.block5 = [MV2Block(ch[3], ch[4], 2), MobileViTBlock(ch[4], dims[2], depths[2])]
 
     @property
     def blocks(self):

@@ -20,7 +20,7 @@ from .config import (
     resolve_variant,
 )
 from .image_io import ImageParseError, prepare_input
-from .model import build_model
+from .model import ExMobileViT, build_model
 from .tensor import NumericError, ShapeError, Tensor
 from .weights import WeightsFormatError, load_weights, read_metadata, save_weights
 
@@ -81,7 +81,7 @@ def _model_from_weights(path: str):
             metadata["variant"],
             {key: metadata[key] for key in ("profile", "class_count", "input_size")},
         )
-    model = build_model(cfg, seed=0)  # the load overwrites every tensor, so any seed will do
+    model = ExMobileViT(cfg)
     load_weights(model, path)
     model.eval()
     return model, metadata
@@ -99,7 +99,7 @@ def cmd_audit(args) -> int:
     if args.weights:
         model, _ = _model_from_weights(args.weights)
     else:
-        model = build_model(_resolve(args), seed=0)
+        model = ExMobileViT(_resolve(args))
     report = audit_mod.count_params(model)
     if args.format == "json":
         print(report.to_json())
@@ -110,7 +110,7 @@ def cmd_audit(args) -> int:
 
 def cmd_trace(args) -> int:
     config = _resolve(args)
-    model = build_model(config, seed=0)
+    model = ExMobileViT(config)
     for name, shape in audit_mod.trace_shapes(model, config.input_size):
         print(f"{name:<24} {'x'.join(str(e) for e in shape)}")
     return 0

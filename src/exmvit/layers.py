@@ -1,8 +1,9 @@
 """Parameterized layers assembled into immutable model graphs.
 
-Modules register parameters and child modules in attribute definition
-order, which fixes the canonical (depth-first) parameter order used by the
-weights file and by seeded initialization.
+Constructors take shapes only: weights and biases start at zero, norm scales
+at one, and ``init_weights`` draws a seeded start. Modules register parameters
+and child modules in attribute definition order, which fixes the canonical
+(depth-first) parameter order used by the weights file and by ``init_weights``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from .tensor import Tensor
 CHUNK = 1 << 15  # float64 draws held at a time while a weight is initialised
 
 
-def _normal(rng: np.random.Generator, shape, std, limit=None):
-    """``rng.normal(0.0, std, shape).astype(np.float32)``, bit for bit, drawn
-    CHUNK values at a time so no float64 copy of the weight exists. With a
-    ``limit``, also the flat indices of the draws beyond it in magnitude."""
-    out = np.empty(shape, np.float32)
+def _normal(rng: np.random.Generator, out: np.ndarray, std, limit=None) -> np.ndarray:
+    """Fill the C-contiguous float32 ``out`` with ``rng.normal(0.0, std,
+    out.shape).astype(np.float32)``, bit for bit, drawn CHUNK values at a time
+    so no float64 copy exists; returns the flat indices of draws beyond ``limit``."""
     flat = out.reshape(-1)
     scratch = np.empty(min(CHUNK, flat.size))
     rejected = [np.empty(0, np.intp)]
@@ -31,25 +31,28 @@ def _normal(rng: np.random.Generator, shape, std, limit=None):
         flat[start : start + draw.size] = draw
         if limit is not None:
             rejected.append(start + np.flatnonzero(np.abs(draw) > limit))
-    return out, np.concatenate(rejected)
+    return np.concatenate(rejected)
 
 
-def kaiming_normal(rng: np.random.Generator, shape, fan_out: int) -> np.ndarray:
-    return _normal(rng, shape, np.sqrt(2.0 / fan_out))[0]
+def kaiming_normal(rng: np.random.Generator, out: np.ndarray, fan_out: int) -> None:
+    _normal(rng, out, np.sqrt(2.0 / fan_out))
 
 
-def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, out: np.ndarray) -> None:
     """Normal draw with rejection outside two standard deviations: rejected
     values are redrawn in index order until every one falls inside."""
     std = 0.02
-    out, bad = _normal(rng, shape, std, limit=2 * std)
+    bad = _normal(rng, out, std, limit=2 * std)
     flat = out.reshape(-1)
     while bad.size:
         redraw = rng.normal(0.0, std, size=bad.size)
         keep = np.abs(redraw) <= 2 * std
         flat[bad[keep]] = redraw[keep]
         bad = bad[~keep]
-    return out
+
+
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
 
 class Module:
@@ -121,17 +124,13 @@ class Module:
 
 
 class Conv2d(Module):
-    def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, bias=True):
+    def __init__(self, cin, cout, kernel, stride=1, groups=1, bias=True):
         super().__init__()
         self.stride = stride
         self.padding = kernel // 2
         self.groups = groups
-        fan_out = cout * kernel * kernel // groups
-        self.weight = Tensor(
-            kaiming_normal(rng, (cout, cin // groups, kernel, kernel), fan_out),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True) if bias else None
+        self.weight = _zeros(cout, cin // groups, kernel, kernel)
+        self.bias = _zeros(cout) if bias else None
 
     def forward(self, x, scale=None, shift=None, act=False):
         """Convolve ``x``; given per-output-channel ``scale`` and ``shift``
@@ -155,7 +154,7 @@ class BatchNorm2d(Module):
     def __init__(self, channels):
         super().__init__()
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.beta = _zeros(channels)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
@@ -173,17 +172,17 @@ class LayerNorm(Module):
     def __init__(self, dim):
         super().__init__()
         self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.beta = _zeros(dim)
 
     def forward(self, x):
         return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Linear(Module):
-    def __init__(self, rng, din, dout, bias=True):
+    def __init__(self, din, dout, bias=True):
         super().__init__()
-        self.weight = Tensor(trunc_normal(rng, (dout, din)), requires_grad=True)
-        self.bias = Tensor(np.zeros(dout, dtype=np.float32), requires_grad=True) if bias else None
+        self.weight = _zeros(dout, din)
+        self.bias = _zeros(dout) if bias else None
 
     def forward(self, x, act=False):
         return T.linear(x, self.weight, self.bias, act=act)
@@ -199,10 +198,10 @@ class ConvNormAct(Module):
     weight load or an optimizer step needs no invalidation.
     """
 
-    def __init__(self, rng, cin, cout, kernel, stride=1, groups=1, act=True):
+    def __init__(self, cin, cout, kernel, stride=1, groups=1, act=True):
         super().__init__()
         self.act = act
-        self.conv = Conv2d(rng, cin, cout, kernel, stride=stride, groups=groups, bias=False)
+        self.conv = Conv2d(cin, cout, kernel, stride=stride, groups=groups, bias=False)
         self.norm = BatchNorm2d(cout)
 
     def forward(self, x):
@@ -215,17 +214,13 @@ class ConvNormAct(Module):
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, rng, dim, heads):
+    def __init__(self, dim, heads):
         super().__init__()
         self.heads = heads
-        self.wq = Tensor(trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.bq = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.wk = Tensor(trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.bk = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.wv = Tensor(trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.bv = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.wo = Tensor(trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.bo = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.wq, self.bq = _zeros(dim, dim), _zeros(dim)
+        self.wk, self.bk = _zeros(dim, dim), _zeros(dim)
+        self.wv, self.bv = _zeros(dim, dim), _zeros(dim)
+        self.wo, self.bo = _zeros(dim, dim), _zeros(dim)
 
     def forward(self, x):
         return T.multi_head_attention(
@@ -245,15 +240,31 @@ class MultiHeadAttention(Module):
 class TransformerLayer(Module):
     """Pre-norm self-attention followed by a pre-norm SiLU feed-forward."""
 
-    def __init__(self, rng, dim, heads, ffn_dim):
+    def __init__(self, dim, heads, ffn_dim):
         super().__init__()
         self.norm1 = LayerNorm(dim)
-        self.attn = MultiHeadAttention(rng, dim, heads)
+        self.attn = MultiHeadAttention(dim, heads)
         self.norm2 = LayerNorm(dim)
-        self.ffn1 = Linear(rng, dim, ffn_dim)
-        self.ffn2 = Linear(rng, ffn_dim, dim)
+        self.ffn1 = Linear(dim, ffn_dim)
+        self.ffn2 = Linear(ffn_dim, dim)
 
     def forward(self, x):
         x = T.add(x, self.attn(self.norm1(x)))
         h = self.ffn1(self.norm2(x), act=True)
         return T.add(x, self.ffn2(h))
+
+
+def init_weights(model: Module, seed: int) -> Module:
+    """Draw ``model``'s initial weights in place from one generator, in
+    canonical parameter order: He-normal (fan-out) conv kernels and
+    truncated-normal matrices; biases and norms keep their constants."""
+    rng = np.random.default_rng(seed)
+    for _, module in model.modules():
+        for p in vars(module).values():
+            if isinstance(p, Tensor) and p.requires_grad and p.ndim >= 2:
+                if isinstance(module, Conv2d):
+                    cout, _, kh, kw = p.shape
+                    kaiming_normal(rng, p.data, cout * kh * kw // module.groups)
+                else:
+                    trunc_normal(rng, p.data)
+    return model

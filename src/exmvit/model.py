@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .backbone import Backbone
 from .config import VariantConfig
-from .layers import Conv2d, Linear, Module
+from .layers import Conv2d, Linear, Module, init_weights
 from .tensor import Tensor
 
 
@@ -31,10 +29,10 @@ class ShortcutSpec:
 class ExShortcut(Module):
     """Pointwise conv (channels x rho) + SiLU + global average pooling."""
 
-    def __init__(self, rng, spec: ShortcutSpec):
+    def __init__(self, spec: ShortcutSpec):
         super().__init__()
         self.spec = spec
-        self.pointwise = Conv2d(rng, spec.in_channels, spec.out_channels, 1, bias=True)
+        self.pointwise = Conv2d(spec.in_channels, spec.out_channels, 1, bias=True)
 
     def forward(self, feature: Tensor) -> Tensor:
         return T.global_avg_pool(self.pointwise(feature, act=True))
@@ -43,17 +41,17 @@ class ExShortcut(Module):
 class ExMobileViT(Module):
     """Backbone + active shortcut branches + widened linear classifier."""
 
-    def __init__(self, rng, config: VariantConfig):
+    def __init__(self, config: VariantConfig):
         super().__init__()
         self.config = config
-        self.backbone = Backbone(rng, config.backbone)
+        self.backbone = Backbone(config.backbone)
         self.shortcut_specs = [
             ShortcutSpec(k, channels, width)
             for k, (channels, width) in enumerate(zip(config.block_channels, config.widths), 1)
             if width
         ]
-        self.shortcuts = [ExShortcut(rng, s) for s in self.shortcut_specs]
-        self.classifier = Linear(rng, config.classifier_width, config.class_count)
+        self.shortcuts = [ExShortcut(s) for s in self.shortcut_specs]
+        self.classifier = Linear(config.classifier_width, config.class_count)
 
     def assemble_classifier_input(self, features: list[Tensor]) -> Tensor:
         """Run every active shortcut and concatenate in ascending block order."""
@@ -73,15 +71,15 @@ class MobileViTS(Module):
     global pooling, classifier. Used to witness that the shortcut model with
     baseline ratios is the same network."""
 
-    def __init__(self, rng, config: VariantConfig):
+    def __init__(self, config: VariantConfig):
         super().__init__()
         if any(r != 0 for r in config.rho[:4]) or config.rho[4] <= 0:
             raise ValueError("baseline construction requires rho=(0,0,0,0,r5)")
         self.config = config
-        self.backbone = Backbone(rng, config.backbone)
+        self.backbone = Backbone(config.backbone)
         width = config.widths[4]
-        self.final_conv = Conv2d(rng, config.block_channels[4], width, 1, bias=True)
-        self.classifier = Linear(rng, width, config.class_count)
+        self.final_conv = Conv2d(config.block_channels[4], width, 1, bias=True)
+        self.classifier = Linear(width, config.class_count)
 
     def forward(self, x: Tensor) -> Tensor:
         feat = self.backbone(x)
@@ -90,8 +88,8 @@ class MobileViTS(Module):
 
 
 def build_model(config: VariantConfig, seed: int) -> ExMobileViT:
-    return ExMobileViT(np.random.default_rng(seed), config)
+    return init_weights(ExMobileViT(config), seed)
 
 
 def build_mobilevit_s(config: VariantConfig, seed: int) -> MobileViTS:
-    return MobileViTS(np.random.default_rng(seed), config)
+    return init_weights(MobileViTS(config), seed)

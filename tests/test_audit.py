@@ -19,7 +19,7 @@ from exmvit.tensor import Tensor
 
 class TestCountParams:
     def test_tiny_mv2_hand_enumeration(self):
-        block = MV2Block(np.random.default_rng(0), 8, 8, 1)
+        block = MV2Block(8, 8, 1)
         hidden = 32
         expected = (
             8 * hidden + 2 * hidden  # expand conv + BN

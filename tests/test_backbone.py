@@ -5,12 +5,9 @@ from exmvit import tensor as T
 from exmvit.audit import block_output_shapes, trace_shapes
 from exmvit.backbone import Backbone, MV2Block, MobileViTBlock
 from exmvit.config import TINY_PROFILE, resolve_variant
+from exmvit.layers import init_weights
 from exmvit.model import build_model
 from exmvit.tensor import ShapeError, Tensor
-
-
-def rng():
-    return np.random.default_rng(0)
 
 
 def mv2_param_oracle(cin, cout, exp):
@@ -24,7 +21,7 @@ def mv2_param_oracle(cin, cout, exp):
 
 class TestMV2Block:
     def test_zero_weights_pure_residual(self):
-        block = MV2Block(rng(), 8, 8, 1)
+        block = init_weights(MV2Block(8, 8, 1), 0)
         for p in block.parameters():
             if p.ndim == 4:  # conv weights only; norms keep gamma=1
                 p.data[...] = 0.0
@@ -33,7 +30,7 @@ class TestMV2Block:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_stride_two_halves_spatial(self):
-        block = MV2Block(rng(), 4, 8, 2)
+        block = MV2Block(4, 8, 2)
         x = Tensor(np.zeros((1, 4, 64, 64), dtype=np.float32))
         assert block.eval()(x).shape == (1, 8, 32, 32)
         # the same module in a tiny model: block1 leaves 4x64x64 at input 128
@@ -42,29 +39,29 @@ class TestMV2Block:
         assert rows["block2.0.mv2"] == (1, 8, 32, 32)
 
     def test_param_count_oracle(self):
-        block = MV2Block(rng(), 64, 96, 1)
+        block = MV2Block(64, 96, 1)
         total = sum(p.size for p in block.parameters())
         assert total == mv2_param_oracle(64, 96, 4)
 
     def test_channel_mismatch(self):
-        block = MV2Block(rng(), 4, 8, 1)
+        block = MV2Block(4, 8, 1)
         with pytest.raises(ShapeError):
             block(Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32)))
 
     def test_residual_rule(self):
-        assert MV2Block(rng(), 8, 8, 1).residual
-        assert not MV2Block(rng(), 8, 8, 2).residual
-        assert not MV2Block(rng(), 8, 16, 1).residual
+        assert MV2Block(8, 8, 1).residual
+        assert not MV2Block(8, 8, 2).residual
+        assert not MV2Block(8, 16, 1).residual
 
 
 class TestMobileViTBlock:
     def test_preserves_shape(self):
-        block = MobileViTBlock(rng(), 8, 12, 1).eval()
+        block = MobileViTBlock(8, 12, 1).eval()
         x = Tensor(np.random.default_rng(2).normal(size=(2, 8, 8, 8)).astype(np.float32))
         assert block(x).shape == x.shape
 
     def test_degenerate_depth_zero_is_conv_path(self):
-        block = MobileViTBlock(rng(), 8, 12, 0).eval()
+        block = init_weights(MobileViTBlock(8, 12, 0), 0).eval()
         x = Tensor(np.random.default_rng(3).normal(size=(1, 8, 4, 4)).astype(np.float32))
         out = block(x)
         # same result from composing the convolutional pieces directly
@@ -74,7 +71,7 @@ class TestMobileViTBlock:
         np.testing.assert_array_equal(out.data, expected.data)
 
     def test_matches_primitive_composition_oracle(self):
-        block = MobileViTBlock(rng(), 8, 12, 1).eval()
+        block = init_weights(MobileViTBlock(8, 12, 1), 0).eval()
         x = Tensor(np.random.default_rng(4).normal(size=(1, 8, 4, 4)).astype(np.float32))
         out = block(x)
 
@@ -89,7 +86,7 @@ class TestMobileViTBlock:
         np.testing.assert_allclose(out.data, expected.data, atol=1e-5)
 
     def test_divisibility_error(self):
-        block = MobileViTBlock(rng(), 8, 12, 1)
+        block = MobileViTBlock(8, 12, 1)
         with pytest.raises(ShapeError):
             block(Tensor(np.zeros((1, 8, 5, 4), dtype=np.float32)))
 
@@ -106,7 +103,7 @@ class TestBackbone:
         assert channels == [32, 64, 96, 128, 160]
 
     def test_downsampling_module_first_in_each_block(self):
-        backbone = Backbone(rng(), TINY_PROFILE)
+        backbone = Backbone(TINY_PROFILE)
         for block in backbone.blocks[1:]:
             first = block[0]
             assert isinstance(first, MV2Block) and first.depthwise.conv.stride == 2
@@ -114,19 +111,19 @@ class TestBackbone:
         assert backbone.stem.conv.stride == 2
 
     def test_forward_collect_spatial_sides(self):
-        backbone = Backbone(rng(), TINY_PROFILE).eval()
+        backbone = Backbone(TINY_PROFILE).eval()
         x = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
         feats = backbone.forward_collect(x)
         assert [f.shape[2] for f in feats] == [32, 16, 8, 4, 2]
         assert [f.shape[1] for f in feats] == list(TINY_PROFILE.block_channels)
 
     def test_forward_collect_rejects_indivisible(self):
-        backbone = Backbone(rng(), TINY_PROFILE)
+        backbone = Backbone(TINY_PROFILE)
         with pytest.raises(ShapeError):
             backbone.forward_collect(Tensor(np.zeros((1, 3, 50, 64), dtype=np.float32)))
 
     def test_batch_independence_bitwise(self):
-        backbone = Backbone(rng(), TINY_PROFILE).eval()
+        backbone = init_weights(Backbone(TINY_PROFILE), 0).eval()
         img = np.random.default_rng(5).normal(size=(1, 3, 64, 64)).astype(np.float32)
         x = Tensor(np.concatenate([img, img], axis=0))
         feats = backbone.forward_collect(x)
@@ -134,7 +131,7 @@ class TestBackbone:
             assert np.array_equal(f.data[0], f.data[1])
 
     def test_repeatability_bitwise(self):
-        backbone = Backbone(rng(), TINY_PROFILE).eval()
+        backbone = init_weights(Backbone(TINY_PROFILE), 0).eval()
         x = Tensor(np.random.default_rng(6).normal(size=(1, 3, 64, 64)).astype(np.float32))
         a = backbone.forward_collect(x)
         b = backbone.forward_collect(x)
@@ -150,7 +147,7 @@ class TestBackbone:
         assert [trace[f"block{k}.0.mv2"][2] for k in range(2, 6)] == [16, 8, 4, 2]
 
     def test_residual_eligibility_structural(self):
-        backbone = Backbone(rng(), TINY_PROFILE)
+        backbone = Backbone(TINY_PROFILE)
         for _, module in backbone.modules():
             if isinstance(module, MV2Block):
                 cin = module.expand.conv.weight.shape[1]

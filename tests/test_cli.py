@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from exmvit.audit import count_params
+import exmvit
+from exmvit.audit import count_params, overhead_report
 from exmvit.cli import main
 from exmvit.config import ConfigError, config_from_json, resolve_variant
 from exmvit.model import build_model
@@ -631,3 +636,54 @@ class TestExportFeatures:
         code, _, err = run(capsys, "export-features", *argv, "--block", "6")
         assert code == 2
         assert "1..5" in err
+
+
+class TestLoadOrCountDrawsNothing:
+    """Commands that only load or count a model construct it undrawn."""
+
+    def test_commands_run_without_init_weights(self, checkpoint, tmp_path, monkeypatch, capsys):
+        def refuse(model, seed):
+            raise AssertionError("drew initial weights")
+
+        monkeypatch.setattr("exmvit.model.init_weights", refuse)
+        image = write_ppm(tmp_path / "in.ppm")
+        features = ("--weights", checkpoint, "--image", image, "--out", str(tmp_path / "f.bin"))
+        for argv in [
+            ("audit", "--variant", "exmvit-576-tiny"),
+            ("audit", "--weights", checkpoint, "--format", "json"),
+            ("trace", "--variant", "exmvit-576"),
+            ("infer", "--weights", checkpoint, "--image", image),
+            ("export-features", *features),
+        ]:
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        assert [r["variant"] for r in overhead_report(["exmvit-928"])] == ["exmvit-928"]
+
+    def test_audit_of_a_huge_classifier_touches_none_of_it(self):
+        # 3.5M classes make a classifier of about 1.4 GB, which counting leaves
+        # untouched. The child reports the peak resident set of its own address
+        # space (VmHWM): its ru_maxrss would also hold this test session's peak,
+        # which Linux carries into a process at exec
+        script = (
+            "import sys\n"
+            "from exmvit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(fh.read().split('VmHWM:')[1].split()[0], file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(exmvit.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = ["audit", "--variant", "exmvit-576-tiny", "--class-count", "3500000"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["layers"][-1]["out_shape"] == [1, 3_500_000]
+        peak_kb = int(proc.stderr.split()[-1])
+        assert peak_kb * 1024 < 200e6

@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 from exmvit import tensor as T
-from exmvit.layers import CHUNK, BatchNorm2d, ConvNormAct, Linear, kaiming_normal, trunc_normal
+from exmvit.config import REGISTRY, resolve_variant
+from exmvit.layers import (
+    CHUNK,
+    BatchNorm2d,
+    ConvNormAct,
+    Linear,
+    init_weights,
+    kaiming_normal,
+    trunc_normal,
+)
+from exmvit.model import ExMobileViT, build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
 
 
 def randomized_block(seed, cin, cout, kernel, stride, groups, act):
     """An eval-mode ConvNormAct whose norm has non-trivial statistics."""
-    rng = np.random.default_rng(seed)
-    block = ConvNormAct(rng, cin, cout, kernel, stride=stride, groups=groups, act=act)
+    block = ConvNormAct(cin, cout, kernel, stride=stride, groups=groups, act=act)
+    init_weights(block, seed)
+    rng = np.random.default_rng(seed + 1)
     norm = block.norm
     norm.running_mean[:] = rng.normal(0.0, 0.5, cout)
     norm.running_var[:] = rng.uniform(0.5, 2.0, cout)
@@ -135,8 +146,8 @@ class TestFusedActivation:
 
     @pytest.mark.parametrize("training", [False, True])
     def test_linear_act_equals_linear_then_silu(self, training):
-        rng = np.random.default_rng(91)
-        layer = Linear(rng, 8, 12).train(training)
+        layer = init_weights(Linear(8, 12), 91).train(training)
+        rng = np.random.default_rng(92)
         layer.bias.data[:] = rng.normal(size=12)
         x = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
         fused = layer(x, act=True)
@@ -164,16 +175,16 @@ SHAPES = [(), (7,), (2, 0, 3), (3, 5), (CHUNK,), (CHUNK + 1,), (3, CHUNK // 2 + 
 
 
 class TestChunkedInit:
-    """Initialisers draw in chunks of CHUNK float64 values, with the bits and
-    the generator state of a whole-array draw."""
+    """Initialisers fill the given array in place, drawing in chunks of CHUNK
+    float64 values, with the bits and the generator state of a whole-array draw."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", [0, 3])
     def test_kaiming_normal_equals_whole_draw(self, shape, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = kaiming_normal(rng, shape, fan_out=27)
+        got = np.zeros(shape, np.float32)
+        kaiming_normal(rng, got, fan_out=27)
         expected = ref.normal(0.0, np.sqrt(2.0 / 27), shape).astype(np.float32)
-        assert got.dtype == np.float32 and got.shape == expected.shape
         assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -181,9 +192,9 @@ class TestChunkedInit:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_trunc_normal_equals_whole_rejection_loop(self, shape, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = trunc_normal(rng, shape)
+        got = np.zeros(shape, np.float32)
+        trunc_normal(rng, got)
         expected, _ = whole_trunc_normal(ref, shape)
-        assert got.dtype == np.float32 and got.shape == expected.shape
         assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
         assert rng.bit_generator.state == ref.bit_generator.state
         assert (np.abs(got) <= np.float32(0.04)).all()
@@ -192,5 +203,60 @@ class TestChunkedInit:
     def test_trunc_normal_over_several_rejection_rounds(self, seed, shape):
         expected, rounds = whole_trunc_normal(np.random.default_rng(seed), shape)
         assert rounds >= 3
-        got = trunc_normal(np.random.default_rng(seed), shape)
+        got = np.zeros(shape, np.float32)
+        trunc_normal(np.random.default_rng(seed), got)
         assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
+def whole_draws(model, seed):
+    """The initial weights drawn whole: every rank-2+ parameter in
+    ``named_parameters`` order from one generator, a conv kernel as one
+    float64 normal draw of std sqrt(2 / fan-out), a matrix by the whole-array
+    rejection loop."""
+    rng = np.random.default_rng(seed)
+    modules = dict(model.modules())
+    expected = {}
+    for name, p in model.named_parameters():
+        if p.ndim == 4:
+            cout, _, kh, kw = p.shape
+            fan_out = cout * kh * kw // modules[name.rpartition(".")[0]].groups
+            expected[name] = rng.normal(0.0, np.sqrt(2.0 / fan_out), p.shape).astype(np.float32)
+        elif p.ndim == 2:
+            expected[name] = whole_trunc_normal(rng, p.shape)[0]
+    return expected
+
+
+def assert_constants(model):
+    """Biases and norm shifts hold zeros; norm scales and running variances ones."""
+    state = {n: p.data for n, p in model.named_parameters()} | dict(model.named_buffers())
+    for name, value in state.items():
+        if value.ndim < 2:
+            assert (value == float(name.endswith((".gamma", ".running_var")))).all(), name
+
+
+class TestInitWeights:
+    """``init_weights`` gives the bits of whole-array draws in canonical order,
+    and a constructed model holds only constants until it is drawn."""
+
+    @pytest.mark.parametrize("name", [n for n in REGISTRY if n.endswith("-tiny")])
+    def test_build_model_equals_whole_draws(self, name):
+        self.check(build_model(resolve_variant(name), 3), 3)
+
+    def test_build_mobilevit_s_equals_whole_draws(self):
+        self.check(build_mobilevit_s(resolve_variant("mobilevit-s-tiny"), 3), 3)
+
+    @staticmethod
+    def check(model, seed):
+        expected = whole_draws(model, seed)
+        drawn = {n: p.data for n, p in model.named_parameters() if p.ndim >= 2}
+        assert drawn.keys() == expected.keys()
+        for name, value in drawn.items():
+            assert np.array_equal(value.view(np.uint32), expected[name].view(np.uint32)), name
+        assert_constants(model)
+
+    def test_constructed_model_holds_only_constants(self):
+        model = ExMobileViT(resolve_variant("exmvit-928-tiny"))
+        for name, p in model.named_parameters():
+            if p.ndim >= 2:
+                assert not p.data.any(), name
+        assert_constants(model)

@@ -46,7 +46,7 @@ class TestShortcutSpec:
 
     def test_param_count_formula(self):
         spec = ShortcutSpec(4, 128, 160)
-        shortcut = ExShortcut(np.random.default_rng(0), spec)
+        shortcut = ExShortcut(spec)
         total = sum(p.size for p in shortcut.parameters())
         assert total == 128 * 160 + 160  # weights + bias
 
@@ -54,7 +54,7 @@ class TestShortcutSpec:
 class TestMakeShortcut:
     def test_identity_conv_constant_feature(self):
         spec = ShortcutSpec(3, 4, 4)
-        shortcut = ExShortcut(np.random.default_rng(0), spec)
+        shortcut = ExShortcut(spec)
         shortcut.pointwise.weight.data[...] = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
         shortcut.pointwise.bias.data[...] = 0.0
         feature = Tensor(np.full((2, 4, 3, 3), 0.75, dtype=np.float32))
@@ -64,7 +64,7 @@ class TestMakeShortcut:
 
     def test_channel_mismatch(self):
         spec = ShortcutSpec(3, 4, 4)
-        shortcut = ExShortcut(np.random.default_rng(0), spec)
+        shortcut = ExShortcut(spec)
         with pytest.raises(T.ShapeError):
             shortcut(Tensor(np.zeros((1, 5, 2, 2), dtype=np.float32)))
 

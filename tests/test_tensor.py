@@ -446,7 +446,7 @@ class TestEvalBatchNorm:
     def test_matches_normalize_then_affine(self):
         x, gamma, beta, mean, var = self.operands(np.random.default_rng(20), np.float32)
         # an identity 1x1 conv, so the block's output is x * scale + shift
-        block = ConvNormAct(np.random.default_rng(0), 3, 3, 1, act=False).eval()
+        block = ConvNormAct(3, 3, 1, act=False).eval()
         block.conv.weight.data[:] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
         norm = block.norm
         norm.gamma.data[:], norm.beta.data[:] = gamma, beta

@@ -6,7 +6,7 @@ import pytest
 
 from exmvit import train
 from exmvit.config import MAX_VALUES, ConfigError, resolve_variant
-from exmvit.layers import Linear, Module
+from exmvit.layers import Linear, Module, init_weights
 from exmvit.model import build_model
 from exmvit.tensor import NumericError, Tensor
 from exmvit.train import (
@@ -229,9 +229,9 @@ class TestSyntheticDataset:
 
 
 class _LinearModel(Module):
-    def __init__(self, rng, din, k):
+    def __init__(self, din, k):
         super().__init__()
-        self.fc = Linear(rng, din, k)
+        self.fc = Linear(din, k)
 
     def forward(self, x):
         return self.fc(x)
@@ -239,20 +239,20 @@ class _LinearModel(Module):
 
 class TestGradCheck:
     def test_linear_model_tight(self):
-        model = _LinearModel(np.random.default_rng(0), 6, 4)
+        model = init_weights(_LinearModel(6, 4), 0)
         x = np.random.default_rng(1).normal(size=(3, 6))
         labels = np.array([0, 2, 3])
         report = grad_check(model, x, labels, num_samples=28)
         assert report.max_rel_err < 1e-6
 
     def test_every_parameter_sampled(self):
-        model = _LinearModel(np.random.default_rng(0), 4, 3)
+        model = init_weights(_LinearModel(4, 3), 0)
         x = np.random.default_rng(1).normal(size=(2, 4))
         report = grad_check(model, x, np.array([0, 1]), num_samples=2)
         assert {e.param for e in report.entries} == {"fc.weight", "fc.bias"}
 
     def test_worst_sorted_descending(self):
-        model = _LinearModel(np.random.default_rng(0), 4, 3)
+        model = init_weights(_LinearModel(4, 3), 0)
         x = np.random.default_rng(1).normal(size=(2, 4))
         report = grad_check(model, x, np.array([0, 1]), num_samples=20)
         worst = report.worst(5)
