@@ -145,7 +145,7 @@ def cmd_train(args) -> int:
     train_config = train_mod.TrainConfig(
         total_iters=total_iters,
         warmup_iters=warmup,
-        ema_decay=0.9995 if args.ema else None,
+        ema=args.ema,
         seed=args.seed,
         batch_size=args.batch_size,
     )

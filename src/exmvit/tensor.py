@@ -10,16 +10,18 @@ intermediate drops its gradient, its closure and its parents once its
 closure has run, and only leaf tensors that require grad (parameters) keep
 ``grad``; constants and input batches never get one. A closure hands a
 gradient buffer it has just allocated to ``_accumulate`` rather than having
-it copied. Fused ops (``batch_norm``, ``layer_norm``, ``conv2d``,
-``linear``, ``silu``, ``softmax``, attention's ``_attend`` and the two patch
-folds) record one node each, with a closed-form backward whose closure keeps
-only what it reads; ``linear`` and attention run the same numpy recorded or
-not. A training ``batch_norm`` with ``act`` also runs its SiLU in that node,
-with ``silu``'s bits. ``linear`` and an unrecorded ``conv2d`` finish their
-output in place with one epilogue: bias add, SiLU when asked (``act``, with
-``silu``'s bits) and the finite check. The conv runs it on one cache-sized
-tile (one image by a block of output rows, about 256 KiB) at a time, and at
-stride 1 a depthwise conv reads flattened padded rows, not im2col columns.
+it copied. Every op records one node, with a closed-form backward whose
+closure keeps only what it reads: the primitives ``add``, ``mul``, ``tsum``
+and ``concat``, and the fused ops ``batch_norm``, ``layer_norm``,
+``conv2d``, ``linear``, attention's ``_attend``, the two patch folds,
+``global_avg_pool`` and the loss ``cross_entropy``. ``linear`` and attention
+run the same numpy recorded or not. ``linear``, ``conv2d`` and a training
+``batch_norm`` finish their output in place with one epilogue,
+``_epilogue``: bias add, SiLU when asked (``act``, ``_sigmoid`` then a
+multiply) and the finite check. An unrecorded conv runs it on one
+cache-sized tile (one image by a block of output rows, about 256 KiB) at a
+time, and at stride 1 a depthwise conv reads flattened padded rows, not
+im2col columns.
 A recorded ``conv2d`` works on flat rows too: its im2col columns are cut
 from the input padded once into stride phase planes, so every column row is
 a whole band of output rows, not one output row, and the input gradient of
@@ -213,16 +215,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -231,44 +223,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(data, (a, b), backward, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
-
-    return _make(data, (a, b), backward, "div")
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * data, owned=True)
-
-    return _make(data, (a,), backward, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        a._accumulate(g / a.data, owned=True)
-
-    return _make(data, (a,), backward, "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / data, owned=True)
-
-    return _make(data, (a,), backward, "sqrt")
 
 
 # -- activations --------------------------------------------------------------
@@ -285,11 +239,11 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> np.ndarray | None:
-    """Finish a conv2d or linear output in place while it is in cache: add
-    ``bias`` (broadcast against ``buf``), apply SiLU if ``act`` with
-    ``silu``'s op order (so its bits), then check ``buf`` is finite. Returns
-    the sigmoid when ``act``, for a backward to read. Callers hand it one
-    tile at a time and check nothing else."""
+    """Finish a conv2d, linear or batch_norm output in place while it is in
+    cache: add ``bias`` (broadcast against ``buf``), apply SiLU if ``act``
+    as ``buf * _sigmoid(buf)``, then check ``buf`` is finite. Returns the
+    sigmoid when ``act``, for a backward to read (``_silu_grad``). Callers
+    hand it the whole output or one tile at a time and check nothing else."""
     if bias is not None:
         buf += bias
     sig = None
@@ -310,39 +264,7 @@ def _silu_grad(g: np.ndarray, out: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return grad
 
 
-def silu(a: Tensor) -> Tensor:
-    sig = _sigmoid(a.data)
-    data = a.data * sig
-
-    def backward(g):
-        a._accumulate(_silu_grad(g, data, sig), owned=True)
-
-    return _make(data, (a,), backward, "silu")
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    data = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        a._accumulate(data * (g - inner), owned=True)
-
-    return _make(data, (a,), backward, "softmax")
-
-
 # -- shape manipulation --------------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.shape))
-
-    return _make(data, (a,), backward, "reshape")
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
@@ -372,48 +294,64 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     return _make(data, (a,), backward, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    total = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(total, Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
-
-
 def global_avg_pool(a: Tensor) -> Tensor:
-    """Spatial mean of a [B, C, H, W] map, returning [B, C]."""
+    """Spatial mean of a [B, C, H, W] map, returning [B, C]: one recorded op,
+    the sum over (H, W) times 1/(H·W), whose backward spreads g·1/(H·W) over
+    every pixel."""
     if a.ndim != 4:
         raise ShapeError(f"global_avg_pool expects 4-D input, got {a.shape}")
-    return tmean(a, axis=(2, 3))
+    scale = np.asarray(1.0 / (a.shape[2] * a.shape[3]), dtype=a.dtype)
+    data = a.data.sum(axis=(2, 3)) * scale
+
+    def backward(g):
+        a._accumulate(np.broadcast_to(np.expand_dims(g * scale, (2, 3)), a.shape))
+
+    return _make(data, (a,), backward, "global_avg_pool")
+
+
+# -- loss ------------------------------------------------------------------------
+
+
+def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over rows of −Σ target · log_softmax(logits), for [B, K] logits
+    and a constant [B, K] target distribution: one recorded op.
+
+    The log-softmax is stabilized by a max shift. Forward and backward run
+    the numpy ops of the chain of primitives they replace in its order, so
+    loss and gradient keep its bits. With e = exp(shifted logits), s = Σ e
+    over a row and G = −target · g/B, the backward is
+    dlogits = e · (Σ −G) / s + G, which is (softmax − target) · g/B for a
+    target whose rows sum to one. The closure keeps e, s and −target.
+    """
+    target = np.asarray(target, dtype=logits.dtype)
+    if logits.ndim != 2 or target.shape != logits.shape:
+        raise ShapeError(f"cross_entropy: target {target.shape} for logits {logits.shape}")
+    _check_finite(logits.data, "cross_entropy")
+    neg_target = np.negative(target)
+    rb = np.asarray(1.0 / logits.shape[0], dtype=logits.dtype)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(s)
+    loss = (neg_target * log_probs).sum(axis=-1).sum() * rb
+
+    def backward(g):
+        grad = neg_target * (g * rb)
+        dx = e * (np.negative(grad).sum(axis=-1, keepdims=True) / s)
+        dx += grad
+        logits._accumulate(dx, owned=True)
+
+    return _make(loss, (logits,), backward, "cross_entropy")
 
 
 # -- linear algebra --------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape), owned=True)
-        b._accumulate(_unbroadcast(gb, b.shape), owned=True)
-
-    return _make(data, (a, b), backward, "matmul")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, act: bool = False) -> Tensor:
@@ -483,15 +421,18 @@ def conv2d(
     x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
     standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
 
-    A recorded forward is one batched matmul over im2col columns cut as flat
-    rows, followed by a recorded ``silu`` when ``act``. A stride-1 1x1 conv
-    without padding uses the input itself as its columns. Any other conv
+    A recorded forward is one node: one batched matmul over im2col columns
+    cut as flat rows, finished in place by ``_epilogue`` (bias, SiLU when
+    ``act``, finite check). A stride-1 1x1 conv without padding uses the
+    input itself as its columns. Any other conv
     pads its input once into phase planes (``_phase_planes``; the padded map
     itself at stride 1) with output pitch P = Wo + (kw-1)//stride, so each
     tap is one contiguous run of Ho·P values (``_flat_columns``) and the
     product drops its P − Wo wrap columns once. The backward closure keeps
     those planes (or the input), not the columns, and rebuilds the columns
-    for the weight gradient, a matmul against g padded to pitch P. The input
+    for the weight gradient, a matmul against g padded to pitch P. With
+    ``act`` the backward first takes SiLU's derivative from the output
+    (``_silu_grad``), as ``linear`` and ``batch_norm`` do. The input
     gradient is skipped when x does not require grad. At stride 1 it is one
     grouped GEMM with the rotated kernel (``_conv2d_input_grad_s1``); at a
     larger stride each tap adds one contiguous run into the phase planes
@@ -547,11 +488,13 @@ def conv2d(
             return cols.reshape(batch, groups, cin_g * kh * kw, ho * pitch)
 
     out = np.matmul(wg, columns()).reshape(batch, cout, ho, pitch)
-    out = np.ascontiguousarray(out[..., :wo])  # without the wrap columns
-    if bias is not None:
-        out += bias.data.reshape(1, cout, 1, 1)  # out is fresh: add in place
+    out = np.ascontiguousarray(out[..., :wo])  # without the wrap columns; fresh
+    sig = _epilogue(out, None if bias is None else bias.data.reshape(1, cout, 1, 1), act, "conv2d")
+    silu_saved = (out, sig) if act else None  # what SiLU's derivative reads
 
     def backward(g):
+        if act:
+            g = _silu_grad(g, *silu_saved)
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         # g at the column pitch, zero in the wrap columns, so the columns'
@@ -570,8 +513,7 @@ def conv2d(
             gx = _conv2d_input_grad_phases(gm, wg, planes, kh, kw, padding, x.shape)
         x._accumulate(gx, owned=True)
 
-    out = _make(out, parents, backward, "conv2d")
-    return silu(out) if act else out
+    return _node(out, parents, backward)
 
 
 def _phase_span(n: int, stride: int, offset: int, phase: int, extent: int) -> tuple[slice, slice]:
@@ -818,20 +760,18 @@ def batch_norm(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    eps: float = NORM_EPS,
-    momentum: float = BN_MOMENTUM,
     act: bool = False,
 ) -> Tensor:
     """Training-mode per-channel normalization of a [B, C, H, W] map, then
-    SiLU if ``act``.
+    SiLU if ``act``, with ``NORM_EPS`` and ``BN_MOMENTUM``.
 
     Normalizes with batch statistics and, once the output is checked finite,
     folds them into the running estimates in place, so a NaN or Inf input
     leaves them as they were. It is one recorded op whose closure holds
     only the normalized input xhat and inv = 1/sqrt(var + eps), plus the
-    sigmoid when ``act``. With ``act`` the SiLU runs in the norm's output
-    buffer with ``silu``'s op order, so the output has the bits of
-    ``silu(batch_norm(x))``; only that output is checked for finite values
+    sigmoid when ``act``. The shift β, the SiLU and the finite check run in
+    the norm's output buffer by ``_epilogue``, as in ``conv2d`` and
+    ``linear``: only the activated output is checked for finite values
     (a NaN or Inf before SiLU survives it). Its backward first takes SiLU's
     derivative from the output (``_silu_grad``), then the closed form
     dbeta = sum(g), dgamma = sum(g * xhat) and
@@ -840,8 +780,6 @@ def batch_norm(
     one GEMV of g's (B·C, H·W) rows against ones and one einsum, not
     reductions over axes (0, 2, 3).
     """
-    if eps <= 0:
-        raise ValueError(f"batch_norm eps must be positive, got {eps}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm parameter length != channels ({c})")
@@ -851,13 +789,11 @@ def batch_norm(
     mean = x.data.sum(axis=axes, keepdims=True) * rn
     xhat = x.data - mean
     var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
-    inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(eps, dtype=DEFAULT_DTYPE))
+    inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
     out = xhat * gamma.data.reshape(1, c, 1, 1)
-    out += beta.data.reshape(1, c, 1, 1)
-    if act:
-        sig = _sigmoid(out)
-        out *= sig  # the pre-activation is not kept
+    # the SiLU runs in place: the pre-activation is not kept
+    sig = _epilogue(out, beta.data.reshape(1, c, 1, 1), act, "batch_norm")
 
     def backward(g):
         if act:
@@ -878,17 +814,17 @@ def batch_norm(
         dx *= gamma.data.reshape(1, c, 1, 1) * inv
         x._accumulate(dx, owned=True)
 
-    result = _make(out, (x, gamma, beta), backward, "batch_norm")
+    result = _node(out, (x, gamma, beta), backward)
     unbiased = var.reshape(c) * (n / max(n - 1, 1))
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.reshape(c)
-    running_var *= 1.0 - momentum
-    running_var += momentum * unbiased
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean.reshape(c)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * unbiased
     return result
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) -> Tensor:
-    """Normalize over the last axis only.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis only, with ``NORM_EPS``.
 
     One recorded op. Its forward runs the numpy operations of the op chain
     mean, centre, square, mean, +eps, sqrt, 1/, scale, affine in that order,
@@ -898,8 +834,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) ->
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma, the means taken over the last axis.
     """
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be positive, got {eps}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm parameter length != last extent ({d})")
@@ -907,7 +841,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) ->
     mean = x.data.sum(axis=-1, keepdims=True) * rn
     xhat = x.data - mean
     var = (xhat * xhat).sum(axis=-1, keepdims=True) * rn
-    inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(eps, dtype=DEFAULT_DTYPE))
+    inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data

@@ -24,6 +24,7 @@ LR_START, LR_PEAK = 2e-4, 2e-3  # warm-up start and end, cosine-decay start
 WEIGHT_DECAY = 0.01  # decoupled, on weight matrices and kernels only
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
 SMOOTHING = 0.1  # label smoothing
+EMA_DECAY = 0.9995  # of the parameter average that --ema trains and keeps
 # grad_check's step: its truncation error stays below the check's tolerance,
 # although batch norm gives the loss large third derivatives
 GRAD_CHECK_STEP = 1e-4
@@ -35,7 +36,7 @@ class TrainConfig:
 
     total_iters: int
     warmup_iters: int = 3000
-    ema_decay: float | None = None  # 0.9995 when enabled
+    ema: bool = False  # keep an EMA of the parameters and end on it
     seed: int = 0
     batch_size: int = 32
 
@@ -51,20 +52,19 @@ class TrainConfig:
 
 
 def label_smoothing_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy against a target smoothed by ``SMOOTHING``."""
+    """Mean cross-entropy of [B, K] logits against integer labels of shape
+    (B,), each target smoothed by ``SMOOTHING``."""
     batch, k = logits.shape
     labels = np.asarray(labels)
+    if labels.shape != (batch,):
+        raise T.ShapeError(f"labels of shape {labels.shape} for {batch} rows of logits")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
     target = np.full((batch, k), SMOOTHING / k, dtype=logits.dtype)
     target[np.arange(batch), labels] += 1.0 - SMOOTHING
-    # log-softmax, stabilized by a detached max shift
-    shift = Tensor(logits.data.max(axis=-1, keepdims=True))
-    shifted = T.sub(logits, shift)
-    logsumexp = T.log(T.tsum(T.exp(shifted), axis=-1, keepdims=True))
-    log_probs = T.sub(shifted, logsumexp)
-    per_sample = T.tsum(T.mul(Tensor(-target), log_probs), axis=-1)
-    return T.tmean(per_sample)
+    return T.cross_entropy(logits, target)
 
 
 def lr_schedule(iteration: int, config: TrainConfig) -> float:
@@ -265,7 +265,7 @@ def train_loop(
     model.train()
     named = list(model.named_parameters())
     optimizer = AdamW(named)
-    shadow = init_ema(named) if config.ema_decay is not None else None
+    shadow = init_ema(named) if config.ema else None
     order_rng = np.random.default_rng(config.seed)
     history: list[HistoryRow] = []
     iteration = 0
@@ -285,7 +285,7 @@ def train_loop(
             lr = lr_schedule(iteration, config)
             optimizer.step(lr)
             if shadow is not None:
-                ema_update(shadow, named, config.ema_decay)
+                ema_update(shadow, named, EMA_DECAY)
             acc = float(np.mean(np.argmax(logits.data, axis=1) == labels))
             history.append(HistoryRow(iteration, loss.item(), acc, lr))
             iteration += 1

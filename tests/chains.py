@@ -1,0 +1,214 @@
+"""Reference op chains for the tests.
+
+Each fused op of ``exmvit.tensor`` records one node in place of a chain of
+generic ops. The generic ops the library no longer calls live here, built on
+``T._make``, together with the chains built from them, so a test can hold a
+fused op to the chain it replaces: bit for bit where both run the same numpy
+in the same order, and in its gradients.
+"""
+
+import numpy as np
+
+from exmvit import tensor as T
+from exmvit.tensor import Tensor
+
+# -- generic recorded ops --------------------------------------------------------
+
+
+def sub(a, b):
+    data = a.data - b.data
+
+    def backward(g):
+        a._accumulate(T._unbroadcast(g, a.shape))
+        b._accumulate(T._unbroadcast(-g, b.shape))
+
+    return T._make(data, (a, b), backward, "sub")
+
+
+def div(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = a.data / b.data
+
+    def backward(g):
+        a._accumulate(T._unbroadcast(g / b.data, a.shape), owned=True)
+        b._accumulate(T._unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+
+    return T._make(data, (a, b), backward, "div")
+
+
+def exp(a):
+    data = np.exp(a.data)
+
+    def backward(g):
+        a._accumulate(g * data, owned=True)
+
+    return T._make(data, (a,), backward, "exp")
+
+
+def log(a):
+    data = np.log(a.data)
+
+    def backward(g):
+        a._accumulate(g / a.data, owned=True)
+
+    return T._make(data, (a,), backward, "log")
+
+
+def sqrt(a):
+    data = np.sqrt(a.data)
+
+    def backward(g):
+        a._accumulate(g * 0.5 / data, owned=True)
+
+    return T._make(data, (a,), backward, "sqrt")
+
+
+def silu(a):
+    sig = T._sigmoid(a.data)
+    data = a.data * sig
+
+    def backward(g):
+        a._accumulate(T._silu_grad(g, data, sig), owned=True)
+
+    return T._make(data, (a,), backward, "silu")
+
+
+def softmax(a):
+    """Softmax over the last axis, stabilized by max subtraction."""
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        a._accumulate(data * (g - inner), owned=True)
+
+    return T._make(data, (a,), backward, "softmax")
+
+
+def reshape(a, shape):
+    data = a.data.reshape(shape)
+
+    def backward(g):
+        a._accumulate(g.reshape(a.shape))
+
+    return T._make(data, (a,), backward, "reshape")
+
+
+def matmul(a, b):
+    data = np.matmul(a.data, b.data)
+
+    def backward(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        a._accumulate(T._unbroadcast(ga, a.shape), owned=True)
+        b._accumulate(T._unbroadcast(gb, b.shape), owned=True)
+
+    return T._make(data, (a, b), backward, "matmul")
+
+
+def tmean(a, axis=None, keepdims=False):
+    if axis is None:
+        count = a.size
+    else:
+        count = 1
+        for ax in axis if isinstance(axis, tuple) else (axis,):
+            count *= a.shape[ax]
+    total = T.tsum(a, axis=axis, keepdims=keepdims)
+    return T.mul(total, Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
+
+
+# -- the chains the fused ops replace ------------------------------------------------
+
+
+def chained_batch_norm(x, gamma, beta, running_mean, running_var):
+    """Training-mode batch norm as a chain of primitive ops (the unfused form)."""
+    c = x.shape[1]
+    mean = tmean(x, axis=(0, 2, 3), keepdims=True)
+    centered = sub(x, mean)
+    var = tmean(T.mul(centered, centered), axis=(0, 2, 3), keepdims=True)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
+    running_mean *= 1.0 - T.BN_MOMENTUM
+    running_mean += T.BN_MOMENTUM * mean.data.reshape(c)
+    running_var *= 1.0 - T.BN_MOMENTUM
+    running_var += T.BN_MOMENTUM * unbiased
+    eps_t = Tensor(np.asarray(T.NORM_EPS, dtype=np.float32))
+    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(T.add(var, eps_t)))
+    scaled = T.mul(T.mul(centered, inv), reshape(gamma, (1, c, 1, 1)))
+    return T.add(scaled, reshape(beta, (1, c, 1, 1)))
+
+
+def chained_layer_norm(x, gamma, beta):
+    """Layer norm as a chain of primitive ops (the unfused form)."""
+    mean = tmean(x, axis=-1, keepdims=True)
+    centered = sub(x, mean)
+    var = tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    eps_t = Tensor(np.asarray(T.NORM_EPS, dtype=np.float32))
+    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(T.add(var, eps_t)))
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+
+
+def permuted(a, axes):
+    """``a.transpose(axes)`` as a chain of ``reshape`` and one ``matmul``
+    against a 0/1 permutation matrix, which moves every value exactly."""
+    n = a.size
+    source = np.arange(n).reshape(a.shape).transpose(axes).reshape(-1)
+    perm = np.zeros((n, n), dtype=a.dtype)
+    perm[source, np.arange(n)] = 1.0
+    flat = matmul(reshape(a, (1, n)), Tensor(perm))
+    return reshape(flat, tuple(a.shape[i] for i in axes))
+
+
+def chained_linear(x, weight, bias=None, act=False):
+    """Linear as the op chain matmul, transpose, add, silu."""
+    out = matmul(x, permuted(weight, (1, 0)))
+    if bias is not None:
+        out = T.add(out, bias)
+    return silu(out) if act else out
+
+
+def chained_unfold(x, ph, pw):
+    b, c, h, w = x.shape
+    t = permuted(reshape(x, (b, c, h // ph, ph, w // pw, pw)), (0, 3, 5, 2, 4, 1))
+    return reshape(t, (b * ph * pw, (h // ph) * (w // pw), c))
+
+
+def chained_fold(x, ph, pw, out_shape):
+    b, c, h, w = out_shape
+    t = permuted(reshape(x, (b, ph, pw, h // ph, w // pw, c)), (0, 5, 3, 1, 4, 2))
+    return reshape(t, out_shape)
+
+
+def chained_attend(q, k, v, heads):
+    """Per-head softmax(q kᵀ) v as the op chain split, matmul, softmax, matmul, merge."""
+    b, t, d = q.shape
+
+    def split(z):
+        return permuted(reshape(z, (b, t, heads, d // heads)), (0, 2, 1, 3))
+
+    scores = matmul(split(q), permuted(split(k), (0, 1, 3, 2)))
+    ctx = matmul(softmax(scores), split(v))
+    return reshape(permuted(ctx, (0, 2, 1, 3)), (b, t, d))
+
+
+def chained_global_avg_pool(a):
+    """Spatial mean as the op chain sum over (H, W), times 1/(H·W)."""
+    return tmean(a, axis=(2, 3))
+
+
+def chained_conv_act(x, weight, bias=None, **conv):
+    """A conv with ``act`` as the op chain conv, then silu."""
+    return silu(T.conv2d(x, weight, bias, **conv))
+
+
+def chained_cross_entropy(logits, target):
+    """Mean cross-entropy against a constant target distribution as the chain
+    of nine recorded ops: the log-softmax by a detached max shift, then the
+    target-weighted sum and the mean."""
+    shift = Tensor(logits.data.max(axis=-1, keepdims=True))
+    shifted = sub(logits, shift)
+    logsumexp = log(T.tsum(exp(shifted), axis=-1, keepdims=True))
+    log_probs = sub(shifted, logsumexp)
+    per_sample = T.tsum(T.mul(Tensor(-target), log_probs), axis=-1)
+    return tmean(per_sample)

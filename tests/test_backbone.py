@@ -9,6 +9,8 @@ from exmvit.layers import init_weights
 from exmvit.model import build_model
 from exmvit.tensor import ShapeError, Tensor
 
+from chains import silu
+
 
 def mv2_param_oracle(cin, cout, exp):
     """Per-layer enumeration: expand 1x1 + BN, depthwise 3x3 + BN, project 1x1 + BN."""
@@ -79,7 +81,7 @@ class TestMobileViTBlock:
         seq = T.unfold_patches(local, 2, 2)
         layer = block.transformer[0]
         seq = T.add(seq, layer.attn(layer.norm1(seq)))
-        seq = T.add(seq, layer.ffn2(T.silu(layer.ffn1(layer.norm2(seq)))))
+        seq = T.add(seq, layer.ffn2(silu(layer.ffn1(layer.norm2(seq)))))
         seq = block.out_norm(seq)
         folded = T.fold_patches(seq, 2, 2, (1, 12, 4, 4))
         expected = block.fusion(T.concat([x, block.unproj(folded)], axis=1))

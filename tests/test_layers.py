@@ -15,6 +15,8 @@ from exmvit.layers import (
 from exmvit.model import ExMobileViT, build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
 
+from chains import silu
+
 
 def randomized_block(seed, cin, cout, kernel, stride, groups, act):
     """An eval-mode ConvNormAct whose norm has non-trivial statistics."""
@@ -131,7 +133,7 @@ class TestBatchNorm2dTrainOnly:
 
 class TestFusedActivation:
     """Eval ConvNormAct and Linear(act=True) run SiLU inside the op, with the
-    bits of the op followed by ``T.silu``."""
+    bits of the op followed by ``chains.silu``."""
 
     @pytest.mark.parametrize("case", [c for c in TestConvNormFold.CASES if c[-1]])
     def test_eval_conv_norm_act_equals_conv_then_silu(self, case):
@@ -141,7 +143,7 @@ class TestFusedActivation:
         scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + T.NORM_EPS))
         shift = n.beta.data - n.running_mean * scale
         with T.no_grad():
-            expected = T.silu(block.conv(x, scale, shift))
+            expected = silu(block.conv(x, scale, shift))
         assert np.array_equal(block(x).data, expected.data)
 
     @pytest.mark.parametrize("training", [False, True])
@@ -151,7 +153,7 @@ class TestFusedActivation:
         layer.bias.data[:] = rng.normal(size=12)
         x = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
         fused = layer(x, act=True)
-        expected = T.silu(layer(x))
+        expected = silu(layer(x))
         assert bool(fused._parents) == training
         assert np.array_equal(fused.data, expected.data)
 

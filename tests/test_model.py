@@ -229,3 +229,32 @@ class TestGraphRecording:
                 seen.add(id(node))
                 stack.extend(node._parents)
         assert len(seen) < 600, len(seen)
+
+    def test_train_step_records_one_node_per_op(self):
+        # each op of a step is one node, named by its backward closure (the
+        # two patch folds share _permute's)
+        model = build_model(resolve_variant("exmvit-928-tiny"), seed=0).train()
+        loss = label_smoothing_ce(model(self.inputs(batch=2)), np.array([0, 1]))
+        kinds, seen, stack = {}, set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._backward is not None:
+                kind = node._backward.__qualname__.split(".")[0]
+                kinds[kind] = kinds.get(kind, 0) + 1
+            stack.extend(node._parents)
+        assert kinds == {
+            "conv2d": 37,
+            "batch_norm": 31,
+            "linear": 19,
+            "layer_norm": 9,
+            "add": 8,
+            "mul": 6,
+            "_permute": 6,
+            "concat": 4,
+            "_attend": 3,
+            "global_avg_pool": 3,
+            "cross_entropy": 1,
+        }

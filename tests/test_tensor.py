@@ -7,6 +7,23 @@ from exmvit import tensor as T
 from exmvit.layers import ConvNormAct
 from exmvit.tensor import NumericError, ShapeError, Tensor
 
+from chains import (
+    chained_attend,
+    chained_batch_norm,
+    chained_conv_act,
+    chained_cross_entropy,
+    chained_fold,
+    chained_global_avg_pool,
+    chained_layer_norm,
+    chained_linear,
+    chained_unfold,
+    div,
+    matmul,
+    reshape,
+    silu,
+    softmax,
+)
+
 
 def naive_conv2d(x, w, b, stride, padding):
     """Six-loop cross-correlation oracle (groups=1)."""
@@ -114,9 +131,8 @@ class TestNorms:
             Tensor(np.zeros(3, dtype=np.float32)),
             np.zeros(3, dtype=np.float32),
             np.ones(3, dtype=np.float32),
-            eps=1e-8,
         )
-        np.testing.assert_allclose(out.data, x, atol=1e-5)
+        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + T.NORM_EPS), atol=1e-5)
 
     def test_batch_norm_constant_input_zeros(self):
         x = np.full((2, 3, 4, 4), 7.0, dtype=np.float32)
@@ -138,10 +154,11 @@ class TestNorms:
             Tensor(np.zeros(4, dtype=np.float32)),
             np.zeros(4, dtype=np.float32),
             np.ones(4, dtype=np.float32),
-            eps=1e-8,
         )
+        var = x.var(axis=(0, 2, 3))
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
-        np.testing.assert_allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
+        expected_var = var / (var + T.NORM_EPS)
+        np.testing.assert_allclose(out.data.var(axis=(0, 2, 3)), expected_var, atol=1e-6)
 
     @pytest.mark.parametrize("act", [False, True])
     def test_batch_norm_nan_input_leaves_running_stats(self, act):
@@ -161,18 +178,6 @@ class TestNorms:
         assert np.array_equal(running_mean, np.full(3, 0.25, dtype=np.float32))
         assert np.array_equal(running_var, np.full(3, 0.75, dtype=np.float32))
 
-    def test_batch_norm_rejects_bad_eps(self):
-        x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
-        with pytest.raises(ValueError):
-            T.batch_norm(
-                x,
-                Tensor(np.ones(1)),
-                Tensor(np.zeros(1)),
-                np.zeros(1),
-                np.ones(1),
-                eps=0.0,
-            )
-
     def test_layer_norm_single_dim_is_zero(self):
         x = Tensor(np.array([[3.0], [5.0]], dtype=np.float32))
         out = T.layer_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)))
@@ -180,44 +185,45 @@ class TestNorms:
 
     def test_layer_norm_hand_case(self):
         x = Tensor(np.array([[1.0, 3.0]], dtype=np.float32))
-        out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
+        out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        np.testing.assert_allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1.0 + T.NORM_EPS), atol=1e-6)
 
     def test_layer_norm_statistics(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(1.0, 2.0, size=(5, 64)).astype(np.float32))
-        out = T.layer_norm(x, Tensor(np.ones(64)), Tensor(np.zeros(64)), eps=1e-10)
+        out = T.layer_norm(x, Tensor(np.ones(64)), Tensor(np.zeros(64)))
+        var = x.data.var(axis=-1)
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-4)
-        np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-4)
+        np.testing.assert_allclose(out.data.var(axis=-1), var / (var + T.NORM_EPS), atol=1e-6)
 
 
 class TestActivations:
     def test_silu_zero(self):
-        assert T.silu(Tensor(np.array([0.0], dtype=np.float32))).item() == 0.0
+        assert silu(Tensor(np.array([0.0], dtype=np.float32))).item() == 0.0
         # exp(-a) overflows float32 below about -88: the result is -0, with no warning
         very_negative = Tensor(np.array([-100.0, -200.0, -1000.0], dtype=np.float32))
-        assert np.array_equal(T.silu(very_negative).data, np.zeros(3))
+        assert np.array_equal(silu(very_negative).data, np.zeros(3))
 
     def test_silu_one(self):
-        out = T.silu(Tensor(np.array([1.0], dtype=np.float64)))
+        out = silu(Tensor(np.array([1.0], dtype=np.float64)))
         np.testing.assert_allclose(out.item(), 1.0 / (1.0 + np.exp(-1.0)), rtol=1e-12)
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(Tensor(np.array([0.0, 0.0], dtype=np.float32)))
+        out = softmax(Tensor(np.array([0.0, 0.0], dtype=np.float32)))
         np.testing.assert_array_equal(out.data, [0.5, 0.5])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 5)).astype(np.float32)
-        a = T.softmax(Tensor(x)).data
-        b = T.softmax(Tensor(x + 100.0)).data
+        a = softmax(Tensor(x)).data
+        b = softmax(Tensor(x + 100.0)).data
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_direct_evaluation(self):
         x = np.array([1.0, 2.0, 3.0])
-        out = T.softmax(Tensor(x))
+        out = softmax(Tensor(x))
         expected = np.exp(x) / np.exp(x).sum()
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
         assert abs(out.data.sum() - 1.0) < 1e-6
@@ -226,7 +232,7 @@ class TestSoftmax:
     @settings(max_examples=25, deadline=None)
     def test_rows_sum_to_one(self, seed, cols):
         x = np.random.default_rng(seed).normal(0, 5, size=(4, cols)).astype(np.float32)
-        out = T.softmax(Tensor(x)).data
+        out = softmax(Tensor(x)).data
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
         assert (out > 0).all() and (out < 1.0 + 1e-6).all()
 
@@ -382,8 +388,8 @@ class TestBackward:
         def loss_of(xv):
             x = Tensor(xv, requires_grad=True)
             w = Tensor(w0)
-            y = T.silu(T.matmul(x, w))
-            return T.tsum(T.mul(T.softmax(y), y)), x
+            y = silu(matmul(x, w))
+            return T.tsum(T.mul(softmax(y), y)), x
 
         loss, x = loss_of(x0)
         loss.backward()
@@ -402,7 +408,7 @@ class TestNumericGuards:
     def test_non_finite_is_an_error(self):
         x = Tensor(np.array([1.0], dtype=np.float32))
         with pytest.raises(NumericError):
-            T.div(x, Tensor(np.array([0.0], dtype=np.float32)))
+            div(x, Tensor(np.array([0.0], dtype=np.float32)))
 
     def test_determinism(self):
         rng = np.random.default_rng(15)
@@ -483,7 +489,7 @@ class TestBitwiseTrims:
         a = self.values(dtype)
         g = np.random.default_rng(31).normal(size=a.shape).astype(dtype)
         x = Tensor(a, requires_grad=True)
-        out = T.silu(x)
+        out = silu(x)
         T.tsum(T.mul(out, Tensor(g))).backward()
         sig = 1.0 / (1.0 + np.exp(-a))
         assert np.array_equal(out.data, a * sig)
@@ -492,7 +498,7 @@ class TestBitwiseTrims:
     def test_softmax_forward(self):
         a = self.values()
         e = np.exp(a - a.max(axis=-1, keepdims=True))
-        assert np.array_equal(T.softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True))
 
     def test_unpadded_conv_matches_padded_form(self):
         rng = np.random.default_rng(32)
@@ -503,24 +509,6 @@ class TestBitwiseTrims:
         old = np.matmul(w.reshape(1, 4, 6), padded.reshape(2, 1, 6, 35)).reshape(2, 4, 5, 7)
         old = old + b.reshape(1, 4, 1, 1)
         assert np.array_equal(T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data, old)
-
-
-def chained_batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1):
-    """Training-mode batch norm as a chain of primitive ops (the unfused form)."""
-    c = x.shape[1]
-    mean = T.tmean(x, axis=(0, 2, 3), keepdims=True)
-    centered = T.sub(x, mean)
-    var = T.tmean(T.mul(centered, centered), axis=(0, 2, 3), keepdims=True)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.data.reshape(c)
-    running_var *= 1.0 - momentum
-    running_var += momentum * unbiased
-    eps_t = Tensor(np.asarray(eps, dtype=np.float32))
-    inv = T.div(Tensor(np.asarray(1.0, dtype=x.dtype)), T.sqrt(T.add(var, eps_t)))
-    scaled = T.mul(T.mul(centered, inv), T.reshape(gamma, (1, c, 1, 1)))
-    return T.add(scaled, T.reshape(beta, (1, c, 1, 1)))
 
 
 class TestTrainBatchNorm:
@@ -605,7 +593,7 @@ class TestTrainBatchNorm:
         stats = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
         chain_stats = [s.copy() for s in stats]
         out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats, act=True)
-        chain = T.silu(chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats))
+        chain = silu(chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats))
         assert out.dtype == dtype
         assert np.array_equal(out.data, chain.data)
         for mine, theirs in zip(stats, chain_stats):
@@ -622,7 +610,7 @@ class TestTrainBatchNorm:
             return T.batch_norm(*args, act=True)
 
         def chain(*args):
-            return T.silu(chained_batch_norm(*args))
+            return silu(chained_batch_norm(*args))
 
         self.assert_gradients_match(fused, chain)
 
@@ -952,16 +940,16 @@ class TestTiledConv:
         self.rows_per_tile(monkeypatch, 2, 7, 7, np.float32)
         with T.no_grad():
             fused = T.conv2d(x, w, b, padding=1, act=True)
-            chained = T.silu(T.conv2d(x, w, b, padding=1))
+            chained = silu(T.conv2d(x, w, b, padding=1))
         assert np.array_equal(fused.data, chained.data)
         assert np.array_equal(fused.data[:, 1:3], np.zeros((2, 2, 9, 7)))
 
-    def test_recorded_act_is_a_silu_node(self):
+    def test_recorded_act_equals_silu_of_conv(self):
         rng = np.random.default_rng(69)
         x = Tensor(rng.normal(size=(1, 3, 5, 5)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         fused = T.conv2d(x, w, padding=1, act=True)
-        chained = T.silu(T.conv2d(x, w, padding=1))
+        chained = silu(T.conv2d(x, w, padding=1))
         assert np.array_equal(fused.data, chained.data)
         T.tsum(fused).backward()
         grad = w.grad.copy()
@@ -992,7 +980,7 @@ class TestLeanLinear:
         rng = np.random.default_rng(71)
         x, w, b = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((4, 9), (5, 9), (5,)))
         with T.no_grad():
-            assert np.array_equal(T.linear(x, w, b, act=True).data, T.silu(T.linear(x, w, b)).data)
+            assert np.array_equal(T.linear(x, w, b, act=True).data, silu(T.linear(x, w, b)).data)
 
     def test_leaves_weight_unchanged(self):
         rng = np.random.default_rng(72)
@@ -1059,7 +1047,7 @@ class TestFusedFiniteCheck:
         arrays = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
         before = [a.copy() for a in arrays]
         x, wq, wk, wv, wo, bq, k, v = (Tensor(a, requires_grad=recorded) for a in arrays)
-        outs = [T.softmax(x), T.multi_head_attention(x, wq, wk, wv, wo, 2, bq=bq)]
+        outs = [softmax(x), T.multi_head_attention(x, wq, wk, wv, wo, 2, bq=bq)]
         outs.append(T._attend(x, k, v, heads=2))
         assert all(bool(out._parents) == recorded for out in outs)
         for now, then in zip(arrays, before):
@@ -1073,7 +1061,7 @@ class TestInPlaceEpilogues:
     def test_unrecorded_silu(self, dtype):
         a = np.random.default_rng(63).normal(0.0, 3.0, size=(4, 5, 6)).astype(dtype)
         with T.no_grad():
-            out = T.silu(Tensor(a, requires_grad=True))
+            out = silu(Tensor(a, requires_grad=True))
         assert out._parents == ()
         assert np.array_equal(out.data, a * (1.0 / (1.0 + np.exp(-a))))
 
@@ -1118,18 +1106,8 @@ class TestAccumulate:
 
     def test_operand_used_twice(self):
         x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
-        T.tsum(T.matmul(T.reshape(x, (3, 1)), T.reshape(x, (1, 3)))).backward()
+        T.tsum(matmul(reshape(x, (3, 1)), reshape(x, (1, 3)))).backward()
         np.testing.assert_allclose(x.grad, 2.0 * x.data.sum())
-
-
-def chained_layer_norm(x, gamma, beta, eps=1e-5):
-    """Layer norm as a chain of primitive ops (the unfused form)."""
-    mean = T.tmean(x, axis=-1, keepdims=True)
-    centered = T.sub(x, mean)
-    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
-    eps_t = Tensor(np.asarray(eps, dtype=np.float32))
-    inv = T.div(Tensor(np.asarray(1.0, dtype=x.dtype)), T.sqrt(T.add(var, eps_t)))
-    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
 class TestFusedLayerNorm:
@@ -1198,56 +1176,23 @@ class TestFusedLayerNorm:
                 assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
 
 
-def permuted(a, axes):
-    """``a.transpose(axes)`` as a chain of ``T.reshape`` and one ``T.matmul``
-    against a 0/1 permutation matrix, which moves every value exactly."""
-    n = a.size
-    source = np.arange(n).reshape(a.shape).transpose(axes).reshape(-1)
-    perm = np.zeros((n, n), dtype=a.dtype)
-    perm[source, np.arange(n)] = 1.0
-    flat = T.matmul(T.reshape(a, (1, n)), Tensor(perm))
-    return T.reshape(flat, tuple(a.shape[i] for i in axes))
-
-
-def chained_linear(x, weight, bias=None, act=False):
-    """Linear as the op chain matmul, transpose, add, silu."""
-    out = T.matmul(x, permuted(weight, (1, 0)))
-    if bias is not None:
-        out = T.add(out, bias)
-    return T.silu(out) if act else out
-
-
-def chained_unfold(x, ph, pw):
-    b, c, h, w = x.shape
-    t = permuted(T.reshape(x, (b, c, h // ph, ph, w // pw, pw)), (0, 3, 5, 2, 4, 1))
-    return T.reshape(t, (b * ph * pw, (h // ph) * (w // pw), c))
-
-
-def chained_fold(x, ph, pw, out_shape):
-    b, c, h, w = out_shape
-    t = permuted(T.reshape(x, (b, ph, pw, h // ph, w // pw, c)), (0, 5, 3, 1, 4, 2))
-    return T.reshape(t, out_shape)
-
-
-def chained_attend(q, k, v, heads):
-    """Per-head softmax(q kᵀ) v as the op chain split, matmul, softmax, matmul, merge."""
-    b, t, d = q.shape
-
-    def split(z):
-        return permuted(T.reshape(z, (b, t, heads, d // heads)), (0, 2, 1, 3))
-
-    scores = T.matmul(split(q), permuted(split(k), (0, 1, 3, 2)))
-    ctx = T.matmul(T.softmax(scores), split(v))
-    return T.reshape(permuted(ctx, (0, 2, 1, 3)), (b, t, d))
+def smoothed_target(logits, seed=93):
+    """A fixed target distribution for [B, K] logits: one label per row, smoothed."""
+    batch, k = logits.shape
+    target = np.full((batch, k), 0.1 / k, dtype=logits.dtype)
+    target[np.arange(batch), np.random.default_rng(seed).integers(0, k, batch)] += 0.9
+    return target
 
 
 class TestOneNodeOps:
-    """``linear``, attention's ``_attend`` and the patch folds: one recorded
-    node each, against the op chains they replace."""
+    """``linear``, attention's ``_attend``, the patch folds, the pooling, the
+    loss and a conv with ``act``: one recorded node each, against the op
+    chains they replace."""
 
-    # name: (fused, chain, operand shapes, bitwise forward); linear's GEMM is
-    # one call over all rows against a transposed view, the chain's a batched
-    # matmul against a copy, so only the other ops share the chain's op order
+    # name: (fused, chain, operand shapes, bitwise); linear's GEMM is one
+    # call over all rows against a transposed view, the chain's a batched
+    # matmul against a copy, so only the other ops share the chain's op
+    # order and keep its bits, forward and backward
     CASES = {
         "linear": (T.linear, chained_linear, [(2, 3, 5), (4, 5)], False),
         "linear-bias": (T.linear, chained_linear, [(2, 3, 5), (4, 5), (4,)], False),
@@ -1279,6 +1224,19 @@ class TestOneNodeOps:
             lambda q, k, v: T._attend(q, k, v, heads=2),
             lambda q, k, v: chained_attend(q, k, v, heads=2),
             [(2, 4, 6)] * 3,
+            True,
+        ),
+        "global-avg-pool": (T.global_avg_pool, chained_global_avg_pool, [(2, 3, 4, 5)], True),
+        "cross-entropy": (
+            lambda x: T.cross_entropy(x, smoothed_target(x)),
+            lambda x: chained_cross_entropy(x, smoothed_target(x)),
+            [(6, 5)],
+            True,
+        ),
+        "conv-act": (
+            lambda x, w, b: T.conv2d(x, w, b, padding=1, act=True),
+            lambda x, w, b: chained_conv_act(x, w, b, padding=1),
+            [(2, 3, 5, 4), (4, 3, 3, 3), (4,)],
             True,
         ),
     }
@@ -1322,7 +1280,10 @@ class TestOneNodeOps:
             self.loss(op(*leaves)).backward()
             grads.append([leaf.grad for leaf in leaves])
         for mine, theirs in zip(*grads):
-            np.testing.assert_allclose(mine, theirs, rtol=1e-4, atol=1e-5)
+            if self.CASES[case][3]:
+                assert np.array_equal(mine, theirs)
+            else:
+                np.testing.assert_allclose(mine, theirs, rtol=1e-4, atol=1e-5)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_gradients_match_finite_differences(self, case):

@@ -8,7 +8,7 @@ from exmvit import train
 from exmvit.config import MAX_VALUES, ConfigError, resolve_variant
 from exmvit.layers import Linear, Module, init_weights
 from exmvit.model import build_model
-from exmvit.tensor import NumericError, Tensor
+from exmvit.tensor import NumericError, ShapeError, Tensor
 from exmvit.train import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -28,6 +28,8 @@ from exmvit.train import (
     lr_schedule,
     train_loop,
 )
+
+from chains import chained_cross_entropy
 
 
 class TestLabelSmoothingCE:
@@ -62,6 +64,42 @@ class TestLabelSmoothingCE:
         logits = Tensor(np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ValueError):
             label_smoothing_ce(logits, np.array([0, 3]))
+        with pytest.raises(ValueError, match="out of range"):
+            label_smoothing_ce(logits, np.array([-1, 0]))
+
+    @pytest.mark.parametrize("labels", [[2], [2, 2, 2, 2], [[2], [2], [2]], 2])
+    def test_labels_not_one_per_row(self, labels):
+        # numpy would broadcast [2] against three rows without a word
+        logits = Tensor(np.zeros((3, 4), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            label_smoothing_ce(logits, np.array(labels))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [True, False], ["0", "1"]])
+    def test_labels_not_integers(self, labels):
+        logits = Tensor(np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="integers"):
+            label_smoothing_ce(logits, np.array(labels))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [8, 10, 1000])
+    def test_bitwise_equal_to_chain(self, dtype, k):
+        # the one-node loss and its logits gradient keep the bits of the
+        # nine-node chain it replaced, which the pinned training runs rely on
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            logits = (rng.normal(size=(32, k)) * rng.uniform(0.5, 10.0)).astype(dtype)
+            labels = rng.integers(0, k, 32)
+            target = np.full((32, k), SMOOTHING / k, dtype=dtype)
+            target[np.arange(32), labels] += 1.0 - SMOOTHING
+            results = []
+            for loss_of in (label_smoothing_ce, lambda x, _: chained_cross_entropy(x, target)):
+                x = Tensor(logits, requires_grad=True)
+                loss = loss_of(x, labels)
+                loss.backward()
+                results.append((loss.data, x.grad))
+            (loss, grad), (chain_loss, chain_grad) = results
+            assert loss.dtype == dtype and np.array_equal(loss, chain_loss)
+            assert grad.dtype == dtype and np.array_equal(grad, chain_grad)
 
 
 class TestLrSchedule:
@@ -319,14 +357,15 @@ class TestTrainLoop:
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
-    def test_ema_copied_back(self):
+    def test_ema_copied_back(self, monkeypatch):
+        monkeypatch.setattr(train, "EMA_DECAY", 1.0)
         cfg = resolve_variant("exmvit-576-tiny", {"class_count": 4})
         model = build_model(cfg, seed=0)
         start = model.classifier.weight.data.copy()
         train_loop(
             model,
             self.dataset(),
-            TrainConfig(total_iters=2, warmup_iters=1, seed=0, batch_size=8, ema_decay=1.0),
+            TrainConfig(total_iters=2, warmup_iters=1, seed=0, batch_size=8, ema=True),
         )
         # decay 1.0 keeps the shadow at initialization; copy-back restores it
         np.testing.assert_array_equal(model.classifier.weight.data, start)
