@@ -4,7 +4,9 @@ traces, and per-variant overhead tables.
 This module is the one place that knows the graph's output shapes, MACs and
 row names: a single recursive walk over the built modules yields the audit
 rows, the per-module shape trace and the five block output shapes, without
-allocating any tensors.
+allocating any tensors. It walks a chain (``ConvNormAct``, ``MV2Block``,
+``TransformerLayer``) through its children in the order they register, the
+order its training forward calls them, so rows come in the order leaves run.
 
 Two totals are reported. ``strict_total`` enumerates every parameter in the
 graph. ``paper_convention_total`` counts classifier-side growth only, i.e.
@@ -98,14 +100,6 @@ def _params(module) -> int:
     return sum(p.size for p in module.parameters())
 
 
-# composite modules whose children run one after another, in this order
-_CHAINS = {
-    ConvNormAct: ("conv", "norm"),
-    MV2Block: ("expand", "depthwise", "project"),
-    TransformerLayer: ("norm1", "attn", "norm2", "ffn1", "ffn2"),
-}
-
-
 def _walk(module, name, in_shape, rows) -> tuple[int, ...]:
     """Append the rows of ``module`` (path ``name``) for an input of
     ``in_shape`` to ``rows`` and return its output shape."""
@@ -133,10 +127,10 @@ def _walk(module, name, in_shape, rows) -> tuple[int, ...]:
         macs = 4 * n * t * d * d + 2 * n * t * t * d
         rows.append(LayerRow(name, "attention", in_shape, _params(module), macs))
         return in_shape
-    if type(module) in _CHAINS:
+    if isinstance(module, (ConvNormAct, MV2Block, TransformerLayer)):
         shape = in_shape
-        for part in _CHAINS[type(module)]:
-            shape = _walk(getattr(module, part), f"{name}.{part}", shape, rows)
+        for part, child in module._children():
+            shape = _walk(child, f"{name}.{part}", shape, rows)
         return shape
     if isinstance(module, MobileViTBlock):
         b, c, h, w = in_shape

@@ -12,10 +12,8 @@ from .config import BackboneProfile
 from .layers import Conv2d, ConvNormAct, LayerNorm, Module, TransformerLayer
 from .tensor import ShapeError, Tensor
 
-HEADS = 4  # attention heads of every transformer layer
 PATCH = (2, 2)  # patch height and width of the unfold
 MV2_EXPANSION = 4  # hidden channels of an MV2 block per input channel
-FFN_MULT = 2  # feed-forward width per transformer dimension
 
 
 class MV2Block(Module):
@@ -46,7 +44,7 @@ class MobileViTBlock(Module):
         super().__init__()
         self.local_conv = ConvNormAct(channels, channels, 3)
         self.local_proj = Conv2d(channels, dim, 1, bias=False)
-        self.transformer = [TransformerLayer(dim, HEADS, FFN_MULT * dim) for _ in range(depth)]
+        self.transformer = [TransformerLayer(dim) for _ in range(depth)]
         self.out_norm = LayerNorm(dim)
         self.unproj = ConvNormAct(dim, channels, 1)
         self.fusion = ConvNormAct(2 * channels, channels, 3)

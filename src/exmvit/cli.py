@@ -95,8 +95,19 @@ def cmd_build(args) -> int:
     return 0
 
 
+# the flags of _add_variant_args, by dest: with --weights the file fixes the model
+_MODEL_FLAGS = ("variant", "config", "profile", "input_size", "class_count", "allow_early_shortcuts")
+
+
 def cmd_audit(args) -> int:
     if args.weights:
+        given = [
+            "--" + dest.replace("_", "-")
+            for dest in _MODEL_FLAGS
+            if (value := getattr(args, dest)) is not None and value is not False
+        ]
+        if given:
+            raise ConfigError(f"--weights fixes the model; {', '.join(given)} cannot be given with it")
         model, _ = _model_from_weights(args.weights)
     else:
         model = ExMobileViT(_resolve(args))

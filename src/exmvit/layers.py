@@ -4,6 +4,8 @@ Constructors take shapes only: weights and biases start at zero, norm scales
 at one, and ``init_weights`` draws a seeded start. Modules register parameters
 and child modules in attribute definition order, which fixes the canonical
 (depth-first) parameter order used by the weights file and by ``init_weights``.
+A chain (``ConvNormAct``, ``MV2Block``, ``TransformerLayer``) registers its
+children in the order its training forward calls them: the audit walks them so.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 
 CHUNK = 1 << 15  # float64 draws held at a time while a weight is initialised
+HEADS = 4  # attention heads of every transformer layer (MobileViT-S's)
+FFN_MULT = 2  # feed-forward width per transformer dimension (MobileViT-S's)
 
 
 def _normal(rng: np.random.Generator, out: np.ndarray, std, limit=None) -> np.ndarray:
@@ -179,10 +183,10 @@ class LayerNorm(Module):
 
 
 class Linear(Module):
-    def __init__(self, din, dout, bias=True):
+    def __init__(self, din, dout):
         super().__init__()
         self.weight = _zeros(dout, din)
-        self.bias = _zeros(dout) if bias else None
+        self.bias = _zeros(dout)
 
     def forward(self, x, act=False):
         return T.linear(x, self.weight, self.bias, act=act)
@@ -214,39 +218,37 @@ class ConvNormAct(Module):
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, dim, heads):
+    """Self-attention over [B, T, D] sequences with ``HEADS`` heads. The
+    1/sqrt(head dim) score scale is folded into q's weight and bias at call
+    time (nothing is cached); then three ``linear`` projections, one
+    ``_attend`` and the output ``linear``: the same ops recorded or not."""
+
+    def __init__(self, dim):
         super().__init__()
-        self.heads = heads
+        if dim % HEADS:
+            raise ShapeError(f"attention dim {dim} not divisible by {HEADS} heads")
         self.wq, self.bq = _zeros(dim, dim), _zeros(dim)
         self.wk, self.bk = _zeros(dim, dim), _zeros(dim)
         self.wv, self.bv = _zeros(dim, dim), _zeros(dim)
         self.wo, self.bo = _zeros(dim, dim), _zeros(dim)
 
     def forward(self, x):
-        return T.multi_head_attention(
-            x,
-            self.wq,
-            self.wk,
-            self.wv,
-            self.wo,
-            self.heads,
-            bq=self.bq,
-            bk=self.bk,
-            bv=self.bv,
-            bo=self.bo,
-        )
+        scale = Tensor(np.asarray(1.0 / np.sqrt(x.shape[-1] // HEADS), dtype=x.dtype))
+        q = T.linear(x, T.mul(self.wq, scale), T.mul(self.bq, scale))
+        k, v = T.linear(x, self.wk, self.bk), T.linear(x, self.wv, self.bv)
+        return T.linear(T._attend(q, k, v, HEADS), self.wo, self.bo)
 
 
 class TransformerLayer(Module):
-    """Pre-norm self-attention followed by a pre-norm SiLU feed-forward."""
+    """Pre-norm self-attention, then a pre-norm SiLU feed-forward ``FFN_MULT`` times wider."""
 
-    def __init__(self, dim, heads, ffn_dim):
+    def __init__(self, dim):
         super().__init__()
         self.norm1 = LayerNorm(dim)
-        self.attn = MultiHeadAttention(dim, heads)
+        self.attn = MultiHeadAttention(dim)
         self.norm2 = LayerNorm(dim)
-        self.ffn1 = Linear(dim, ffn_dim)
-        self.ffn2 = Linear(ffn_dim, dim)
+        self.ffn1 = Linear(dim, FFN_MULT * dim)
+        self.ffn2 = Linear(FFN_MULT * dim, dim)
 
     def forward(self, x):
         x = T.add(x, self.attn(self.norm1(x)))

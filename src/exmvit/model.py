@@ -31,7 +31,6 @@ class ExShortcut(Module):
 
     def __init__(self, spec: ShortcutSpec):
         super().__init__()
-        self.spec = spec
         self.pointwise = Conv2d(spec.in_channels, spec.out_channels, 1, bias=True)
 
     def forward(self, feature: Tensor) -> Tensor:

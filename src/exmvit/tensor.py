@@ -354,7 +354,7 @@ def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
 # -- linear algebra --------------------------------------------------------------
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, act: bool = False) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor:
     """x[..., Din] -> x @ weight.T + bias, with weight [Dout, Din], then SiLU
     if ``act``.
 
@@ -370,20 +370,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, act: bool = Fa
         )
     rows = x.data.reshape(-1, x.shape[-1])
     out = np.matmul(rows, weight.data.T)
-    sig = _epilogue(out, None if bias is None else bias.data, act, "linear")
+    sig = _epilogue(out, bias.data, act, "linear")
 
     def backward(g):
         g = g.reshape(out.shape)
         if act:
             g = _silu_grad(g, out, sig)
         weight._accumulate(np.matmul(g.T, rows), owned=True)
-        if bias is not None:
-            bias._accumulate(g.sum(axis=0), owned=True)
+        bias._accumulate(g.sum(axis=0), owned=True)
         if x.requires_grad:
             x._accumulate(np.matmul(g, weight.data).reshape(x.shape), owned=True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out.reshape(x.shape[:-1] + (weight.shape[0],)), parents, backward)
+    return _node(out.reshape(x.shape[:-1] + (weight.shape[0],)), (x, weight, bias), backward)
 
 
 # -- convolution -----------------------------------------------------------------
@@ -715,8 +713,8 @@ def _conv2d_flat_rows(
     ``(r, c)`` sits at flat index ``r·Wp + c`` and tap ``(i, j)`` adds the
     input at that index plus ``i·Wp + j``, so every tap is one contiguous
     multiply-add over ``Ho·Wp`` values. Output rows (one per image and
-    channel) go in chunks: each chunk's input channels are copied into a
-    zero-bordered buffer (the whole map is never padded), its taps summed in
+    channel) go in chunks: each chunk's input channels are padded on their
+    own (``_phase_planes``; the whole map is never padded), its taps summed in
     two work buffers, the ``Wp − Wo`` columns that wrap into the next row
     dropped, and ``_epilogue`` run on its output, all while it is in cache.
     The taps are summed in the same order whatever the chunk or batch size.
@@ -731,14 +729,13 @@ def _conv2d_flat_rows(
     span = ho * wp
     dtype = np.result_type(x, weight)
     step = min(rows, max(1, _FLAT_CHUNK_BYTES // (span * dtype.itemsize)))
-    padded = np.zeros((step, cin_g, h + 2 * padding + 1, wp), dtype=x.dtype)
     out = np.empty((rows, ho, wo), dtype=dtype)
     acc = np.empty((step, span), dtype=dtype)
     term = np.empty_like(acc)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        padded[: hi - lo, :, padding : padding + h, padding : padding + w] = planes[lo:hi]
-        flat = padded[: hi - lo].reshape(hi - lo, cin_g, -1)
+        padded = _phase_planes(planes[lo:hi], 1, padding, padding, ho + kh, wp)
+        flat = padded.reshape(hi - lo, cin_g, -1)
         part, tmp = acc[: hi - lo], term[: hi - lo]
         for n, (ci, i, j) in enumerate(np.ndindex(cin_g, kh, kw)):
             start = i * wp + j
@@ -941,30 +938,3 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     return _make(merge(np.matmul(probs, vh)), (q, k, v), backward, "attention")
 
-
-def multi_head_attention(
-    x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    heads: int,
-    bq: Tensor | None = None,
-    bk: Tensor | None = None,
-    bv: Tensor | None = None,
-    bo: Tensor | None = None,
-) -> Tensor:
-    """Scaled dot-product self-attention over [B, T, D] sequences.
-
-    The 1/sqrt(head dim) score scale is folded into q's weight and bias at
-    call time (nothing is cached). Then three ``linear`` projections, one
-    ``_attend`` and the output ``linear``: the same ops recorded or not.
-    """
-    d = x.shape[-1]
-    if d % heads:
-        raise ShapeError(f"attention dim {d} not divisible by heads {heads}")
-    scale = Tensor(np.asarray(1.0 / np.sqrt(d // heads), dtype=x.dtype))
-    wq = mul(wq, scale)
-    bq = None if bq is None else mul(bq, scale)
-    q, k, v = (linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    return linear(_attend(q, k, v, heads), wo, bo)

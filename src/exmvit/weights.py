@@ -51,19 +51,23 @@ def _entries(model: Module) -> list[tuple[str, np.ndarray]]:
 
 
 def save_weights(model: Module, path: str, metadata: dict) -> None:
+    """Write to a file next to ``path`` that replaces it after its last byte:
+    a save that fails part-way leaves ``path`` as it was, and no other file."""
     meta = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        for name, data in _entries(model):
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype=_F32).tobytes())
+    partial = f"{path}.{os.getpid()}.partial"
+    fh = open(partial, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC + struct.pack("<HI", VERSION, len(meta)) + meta)
+            for name, data in _entries(model):
+                encoded = name.encode("utf-8")
+                shape = struct.pack(f"<{data.ndim + 1}I", data.ndim, *data.shape)
+                fh.write(struct.pack("<I", len(encoded)) + encoded + shape)
+                fh.write(np.ascontiguousarray(data, dtype=_F32).tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _header(fh: BinaryIO, path: str) -> tuple[dict, list[Entry]]:

@@ -160,11 +160,9 @@ def permuted(a, axes):
     return reshape(flat, tuple(a.shape[i] for i in axes))
 
 
-def chained_linear(x, weight, bias=None, act=False):
+def chained_linear(x, weight, bias, act=False):
     """Linear as the op chain matmul, transpose, add, silu."""
-    out = matmul(x, permuted(weight, (1, 0)))
-    if bias is not None:
-        out = T.add(out, bias)
+    out = T.add(matmul(x, permuted(weight, (1, 0))), bias)
     return silu(out) if act else out
 
 

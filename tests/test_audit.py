@@ -132,7 +132,7 @@ def _row_name(path, model):
 
 def _run_recording_leaves(model, leaves, training):
     """Names of every ``leaves`` instance in ``model``, and the output shape of
-    each one a forward in the given mode runs."""
+    each one a forward in the given mode runs, in the order it first runs."""
     model.train(training)
     runtime = {}
     names = []
@@ -180,6 +180,8 @@ class TestRowsMatchLayers:
         assert {r.name for r in rows} == set(names)
         for r in rows:
             assert r.out_shape == runtime[r.name], r.name
+        # the audit table lists the leaves in the order the forward calls them
+        assert [r.name for r in rows] == list(runtime)
 
     @pytest.mark.parametrize("variant, build", ROW_MODELS)
     def test_eval_forward_runs_every_non_norm_leaf(self, variant, build):

@@ -105,6 +105,28 @@ class TestAudit:
         with pytest.raises(SystemExit):
             main(["audit"])
 
+    MODEL_FLAGS = [
+        ["--variant", "exmvit-928"],
+        ["--config", "custom.json"],
+        ["--profile", "imagenet"],
+        ["--input-size", "128"],
+        ["--class-count", "5"],
+        ["--class-count", "0"],
+        ["--allow-early-shortcuts"],
+    ]
+
+    @pytest.mark.parametrize("flags", MODEL_FLAGS, ids=" ".join)
+    def test_weights_refuses_a_flag_that_chooses_a_model(self, checkpoint, capsys, flags):
+        code, out, err = run(capsys, "audit", "--weights", checkpoint, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flags[0] in err
+
+    def test_weights_names_every_refused_flag(self, checkpoint, capsys):
+        argv = ["audit", "--weights", checkpoint, "--variant", "exmvit-928", "--class-count", "5"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--variant, --class-count" in err
+
 
     def test_config_block_channels_off_profile_exit_2(self, tmp_path, capsys):
         doc = json.loads(resolve_variant("exmvit-576-tiny").to_json())

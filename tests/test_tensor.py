@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exmvit import tensor as T
-from exmvit.layers import ConvNormAct
+from exmvit.layers import HEADS, ConvNormAct, MultiHeadAttention
 from exmvit.tensor import NumericError, ShapeError, Tensor
 
 from chains import (
@@ -116,7 +116,7 @@ class TestLinear:
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            T.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))))
+            T.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
 class TestNorms:
@@ -315,37 +315,40 @@ class TestConcatChannels:
 
 
 class TestAttention:
-    def _weights(self, rng, d):
-        return [Tensor(rng.normal(size=(d, d)).astype(np.float32) * 0.3) for _ in range(4)]
+    """``MultiHeadAttention`` with its weights (and, where named, biases) set."""
+
+    def _attention(self, rng, d, biases=False):
+        attn = MultiHeadAttention(d)
+        for p in attn.parameters():
+            if p.ndim == 2 or biases:
+                p.data[...] = rng.normal(size=p.shape).astype(np.float32) * 0.3
+        return attn
 
     def test_single_token_weight_is_one(self):
         rng = np.random.default_rng(10)
-        d = 4
-        wq, wk, wv, wo = self._weights(rng, d)
+        d = 8
+        attn = self._attention(rng, d, biases=True)
         x = rng.normal(size=(1, 1, d)).astype(np.float32)
-        out = T.multi_head_attention(Tensor(x), wq, wk, wv, wo, heads=2)
+        out = attn(Tensor(x))
         # with one token the softmax weight is exactly 1, so q/k are irrelevant
-        expected = x[0] @ wv.data.T @ wo.data.T
+        expected = (x[0] @ attn.wv.data.T + attn.bv.data) @ attn.wo.data.T + attn.bo.data
         np.testing.assert_allclose(out.data[0], expected, atol=1e-5)
 
     def test_zero_input_zero_output(self):
-        rng = np.random.default_rng(11)
-        wq, wk, wv, wo = self._weights(rng, 4)
-        x = Tensor(np.zeros((2, 3, 4), dtype=np.float32))
-        out = T.multi_head_attention(x, wq, wk, wv, wo, heads=2)
+        attn = self._attention(np.random.default_rng(11), 8)
+        out = attn(Tensor(np.zeros((2, 3, 8), dtype=np.float32)))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_matches_naive_per_head_oracle(self):
         rng = np.random.default_rng(12)
-        b, t, d, h = 1, 3, 4, 2
+        b, t, d, h = 1, 3, 8, HEADS
+        assert h == 4
         hd = d // h
-        wq, wk, wv, wo = self._weights(rng, d)
+        attn = self._attention(rng, d, biases=True)
         x = rng.normal(size=(b, t, d)).astype(np.float32)
-        out = T.multi_head_attention(Tensor(x), wq, wk, wv, wo, heads=h)
+        out = attn(Tensor(x))
 
-        q = x[0] @ wq.data.T
-        k = x[0] @ wk.data.T
-        v = x[0] @ wv.data.T
+        q, k, v = (x[0] @ getattr(attn, f"w{n}").data.T + getattr(attn, f"b{n}").data for n in "qkv")
         merged = np.zeros((t, d))
         for head in range(h):
             sl = slice(head * hd, (head + 1) * hd)
@@ -353,14 +356,12 @@ class TestAttention:
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             att = e / e.sum(axis=-1, keepdims=True)
             merged[:, sl] = att @ v[:, sl]
-        expected = merged @ wo.data.T
+        expected = merged @ attn.wo.data.T + attn.bo.data
         np.testing.assert_allclose(out.data[0], expected, atol=1e-5)
 
     def test_head_divisibility(self):
-        rng = np.random.default_rng(13)
-        wq, wk, wv, wo = self._weights(rng, 4)
-        with pytest.raises(ShapeError):
-            T.multi_head_attention(Tensor(np.zeros((1, 2, 4), dtype=np.float32)), wq, wk, wv, wo, heads=3)
+        with pytest.raises(ShapeError, match="not divisible"):
+            MultiHeadAttention(HEADS + 2)
 
 
 class TestBackward:
@@ -985,10 +986,10 @@ class TestLeanLinear:
     def test_leaves_weight_unchanged(self):
         rng = np.random.default_rng(72)
         w = rng.normal(size=(5, 9)).astype(np.float32)
-        weight = Tensor(w.copy())
+        weight, bias = Tensor(w.copy()), Tensor(np.ones(5, dtype=np.float32))
         with T.no_grad():
-            T.linear(Tensor(rng.normal(size=(4, 9)).astype(np.float32)), weight, act=True)
-        assert np.array_equal(weight.data, w)
+            T.linear(Tensor(rng.normal(size=(4, 9)).astype(np.float32)), weight, bias, act=True)
+        assert np.array_equal(weight.data, w) and (bias.data == 1.0).all()
 
 
 class TestFusedFiniteCheck:
@@ -1023,7 +1024,7 @@ class TestFusedFiniteCheck:
         x[2, 3, 4] = np.nan
         w = Tensor(np.full((6, 5), 0.1, dtype=np.float32))
         with T.no_grad(), pytest.raises(NumericError, match="linear"):
-            T.linear(Tensor(x), w, act=True)
+            T.linear(Tensor(x), w, Tensor(np.zeros(6, dtype=np.float32)), act=True)
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("recorded", [False, True])
@@ -1042,13 +1043,16 @@ class TestFusedFiniteCheck:
 
     @pytest.mark.parametrize("recorded", [False, True])
     def test_softmax_and_attention_leave_inputs_unchanged(self, recorded):
+        # the score scale is folded into fresh copies of wq and bq, never into them
         rng = np.random.default_rng(73)
-        shapes = [(2, 5, 4), (4, 4), (4, 4), (4, 4), (4, 4), (4,), (2, 5, 4), (2, 5, 4)]
-        arrays = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+        attn = MultiHeadAttention(4).train(recorded)
+        for p in attn.parameters():
+            p.data[...] = rng.normal(size=p.shape)
+        arrays = [rng.normal(size=(2, 5, 4)).astype(np.float32) for _ in range(3)]
+        arrays += [p.data for p in attn.parameters()]
         before = [a.copy() for a in arrays]
-        x, wq, wk, wv, wo, bq, k, v = (Tensor(a, requires_grad=recorded) for a in arrays)
-        outs = [softmax(x), T.multi_head_attention(x, wq, wk, wv, wo, 2, bq=bq)]
-        outs.append(T._attend(x, k, v, heads=2))
+        x, k, v = (Tensor(a, requires_grad=recorded) for a in arrays[:3])
+        outs = [softmax(x), attn(x), T._attend(x, k, v, heads=2)]
         assert all(bool(out._parents) == recorded for out in outs)
         for now, then in zip(arrays, before):
             assert np.array_equal(now, then)
@@ -1192,14 +1196,16 @@ class TestOneNodeOps:
     # name: (fused, chain, operand shapes, bitwise); linear's GEMM is one
     # call over all rows against a transposed view, the chain's a batched
     # matmul against a copy, so only the other ops share the chain's op
-    # order and keep its bits, forward and backward
+    # order and keep its bits, forward and backward. Every linear case has a
+    # bias (a linear always does): "linear" and "linear-bias-act" take 2-D
+    # rows, the other two a 3-D batch
     CASES = {
-        "linear": (T.linear, chained_linear, [(2, 3, 5), (4, 5)], False),
+        "linear": (T.linear, chained_linear, [(6, 5), (4, 5), (4,)], False),
         "linear-bias": (T.linear, chained_linear, [(2, 3, 5), (4, 5), (4,)], False),
         "linear-act": (
-            lambda x, w: T.linear(x, w, act=True),
-            lambda x, w: chained_linear(x, w, act=True),
-            [(2, 3, 5), (4, 5)],
+            lambda x, w, b: T.linear(x, w, b, act=True),
+            lambda x, w, b: chained_linear(x, w, b, act=True),
+            [(2, 3, 5), (4, 5), (4,)],
             False,
         ),
         "linear-bias-act": (

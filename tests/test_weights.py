@@ -1,6 +1,12 @@
+import os
+import resource
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from exmvit.cli import main
 from exmvit.config import resolve_variant
 from exmvit.model import build_model
 from exmvit.tensor import Tensor
@@ -146,3 +152,50 @@ class TestRejection:
             (tmp_path / "bad.exvt").write_bytes(bytes(bad))
             with pytest.raises(WeightsFormatError):
                 read_weights(str(tmp_path / "bad.exvt"))
+
+
+@contextmanager
+def file_size_limit(limit):
+    """Writes past ``limit`` bytes of any file fail with EFBIG (SIGXFSZ ignored)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+class TestFailedSave:
+    """A save that fails part-way leaves the file it would replace as it was,
+    and no other file beside it."""
+
+    def test_existing_file_is_kept(self, tmp_path):
+        path = tmp_path / "m.exvt"
+        save_weights(tiny_model(seed=7), str(path), {})
+        good = path.read_bytes()
+        assert len(good) > 4096
+        other = tiny_model(seed=8)
+        with file_size_limit(4096), pytest.raises(OSError):
+            save_weights(other, str(path), {})
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["m.exvt"]
+
+    def test_no_file_is_left_where_none_was(self, tmp_path):
+        model = tiny_model()
+        with file_size_limit(4096), pytest.raises(OSError):
+            save_weights(model, str(tmp_path / "m.exvt"), {})
+        assert os.listdir(tmp_path) == []
+
+    def test_cli_build_exits_2_and_keeps_the_checkpoint(self, tmp_path, capsys):
+        path = str(tmp_path / "good.exvt")
+        argv = ["build", "--variant", "exmvit-576-tiny", "--out", path]
+        assert main(argv) == 0
+        good = open(path, "rb").read()
+        with file_size_limit(4096):
+            code = main(argv + ["--seed", "1"])
+        assert code == 2
+        assert "File too large" in capsys.readouterr().err
+        assert open(path, "rb").read() == good
+        assert os.listdir(tmp_path) == ["good.exvt"]
