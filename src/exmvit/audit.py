@@ -6,7 +6,7 @@ row names: a single recursive walk over the built modules yields the audit
 rows, the per-module shape trace and the five block output shapes, without
 allocating any tensors. It walks a chain (``ConvNormAct``, ``MV2Block``,
 ``TransformerLayer``) through its children in the order they register, the
-order its training forward calls them, so rows come in the order leaves run.
+order its forward applies them, so rows come in the order leaves run.
 
 Two totals are reported. ``strict_total`` enumerates every parameter in the
 graph. ``paper_convention_total`` counts classifier-side growth only, i.e.

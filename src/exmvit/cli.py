@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -41,6 +42,23 @@ def _resolve(args) -> VariantConfig:
     if getattr(args, "profile", None):
         overrides["profile"] = args.profile
     return resolve_variant(args.variant, overrides, allow_early_shortcuts=allow_early)
+
+
+class OutputPathError(OSError):
+    """A file a command would write has no writable place to go."""
+
+
+def _check_writable(flag: str, path: str) -> None:
+    """Refuse ``path`` unless its directory exists and can be written to, and
+    the file, if it exists, can be overwritten."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise OutputPathError(f"{flag} {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise OutputPathError(f"{flag} {path} is a directory")
+    target = path if os.path.exists(path) else directory
+    if not os.access(target, os.W_OK):
+        raise OutputPathError(f"{flag} {path}: {target} is not writable")
 
 
 def _metadata(config, seed: int) -> dict:
@@ -138,6 +156,10 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     if args.warmup is not None and args.warmup < 0:
         raise ConfigError(f"--warmup must not be negative, got {args.warmup}")
+    # known before any step runs: a run that cannot save would lose its weights
+    for flag, path in (("--out", args.out), ("--history", args.history)):
+        if path:
+            _check_writable(flag, path)
     # SyntheticDataset runs the same check; calling it first keeps an oversize
     # request from reaching any constructor
     train_mod.check_synthetic_size(config.class_count, args.samples_per_class, config.input_size)

@@ -5,7 +5,7 @@ at one, and ``init_weights`` draws a seeded start. Modules register parameters
 and child modules in attribute definition order, which fixes the canonical
 (depth-first) parameter order used by the weights file and by ``init_weights``.
 A chain (``ConvNormAct``, ``MV2Block``, ``TransformerLayer``) registers its
-children in the order its training forward calls them: the audit walks them so.
+children in the order its forward applies them: the audit walks them so.
 """
 
 from __future__ import annotations
@@ -136,24 +136,31 @@ class Conv2d(Module):
         self.weight = _zeros(cout, cin // groups, kernel, kernel)
         self.bias = _zeros(cout) if bias else None
 
-    def forward(self, x, scale=None, shift=None, act=False):
-        """Convolve ``x``; given per-output-channel ``scale`` and ``shift``
-        arrays, convolve with the constant ``weight * scale`` and add
-        ``bias * scale + shift``, which equals scaling and shifting the
-        output (eval's batch-norm fold). ``act`` applies SiLU to the result
-        (inside the conv's tiles when no graph is recorded)."""
-        weight, bias = self.weight, self.bias
-        if scale is not None:
+    def forward(self, x, norm=None, act=False):
+        """Convolve ``x``, then apply the ``BatchNorm2d`` ``norm`` if given,
+        then SiLU if ``act``. A norm in train mode runs inside the conv's op
+        on batch statistics. In eval mode it is folded into the conv at call
+        time: the conv runs with the constant weight ``weight * scale`` and
+        bias ``bias * scale + shift``, which equals scaling and shifting its
+        output. ``act`` runs inside the conv's tiles when no graph is
+        recorded."""
+        weight, bias, stats = self.weight, self.bias, None
+        if norm is not None and norm.training:
+            stats = (norm.gamma, norm.beta, norm.running_mean, norm.running_var)
+        elif norm is not None:
+            scale = norm.gamma.data * (1.0 / np.sqrt(norm.running_var + T.NORM_EPS))
+            shift = norm.beta.data - norm.running_mean * scale
             weight = Tensor(weight.data * scale.reshape(-1, 1, 1, 1))
             bias = Tensor(shift if bias is None else bias.data * scale + shift)
         return T.conv2d(
-            x, weight, bias, stride=self.stride, padding=self.padding, groups=self.groups, act=act
+            x, weight, bias, self.stride, self.padding, self.groups, act=act, norm=stats
         )
 
 
 class BatchNorm2d(Module):
-    """Training-mode batch norm (``T.NORM_EPS``, ``T.BN_MOMENTUM``): an eval
-    ``ConvNormAct`` folds it into its conv instead, so an eval-mode call raises."""
+    """Training-mode batch norm (``T.NORM_EPS``, ``T.BN_MOMENTUM``). A
+    ``ConvNormAct`` hands it to its conv instead of calling it, and an
+    eval-mode call raises."""
 
     def __init__(self, channels):
         super().__init__()
@@ -195,11 +202,13 @@ class Linear(Module):
 class ConvNormAct(Module):
     """Conv (bias-free) + batch norm + optional SiLU, the backbone's conv idiom.
 
-    In train mode the norm and its SiLU are one recorded ``batch_norm`` op.
-    In eval mode the norm is folded into the conv at call time (Jacob et al.,
-    arXiv 1712.05877, section 3.2): the conv runs with its weight scaled, the
-    norm's shift as bias and the SiLU as its epilogue. Nothing is cached, so a
-    weight load or an optimizer step needs no invalidation.
+    One ``Conv2d`` call given the norm, in either mode. In train mode the
+    conv, the norm and its SiLU are one recorded ``conv2d`` op, whose norm
+    works in the conv's output buffer. In eval mode the norm is folded into
+    the conv at call time (Jacob et al., arXiv 1712.05877, section 3.2): the
+    conv runs with its weight scaled, the norm's shift as bias and the SiLU
+    as its epilogue. Nothing is cached, so a weight load or an optimizer step
+    needs no invalidation.
     """
 
     def __init__(self, cin, cout, kernel, stride=1, groups=1, act=True):
@@ -209,12 +218,7 @@ class ConvNormAct(Module):
         self.norm = BatchNorm2d(cout)
 
     def forward(self, x):
-        if self.training:
-            return self.norm(self.conv(x), act=self.act)
-        n = self.norm
-        scale = n.gamma.data * (1.0 / np.sqrt(n.running_var + T.NORM_EPS))
-        shift = n.beta.data - n.running_mean * scale
-        return self.conv(x, scale, shift, act=self.act)
+        return self.conv(x, norm=self.norm, act=self.act)
 
 
 class MultiHeadAttention(Module):

@@ -14,8 +14,10 @@ it copied. Every op records one node, with a closed-form backward whose
 closure keeps only what it reads: the primitives ``add``, ``mul``, ``tsum``
 and ``concat``, and the fused ops ``batch_norm``, ``layer_norm``,
 ``conv2d``, ``linear``, attention's ``_attend``, the two patch folds,
-``global_avg_pool`` and the loss ``cross_entropy``. ``linear`` and attention
-run the same numpy recorded or not. ``linear``, ``conv2d`` and a training
+``global_avg_pool`` and the loss ``cross_entropy``. A ``conv2d`` given a
+``norm`` is a conv, a training batch norm and its SiLU in one node, whose
+norm works in the conv's own output buffer. ``linear`` and attention run
+the same numpy recorded or not. ``linear``, ``conv2d`` and a training
 ``batch_norm`` finish their output in place with one epilogue,
 ``_epilogue``: bias add, SiLU when asked (``act``, ``_sigmoid`` then a
 multiply) and the finite check. An unrecorded conv runs it on one
@@ -23,9 +25,10 @@ cache-sized tile (one image by a block of output rows, about 256 KiB) at a
 time, and at stride 1 a depthwise conv reads flattened padded rows, not
 im2col columns.
 A recorded ``conv2d`` works on flat rows too: its im2col columns are cut
-from the input padded once into stride phase planes, so every column row is
-a whole band of output rows, not one output row, and the input gradient of
-a stride-1 conv is one GEMM with the rotated kernel, not a scatter per tap.
+from the input padded into stride phase planes, so every column row is a
+whole band of output rows, not one output row, and the input gradient of a
+stride-1 conv is one GEMM with the rotated kernel, not a scatter per tap.
+Its closure keeps no copy of the input: the backward cuts the planes again.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -413,27 +416,35 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
     act: bool = False,
+    norm: tuple | None = None,
 ) -> Tensor:
-    """2-D cross-correlation with optional grouping, then SiLU if ``act``.
+    """2-D cross-correlation with optional grouping, then a training-mode
+    batch norm if ``norm`` is given, then SiLU if ``act``.
 
     x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
     standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
+    ``norm`` is (gamma, beta, running_mean, running_var): the conv, the norm
+    and the SiLU are then one op, with the bits of ``conv2d`` followed by
+    ``batch_norm(act=act)``, and the norm's running statistics move.
 
     A recorded forward is one node: one batched matmul over im2col columns
     cut as flat rows, finished in place by ``_epilogue`` (bias, SiLU when
-    ``act``, finite check). A stride-1 1x1 conv without padding uses the
-    input itself as its columns. Any other conv
-    pads its input once into phase planes (``_phase_planes``; the padded map
-    itself at stride 1) with output pitch P = Wo + (kw-1)//stride, so each
-    tap is one contiguous run of Ho·P values (``_flat_columns``) and the
-    product drops its P − Wo wrap columns once. The backward closure keeps
-    those planes (or the input), not the columns, and rebuilds the columns
-    for the weight gradient, a matmul against g padded to pitch P. With
-    ``act`` the backward first takes SiLU's derivative from the output
-    (``_silu_grad``), as ``linear`` and ``batch_norm`` do. The input
-    gradient is skipped when x does not require grad. At stride 1 it is one
-    grouped GEMM with the rotated kernel (``_conv2d_input_grad_s1``); at a
-    larger stride each tap adds one contiguous run into the phase planes
+    ``act`` and no norm, finite check). A stride-1 1x1 conv without padding
+    uses the input itself as its columns. Any other conv pads its input into
+    phase planes (``_phase_planes``; the padded map itself at stride 1) with
+    output pitch P = Wo + (kw-1)//stride, so each tap is one contiguous run
+    of Ho·P values (``_flat_columns``) and the product drops its P − Wo wrap
+    columns once. The backward closure keeps neither the planes nor the
+    columns: it rebuilds them from the input, which the graph holds anyway,
+    for the weight gradient, a matmul against g padded to pitch P. With a
+    norm, the output buffer is normalized in place and becomes the norm's
+    xhat (``_batch_norm``), so the conv's output is not kept beside it; the
+    backward runs the norm's gradient (SiLU's derivative first) and then the
+    conv's on its dx. Without one, ``act``'s derivative is taken from the
+    output (``_silu_grad``), as ``linear`` does. The input gradient is
+    skipped when x does not require grad. At stride 1 it is one grouped GEMM
+    with the rotated kernel (``_conv2d_input_grad_s1``); at a larger stride
+    each tap adds one contiguous run into phase planes
     (``_conv2d_input_grad_phases``).
 
     An unrecorded forward writes its output one cache-sized piece at a time
@@ -441,7 +452,7 @@ def conv2d(
     is in cache. A padded stride-1 conv with one output channel per group
     runs the flat-row kernel (``_conv2d_flat_rows``); every other conv runs
     the tiled kernel (``_conv2d_tiles``), whose tile is one image by a block
-    of output rows.
+    of output rows. A norm then runs on the whole output.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {weight.shape}")
@@ -458,40 +469,45 @@ def conv2d(
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    conv_parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = conv_parents if norm is None else conv_parents + norm[:2]
+    conv_act = act and norm is None  # with a norm, SiLU follows the norm
     if not _recording(parents):
         b = None if bias is None else bias.data
         if cout == groups and stride == 1 and padding:
-            out = _conv2d_flat_rows(x.data, weight.data, b, act, padding, ho, wo)
+            out = _conv2d_flat_rows(x.data, weight.data, b, conv_act, padding, ho, wo)
         else:
-            out = _conv2d_tiles(x.data, weight.data, b, act, stride, padding, groups, ho, wo)
+            out = _conv2d_tiles(x.data, weight.data, b, conv_act, stride, padding, groups, ho, wo)
+        if norm is not None:
+            out, _ = _batch_norm(out, *norm, act, out=out)
         return Tensor(out)  # every piece was checked by its epilogue
 
     wg = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
     pointwise = kh == kw == 1 and stride == 1 and not padding
-    if pointwise:
-        # the columns are the input itself, at its own pitch
-        pitch, planes = wo, np.ascontiguousarray(x.data)
+    pitch = wo if pointwise else wo + (kw - 1) // stride
+    rows = ho + (kh - 1) // stride + 1
 
-        def columns():
-            return planes.reshape(batch, groups, cin_g, h * w)
-
-    else:
-        # the closure keeps the phase planes, not the columns, and rebuilds them
-        pitch = wo + (kw - 1) // stride
-        planes = _phase_planes(x.data, stride, padding, padding, ho + (kh - 1) // stride + 1, pitch)
-
-        def columns():
-            cols = _flat_columns(planes, kh, kw, stride, ho, pitch)
-            return cols.reshape(batch, groups, cin_g * kh * kw, ho * pitch)
+    def columns():
+        # built from x.data on each call: the closure keeps no copy of the input
+        if pointwise:  # the input itself, at its own pitch
+            return np.ascontiguousarray(x.data).reshape(batch, groups, cin_g, h * w)
+        planes = _phase_planes(x.data, stride, padding, padding, rows, pitch)
+        cols = _flat_columns(planes, kh, kw, stride, ho, pitch)
+        return cols.reshape(batch, groups, cin_g * kh * kw, ho * pitch)
 
     out = np.matmul(wg, columns()).reshape(batch, cout, ho, pitch)
     out = np.ascontiguousarray(out[..., :wo])  # without the wrap columns; fresh
-    sig = _epilogue(out, None if bias is None else bias.data.reshape(1, cout, 1, 1), act, "conv2d")
-    silu_saved = (out, sig) if act else None  # what SiLU's derivative reads
+    sig = _epilogue(out, None if bias is None else bias.data.reshape(1, cout, 1, 1), conv_act, "conv2d")
+    silu_saved = (out, sig) if conv_act else None  # what SiLU's derivative reads
+    norm_grad = None
+    if norm is not None:
+        # normalized in the conv's own buffer, which becomes the norm's xhat
+        out, norm_grad = _batch_norm(out, *norm, act, out=out)
 
     def backward(g):
-        if act:
+        if norm_grad is not None:
+            g = norm_grad(g)
+        elif conv_act:
             g = _silu_grad(g, *silu_saved)
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
@@ -508,7 +524,7 @@ def conv2d(
         elif stride == 1:
             gx = _conv2d_input_grad_s1(g, weight.data, groups, padding, h, w)
         else:
-            gx = _conv2d_input_grad_phases(gm, wg, planes, kh, kw, padding, x.shape)
+            gx = _conv2d_input_grad_phases(gm, wg, kh, kw, padding, (stride, rows, pitch), x.data)
         x._accumulate(gx, owned=True)
 
     return _node(out, parents, backward)
@@ -604,23 +620,24 @@ def _conv2d_input_grad_s1(
 def _conv2d_input_grad_phases(
     gm: np.ndarray,
     wg: np.ndarray,
-    planes: np.ndarray,
     kh: int,
     kw: int,
     padding: int,
-    shape: tuple[int, ...],
+    phases: tuple[int, int, int],
+    x: np.ndarray,
 ) -> np.ndarray:
-    """Input gradient of a strided conv, in the layout of its input's phase
-    ``planes``.
+    """Input gradient of a strided conv of ``x``, in the layout of the phase
+    planes its columns were cut from: ``phases`` is (stride, rows, pitch).
 
     ``gm`` is g at the column pitch, (B, groups, Cout/groups, Ho·P), zero in
     its wrap columns. Each tap's share of it is added into its phase plane as
-    one contiguous run, in tap order, and the planes are copied back to the
-    input's ``shape``.
+    one contiguous run, in tap order, and the planes are copied back to
+    ``x``'s shape and dtype.
     """
     batch, groups, cout_g, span = gm.shape
-    _, cin, stride, _, rows, pitch = planes.shape
-    grad = np.zeros_like(planes)
+    stride, rows, pitch = phases
+    cin = x.shape[1]
+    grad = np.zeros((batch, cin, stride, stride, rows, pitch), dtype=x.dtype)
     flat = grad.reshape(batch, cin, stride, stride, rows * pitch)
     if cout_g == 1:
         # one output channel per group (depthwise): each tap's share is g
@@ -632,8 +649,8 @@ def _conv2d_input_grad_phases(
         part = (gm * taps[:, :, t]).reshape(batch, cin, span) if cout_g == 1 else gcols[:, :, t]
         start = (i // stride) * pitch + j // stride
         flat[:, :, i % stride, j % stride, start : start + span] += part
-    gx = np.zeros(shape, dtype=planes.dtype)
-    for dst, src in _phase_index(shape[2:], stride, padding, padding, rows, pitch):
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    for dst, src in _phase_index(x.shape[2:], stride, padding, padding, rows, pitch):
         gx[src] = grad[dst]
     return gx
 
@@ -760,16 +777,39 @@ def batch_norm(
     act: bool = False,
 ) -> Tensor:
     """Training-mode per-channel normalization of a [B, C, H, W] map, then
-    SiLU if ``act``, with ``NORM_EPS`` and ``BN_MOMENTUM``.
+    SiLU if ``act``, with ``NORM_EPS`` and ``BN_MOMENTUM``: one recorded op
+    running ``_batch_norm`` on a fresh buffer. A ``conv2d`` given ``norm``
+    runs the same maths in its own output buffer instead.
+    """
+    out, grad = _batch_norm(x.data, gamma, beta, running_mean, running_var, act)
 
-    Normalizes with batch statistics and, once the output is checked finite,
-    folds them into the running estimates in place, so a NaN or Inf input
-    leaves them as they were. It is one recorded op whose closure holds
-    only the normalized input xhat and inv = 1/sqrt(var + eps), plus the
-    sigmoid when ``act``. The shift β, the SiLU and the finite check run in
-    the norm's output buffer by ``_epilogue``, as in ``conv2d`` and
-    ``linear``: only the activated output is checked for finite values
-    (a NaN or Inf before SiLU survives it). Its backward first takes SiLU's
+    def backward(g):
+        x._accumulate(grad(g), owned=True)
+
+    return _node(out, (x, gamma, beta), backward)
+
+
+def _batch_norm(
+    x: np.ndarray,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    act: bool,
+    out: np.ndarray | None = None,
+):
+    """Batch norm of the [B, C, H, W] array ``x``, then SiLU if ``act``.
+
+    Returns the output and ``grad(g)``, which accumulates dγ and dβ and
+    returns dx. x − mean is written into ``out``, or a fresh buffer when it
+    is None; ``out`` may be ``x`` itself when ``x`` is a private buffer,
+    which then becomes the normalized input xhat. Once the output is checked finite, the batch statistics are folded
+    into the running estimates in place, so a NaN or Inf input leaves them
+    as they were. ``grad`` holds only xhat and inv = 1/sqrt(var + eps), plus
+    the output and its sigmoid when ``act``. The shift β, the SiLU and the
+    finite check run in the output buffer by ``_epilogue``, as in ``conv2d``
+    and ``linear``: only the activated output is checked for finite values
+    (a NaN or Inf before SiLU survives it). ``grad`` first takes SiLU's
     derivative from the output (``_silu_grad``), then the closed form
     dbeta = sum(g), dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
@@ -783,41 +823,38 @@ def batch_norm(
     axes = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
     rn = np.asarray(1.0 / n, dtype=x.dtype)
-    mean = x.data.sum(axis=axes, keepdims=True) * rn
-    xhat = x.data - mean
+    mean = x.sum(axis=axes, keepdims=True) * rn
+    xhat = np.subtract(x, mean, out=out)
     var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
-    out = xhat * gamma.data.reshape(1, c, 1, 1)
+    y = xhat * gamma.data.reshape(1, c, 1, 1)
     # the SiLU runs in place: the pre-activation is not kept
-    sig = _epilogue(out, beta.data.reshape(1, c, 1, 1), act, "batch_norm")
+    sig = _epilogue(y, beta.data.reshape(1, c, 1, 1), act, "batch_norm")
+    unbiased = var.reshape(c) * (n / max(n - 1, 1))
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean.reshape(c)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * unbiased
 
-    def backward(g):
+    def grad(g):
         if act:
-            g = _silu_grad(g, out, sig)
-        batch, _, h, w = x.shape
+            g = _silu_grad(g, y, sig)
+        batch, _, h, w = g.shape
         rows = g.reshape(batch * c, h * w)
         gsum = (rows @ np.ones(h * w, dtype=g.dtype)).reshape(batch, c).sum(axis=0)
         gdot = np.einsum("bcp,bcp->c", g.reshape(batch, c, h * w), xhat.reshape(batch, c, h * w))
         beta._accumulate(gsum, owned=True)
         gamma._accumulate(gdot, owned=True)
-        if not x.requires_grad:
-            return
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
         # dxhat = g * gamma; gamma is per channel, so it factors out
         dx = xhat * (gdot.reshape(1, c, 1, 1) * rn)
         dx += gsum.reshape(1, c, 1, 1) * rn
         np.subtract(g, dx, out=dx)
         dx *= gamma.data.reshape(1, c, 1, 1) * inv
-        x._accumulate(dx, owned=True)
+        return dx
 
-    result = _node(out, (x, gamma, beta), backward)
-    unbiased = var.reshape(c) * (n / max(n - 1, 1))
-    running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mean.reshape(c)
-    running_var *= 1.0 - BN_MOMENTUM
-    running_var += BN_MOMENTUM * unbiased
-    return result
+    return y, grad
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

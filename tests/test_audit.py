@@ -132,15 +132,21 @@ def _row_name(path, model):
 
 def _run_recording_leaves(model, leaves, training):
     """Names of every ``leaves`` instance in ``model``, and the output shape of
-    each one a forward in the given mode runs, in the order it first runs."""
+    each one a forward in the given mode runs, in the order it first runs. A
+    norm handed to a conv (``norm=``) runs inside that conv's call, so it
+    gets the conv's output shape, right after the conv."""
     model.train(training)
     runtime = {}
     names = []
+    by_module = {}
 
     def record(name, forward):
         def wrapped(*args, **kwargs):
             out = forward(*args, **kwargs)
             runtime[name] = out.shape
+            norm = kwargs.get("norm")
+            if id(norm) in by_module:
+                runtime[by_module[id(norm)]] = out.shape
             return out
 
         return wrapped
@@ -148,6 +154,7 @@ def _run_recording_leaves(model, leaves, training):
     for path, module in model.modules():
         if isinstance(module, leaves):
             names.append(_row_name(path, model))
+            by_module[id(module)] = names[-1]
             module.forward = record(names[-1], module.forward)
     size = model.config.input_size
     x = np.random.default_rng(0).normal(size=(1, 3, size, size)).astype(np.float32)
@@ -170,8 +177,8 @@ class TestRowsMatchLayers:
 
     @pytest.mark.parametrize("variant, build", ROW_MODELS)
     def test_rows_are_leaf_layers_with_runtime_shapes(self, variant, build):
-        # train mode: an eval forward folds each batch norm into its conv and
-        # never calls the BatchNorm2d leaf
+        # no mode calls a BatchNorm2d leaf: each norm row takes the runtime
+        # shape of the conv that runs it
         model = build(resolve_variant(variant), seed=0)
         names, runtime = _run_recording_leaves(model, self.LEAVES, training=True)
 

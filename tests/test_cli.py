@@ -473,6 +473,40 @@ class TestTrain:
         assert len(csv) == 5  # header + ceil(32 / 8) steps
 
 
+class TestTrainOutputChecked:
+    """``train`` refuses an ``--out`` or ``--history`` it could not write
+    before it builds the dataset, not after the last step."""
+
+    SMALL = ("train", "--variant", "exmvit-576-tiny", "--epochs", "1", "--samples-per-class", "2")
+
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_missing_directory_exits_2_before_training(self, tmp_path, monkeypatch, capsys, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the dataset")
+
+        monkeypatch.setattr("exmvit.train.SyntheticDataset", refuse)
+        target = tmp_path / "missing_dir" / "m.exvt"
+        code, out, err = run(capsys, *self.SMALL, flag, str(target))
+        assert code == 2 and "epoch 1:" not in out
+        assert err.startswith("error: ") and "does not exist" in err
+        assert not target.parent.exists()
+
+    def test_directory_as_target_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, *self.SMALL, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "is a directory" in err
+
+    def test_relative_paths(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *self.SMALL, "--out", "missing_dir/m.exvt")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --out missing_dir/m.exvt: directory missing_dir")
+        # a bare file name goes to the working directory, which exists
+        code, out, _ = run(capsys, *self.SMALL, "--out", "m.exvt", "--history", "h.csv")
+        assert code == 0 and "epoch 1:" in out
+        assert (tmp_path / "m.exvt").exists() and (tmp_path / "h.csv").exists()
+
+
 class TestBadNumericFlags:
     SMALL = ("train", "--variant", "exmvit-576-tiny", "--epochs", "1", "--samples-per-class", "2")
 

@@ -7,6 +7,7 @@ import pytest
 
 from exmvit import tensor as T
 from exmvit.config import REGISTRY, ConfigError, VariantConfig, resolve_variant
+from exmvit.layers import ConvNormAct
 from exmvit.model import ExShortcut, ShortcutSpec, build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
 from exmvit.train import SyntheticDataset, TrainConfig, label_smoothing_ce, train_loop
@@ -218,8 +219,8 @@ class TestGraphRecording:
         assert eval_peak < 0.25 * train_peak, (eval_peak, train_peak)
 
     def test_train_forward_graph_is_small(self):
-        # a training-mode batch norm is one node; the op chain it replaced
-        # was eighteen per call, constants included (1066 nodes in all)
+        # a training ConvNormAct is one node; its batch norm was once a chain
+        # of eighteen nodes per call, constants included (1066 nodes in all)
         model = build_model(resolve_variant("exmvit-928-tiny"), seed=0).train()
         root = model(self.inputs(batch=2))
         seen, stack = set(), [root]
@@ -229,6 +230,48 @@ class TestGraphRecording:
                 seen.add(id(node))
                 stack.extend(node._parents)
         assert len(seen) < 600, len(seen)
+
+    @staticmethod
+    def batch32():
+        """exmvit-928-tiny in train mode at seed 0, and a seed-0 batch of 32."""
+        cfg = resolve_variant("exmvit-928-tiny")
+        model = build_model(cfg, seed=0).train()
+        data = SyntheticDataset(cfg.class_count, 4, cfg.input_size, seed=0)
+        return model, Tensor(data.images[:32]), data.labels[:32]
+
+    def test_fused_conv_norm_act_step_bitwise_equal_to_chain(self, monkeypatch):
+        # one training step with each ConvNormAct as one op, then as the conv
+        # followed by the norm module
+        def step():
+            model, x, labels = self.batch32()
+            loss = label_smoothing_ce(model(x), labels)
+            loss.backward()
+            grads = [p.grad for p in model.parameters()]
+            return [loss.data] + grads + [b for _, b in model.named_buffers()]
+
+        fused = step()
+        monkeypatch.setattr(
+            ConvNormAct, "forward", lambda self, x: self.norm(self.conv(x), act=self.act)
+        )
+        chain = step()
+        assert len(fused) == len(chain)
+        for mine, theirs in zip(fused, chain):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+    def test_step_holds_each_activation_once(self):
+        # 41.7 MiB after forward and loss; keeping each conv output beside its
+        # norm's xhat would add 12.4 MiB, and a padded copy of each
+        # non-pointwise conv's input 11.2 MiB
+        model, x, labels = self.batch32()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = label_smoothing_ce(model(x), labels)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        del loss
+        assert held < 48 * 2**20, held / 2**20
 
     def test_train_step_records_one_node_per_op(self):
         # each op of a step is one node, named by its backward closure (the
@@ -246,8 +289,7 @@ class TestGraphRecording:
                 kinds[kind] = kinds.get(kind, 0) + 1
             stack.extend(node._parents)
         assert kinds == {
-            "conv2d": 37,
-            "batch_norm": 31,
+            "conv2d": 37,  # 31 of them with their batch norm and SiLU
             "linear": 19,
             "layer_norm": 9,
             "add": 8,

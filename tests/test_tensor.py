@@ -761,14 +761,14 @@ class TestConv2dBackward:
     def test_closure_holds_no_columns(self, kind, stride):
         x, w, b, groups, _ = self.operands(kind, 3, (16, 16), np.float32)
         out = T.conv2d(x, w, b, stride=stride, padding=1, groups=groups)
-        held = {
-            id(a): a
+        held = [
+            a
             for a in self.held_arrays(out._backward)
             if not any(np.shares_memory(a, t.data) for t in (x, w, b))
-        }.values()
-        # the padded input in phase planes is under 1.5 x the input; the
-        # columns would be over 9 x at stride 1 and 2 x at stride 2
-        assert 0 < sum(a.nbytes for a in held) < 1.5 * x.data.nbytes
+        ]
+        # the backward cuts the phase planes and columns from x again: the
+        # closure holds no array beyond its operands
+        assert held == []
 
     def test_depthwise_input_gradient_bitwise_equal_to_matmul_form(self):
         rng = np.random.default_rng(51)
@@ -796,6 +796,100 @@ class TestConv2dBackward:
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         T.tsum(T.conv2d(x, w, stride=2, padding=1)).backward()
         assert x.grad is None and w.grad is not None
+
+
+class TestFusedConvNorm:
+    """``conv2d`` given ``norm`` (conv, training batch norm and SiLU as one
+    op) against ``conv2d`` followed by ``batch_norm(act=...)``."""
+
+    # (cin, cout, kernel, groups): dense 3x3, depthwise 3x3, pointwise
+    KINDS = {"dense": (3, 5, 3, 1), "depthwise": (4, 4, 3, 4), "pointwise": (4, 6, 1, 1)}
+    CASES = [(k, s, a) for k in sorted(KINDS) for s in (1, 2) for a in (False, True)]
+
+    @classmethod
+    def operands(cls, kind, stride, dtype=np.float32, seed=60):
+        cin, cout, kernel, groups = cls.KINDS[kind]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, cin, 7, 5)).astype(dtype)
+        w = rng.normal(size=(cout, cin // groups, kernel, kernel)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, cout).astype(dtype)
+        beta = rng.normal(0.0, 0.5, cout).astype(dtype)
+        mean, var = rng.normal(0.0, 0.5, cout), rng.uniform(0.5, 2.0, cout)
+        stats = [mean.astype(dtype), var.astype(dtype)]
+        ho, wo = (7 - 1) // stride + 1, (5 - 1) // stride + 1
+        r = rng.normal(size=(2, cout, ho, wo)).astype(dtype)
+        return [x, w, gamma, beta], stats, r
+
+    @classmethod
+    def forward(cls, fused, kind, stride, act, leaves, stats):
+        x, w, gamma, beta = leaves
+        _, _, kernel, groups = cls.KINDS[kind]
+        conv = dict(stride=stride, padding=kernel // 2, groups=groups)
+        if fused:
+            return T.conv2d(x, w, **conv, act=act, norm=(gamma, beta, *stats))
+        return T.batch_norm(T.conv2d(x, w, **conv), gamma, beta, *stats, act=act)
+
+    @classmethod
+    def run(cls, fused, kind, stride, act, record=True):
+        values, stats, r = cls.operands(kind, stride)
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        if not record:
+            with T.no_grad():
+                return cls.forward(fused, kind, stride, act, leaves, stats).data, stats, []
+        out = cls.forward(fused, kind, stride, act, leaves, stats)
+        T.tsum(T.mul(out, Tensor(r))).backward()
+        return out.data, stats, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("kind, stride, act", CASES)
+    @pytest.mark.parametrize("record", [True, False])
+    def test_bitwise_equal_to_conv_then_batch_norm(self, kind, stride, act, record):
+        out, stats, grads = self.run(True, kind, stride, act, record)
+        ref_out, ref_stats, ref_grads = self.run(False, kind, stride, act, record)
+        assert out.dtype == np.float32 and np.array_equal(out, ref_out)
+        for mine, theirs in zip(stats + grads, ref_stats + ref_grads):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert len(grads) == (4 if record else 0)
+
+    def test_records_one_node(self):
+        values, stats, _ = self.operands("dense", 1)
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        out = self.forward(True, "dense", 1, True, leaves, stats)
+        assert out._parents == tuple(leaves)
+
+    @pytest.mark.parametrize("kind, stride, act", CASES)
+    def test_gradients_match_finite_differences(self, kind, stride, act):
+        values, stats, r = self.operands(kind, stride, np.float64, seed=61)
+
+        def loss_of(*operands):
+            leaves = [Tensor(v, requires_grad=True) for v in operands]
+            out = self.forward(True, kind, stride, act, leaves, [s.copy() for s in stats])
+            return T.tsum(T.mul(out, Tensor(r))), leaves
+
+        loss, leaves = loss_of(*values)
+        loss.backward()
+        h = 1e-6
+        for which, leaf in enumerate(leaves):
+            for idx in np.ndindex(leaf.shape):
+                up = [v.copy() for v in values]
+                down = [v.copy() for v in values]
+                up[which][idx] += h
+                down[which][idx] -= h
+                with T.no_grad():
+                    numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
+                analytic = leaf.grad[idx]
+                assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("record", [True, False])
+    def test_non_finite_conv_output_leaves_running_stats(self, kind, record):
+        values, stats, _ = self.operands(kind, 1)
+        values[0][1, 0, 3, 2] = np.nan
+        before = [s.copy() for s in stats]
+        leaves = [Tensor(v, requires_grad=record) for v in values]
+        with pytest.raises(NumericError, match="conv2d"):
+            self.forward(True, kind, 1, True, leaves, stats)
+        for now, then in zip(stats, before):
+            assert np.array_equal(now, then)
 
 
 class TestFlatRowDepthwise:
