@@ -230,6 +230,10 @@ def cmd_infer(args) -> int:
 def cmd_export_features(args) -> int:
     if not args.export_classifier_input and not 1 <= args.block <= 5:
         raise ConfigError(f"--block {args.block} out of valid range 1..5")
+    # both files are known before the weights load: a failed sidecar would
+    # leave the raw file behind without its shape
+    for path in (args.out, args.out + ".json"):
+        _check_writable("--out", path)
     model, metadata = _model_from_weights(args.weights)
     x = Tensor(prepare_input(args.image, metadata["input_size"]))
     features = model.backbone.forward_collect(x)

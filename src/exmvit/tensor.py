@@ -20,15 +20,17 @@ norm works in the conv's own output buffer. ``linear`` and attention run
 the same numpy recorded or not. ``linear``, ``conv2d`` and a training
 ``batch_norm`` finish their output in place with one epilogue,
 ``_epilogue``: bias add, SiLU when asked (``act``, ``_sigmoid`` then a
-multiply) and the finite check. An unrecorded conv runs it on one
-cache-sized tile (one image by a block of output rows, about 256 KiB) at a
-time, and at stride 1 a depthwise conv reads flattened padded rows, not
-im2col columns.
-A recorded ``conv2d`` works on flat rows too: its im2col columns are cut
-from the input padded into stride phase planes, so every column row is a
-whole band of output rows, not one output row, and the input gradient of a
-stride-1 conv is one GEMM with the rotated kernel, not a scatter per tap.
-Its closure keeps no copy of the input: the backward cuts the planes again.
+multiply) and the finite check. Every ``conv2d`` works on flat rows: its
+im2col columns are cut from the input padded into stride phase planes, so
+every column row is a whole band of output rows, not one output row. A
+recorded conv multiplies the whole batch's columns in one GEMM; the input
+gradient of a stride-1 conv is one GEMM with the rotated kernel, not a
+scatter per tap, and the closure keeps no copy of the input: the backward
+cuts the planes again. An unrecorded conv runs one tile kernel: a tile is
+one image by a block of groups by a block of output rows, about 256 KiB,
+whose columns are cut from the band of input it reads, and ``_epilogue``
+runs on each tile's output pixels while they are in cache. A stride-1
+depthwise tile sums its taps in order instead of a GEMM.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -390,22 +392,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
 # -- convolution -----------------------------------------------------------------
 
 
-# Bytes per work buffer of the flat-row depthwise kernel. Two such buffers
-# and the input rows they read stay in a 2 MiB per-core L2; on such a Xeon
-# 256 KiB beat both 128 KiB and 1 MiB at exmvit-928's stride-1 shapes.
-_FLAT_CHUNK_BYTES = 1 << 18
-# Bytes of output per tile of the tiled kernel. Summed over exmvit-928's
-# tiled convs at 256x256 on the same Xeon, 256 KiB and 512 KiB tied (39-40
-# ms) ahead of 128 KiB (41 ms) and 1 MiB (42 ms).
+# Bytes of output per tile of the unrecorded conv (``_conv2d_tiles``). On a
+# Xeon with a 2 MiB per-core L2, summed over exmvit-928's convs at 256x256,
+# row tiles of 256 KiB and 512 KiB tied (39-40 ms) ahead of 128 KiB (41 ms)
+# and 1 MiB (42 ms), and stride-1 depthwise blocks of whole channel maps ran
+# faster at 256 KiB than at 128 KiB or 1 MiB.
 _TILE_BYTES = 1 << 18
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """View of the padded input as (B, C, kh, kw, Ho, Wo) patches."""
-    sb, sc, sh, sw = xp.strides
-    shape = (xp.shape[0], xp.shape[1], kh, kw, ho, wo)
-    strides = (sb, sc, sh, sw, sh * stride, sw * stride)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
 def conv2d(
@@ -447,12 +439,11 @@ def conv2d(
     each tap adds one contiguous run into phase planes
     (``_conv2d_input_grad_phases``).
 
-    An unrecorded forward writes its output one cache-sized piece at a time
-    and runs ``_epilogue`` (bias, SiLU, finite check) on each piece while it
-    is in cache. A padded stride-1 conv with one output channel per group
-    runs the flat-row kernel (``_conv2d_flat_rows``); every other conv runs
-    the tiled kernel (``_conv2d_tiles``), whose tile is one image by a block
-    of output rows. A norm then runs on the whole output.
+    An unrecorded forward runs one kernel, ``_conv2d_tiles``: its tile is one
+    image by a block of groups by a block of output rows, about
+    ``_TILE_BYTES`` of output, with columns cut from phase planes as above.
+    ``_epilogue`` (bias, SiLU, finite check) runs on each tile's output
+    pixels while they are in cache. A norm then runs on the whole output.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {weight.shape}")
@@ -474,10 +465,7 @@ def conv2d(
     conv_act = act and norm is None  # with a norm, SiLU follows the norm
     if not _recording(parents):
         b = None if bias is None else bias.data
-        if cout == groups and stride == 1 and padding:
-            out = _conv2d_flat_rows(x.data, weight.data, b, conv_act, padding, ho, wo)
-        else:
-            out = _conv2d_tiles(x.data, weight.data, b, conv_act, stride, padding, groups, ho, wo)
+        out = _conv2d_tiles(x.data, weight.data, b, conv_act, stride, padding, groups, ho, wo)
         if norm is not None:
             out, _ = _batch_norm(out, *norm, act, out=out)
         return Tensor(out)  # every piece was checked by its epilogue
@@ -491,8 +479,7 @@ def conv2d(
         # built from x.data on each call: the closure keeps no copy of the input
         if pointwise:  # the input itself, at its own pitch
             return np.ascontiguousarray(x.data).reshape(batch, groups, cin_g, h * w)
-        planes = _phase_planes(x.data, stride, padding, padding, rows, pitch)
-        cols = _flat_columns(planes, kh, kw, stride, ho, pitch)
+        cols = _flat_columns(x.data, kh, kw, stride, padding, padding, ho, pitch)
         return cols.reshape(batch, groups, cin_g * kh * kw, ho * pitch)
 
     out = np.matmul(wg, columns()).reshape(batch, cout, ho, pitch)
@@ -567,29 +554,34 @@ def _phase_planes(x: np.ndarray, stride: int, top: int, left: int, rows: int, pi
     return planes
 
 
-def _flat_columns(planes: np.ndarray, kh: int, kw: int, stride: int, ho: int, pitch: int) -> np.ndarray:
-    """(B, C, kh·kw, Ho·P) im2col columns of phase planes at pitch P.
+def _flat_columns(
+    x: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int, ho: int, pitch: int
+) -> np.ndarray:
+    """(B, C, kh, kw, Ho·P) im2col columns of ``x`` at pitch P, cut from its
+    phase planes (``_phase_planes``, padded by ``top`` rows and ``left``
+    columns) for Ho output rows.
 
     Output pixel (r, c) sits at flat index r·P + c, and tap (i, j) is the
     contiguous run of plane (i % s, j % s) that starts at (i // s)·P + j // s,
     so every column row is Ho·P long. Its P − Wo wrap columns read the next
     row (or the planes' spare row) and are dropped from the product. For
-    s = 1 the columns are one strided view, copied by the reshape; for s > 1
-    they are one slice copy per tap.
+    s = 1 the columns are one strided view of the padded map, copied only by
+    a reshape that merges the taps; for s > 1 they are one slice copy per tap.
     """
-    batch, c, _, _, rows, _ = planes.shape
+    batch, c = x.shape[:2]
+    rows = ho + (kh - 1) // stride + 1
     span = ho * pitch
+    planes = _phase_planes(x, stride, top, left, rows, pitch)
     flat = planes.reshape(batch, c, stride, stride, rows * pitch)
     if stride == 1:
         sb, sc, _, _, sp = flat.strides
-        view = np.lib.stride_tricks.as_strided(
+        return np.lib.stride_tricks.as_strided(
             flat, shape=(batch, c, kh, kw, span), strides=(sb, sc, pitch * sp, sp, sp)
         )
-        return view.reshape(batch, c, kh * kw, span)
-    cols = np.empty((batch, c, kh * kw, span), dtype=planes.dtype)
-    for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+    cols = np.empty((batch, c, kh, kw, span), dtype=x.dtype)
+    for i, j in np.ndindex(kh, kw):
         start = (i // stride) * pitch + j // stride
-        cols[:, :, t] = flat[:, :, i % stride, j % stride, start : start + span]
+        cols[:, :, i, j] = flat[:, :, i % stride, j % stride, start : start + span]
     return cols
 
 
@@ -610,8 +602,7 @@ def _conv2d_input_grad_s1(
     rot = weight.reshape(groups, cout_g, cin_g, kh, kw)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
     rot = np.ascontiguousarray(rot).reshape(groups, cin_g, cout_g * kh * kw)
     pitch = w + kw - 1
-    planes = _phase_planes(g, 1, kh - 1 - padding, kw - 1 - padding, h + kh, pitch)
-    cols = _flat_columns(planes, kh, kw, 1, h, pitch)
+    cols = _flat_columns(g, kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, pitch)
     cols = cols.reshape(batch, groups, cout_g * kh * kw, h * pitch)
     gx = np.matmul(rot, cols).reshape(batch, groups * cin_g, h, pitch)
     return np.ascontiguousarray(gx[..., :w])  # without the wrap columns
@@ -668,101 +659,72 @@ def _conv2d_tiles(
 ) -> np.ndarray:
     """Unrecorded conv, one tile of about ``_TILE_BYTES`` of output at a time.
 
-    A tile is one image by a block of output rows. Its product is written
-    into one contiguous tile buffer, finished there by ``_epilogue`` while it
-    is in cache, and copied into the output. A stride-1 1x1 conv hands BLAS
-    the tile's input rows as a strided view, with no copy. Any other conv
-    builds im2col columns for the tile's rows only, from a band of input
-    rows padded per tile, so the whole map is never padded. The tiles of an
-    image are the same at any batch size, so batch rows equal single-image
-    rows.
+    A tile is one image by a block of groups by a block of output rows: as
+    many whole group maps as fit, else one group's map in blocks of rows.
+    Its columns are cut at pitch P, as the recorded forward's are, from phase
+    planes of the input band it reads (``_flat_columns``), so the whole map
+    is never padded; a stride-1 1x1 conv reads the tile's input rows in
+    place. The product is one GEMM, except with one output channel per group
+    at stride 1 (depthwise), where the taps are summed in order as
+    multiply-adds over the column runs. The tile's output pixels are copied
+    out of the product without its P − Wo wrap columns into one contiguous
+    buffer and finished there by ``_epilogue`` while in cache: the output
+    itself for whole maps, else a tile buffer then copied into the output (a
+    plain 1x1 has no wrap columns, and its product is that buffer).
+    An image's tiles and their op order are the same at any batch size, so
+    batch rows equal single-image rows.
     """
-    batch, cin, h, w = x.shape
+    batch = x.shape[0]
     cout, cin_g, kh, kw = weight.shape
+    cout_g = cout // groups
     dtype = np.result_type(x, weight)
-    rows = max(1, min(ho, _TILE_BYTES // (cout * wo * dtype.itemsize)))
-    wg = weight.reshape(groups, cout // groups, cin_g * kh * kw)
-    rowbias = None if bias is None else bias.reshape(cout, 1)
     pointwise = kh == kw == 1 and stride == 1 and not padding
-    if not pointwise:
-        # the input rows one tile reads; the left and right padding stay zero
-        band = np.zeros((cin, (rows - 1) * stride + kh, w + 2 * padding), dtype=x.dtype)
+    pitch = wo if pointwise else wo + (kw - 1) // stride
+    taps = cout_g == 1 and stride == 1
+    row_bytes = cout_g * wo * dtype.itemsize
+    rows = max(1, min(ho, _TILE_BYTES // row_bytes))
+    block = max(1, min(groups, _TILE_BYTES // (row_bytes * ho)))  # 1 unless whole maps fit
+    wg = weight.reshape(groups, cout_g, cin_g * kh * kw)
+    chbias = None if bias is None else bias.reshape(cout, 1, 1)
     out = np.empty((batch, cout, ho, wo), dtype=dtype)
-    tile = np.empty(cout * rows * wo, dtype=dtype)
+    prod = np.empty(block * cout_g * rows * pitch, dtype=dtype)
+    tile = None if pitch == wo else np.empty(block * cout_g * rows * wo, dtype=dtype)
+    term = np.empty(block * rows * pitch, dtype=dtype) if taps else None
     for n in range(batch):
-        for lo in range(0, ho, rows):
-            hi = min(lo + rows, ho)
-            size = (hi - lo) * wo
-            if pointwise:
-                cols = x[n, :, lo:hi].reshape(groups, cin_g, size)
-            else:
-                top, height = lo * stride - padding, (hi - lo - 1) * stride + kh
-                # the image rows the band holds; none when it lies in the padding
-                first = max(top, 0)
-                last = max(min(top + height, h), first)
-                src = band[:, :height]
-                src[:, : first - top] = 0
-                src[:, first - top : last - top, padding : padding + w] = x[n, :, first:last]
-                src[:, last - top :] = 0
-                patches = _im2col(src[None], kh, kw, stride, hi - lo, wo)
-                cols = patches.reshape(groups, cin_g * kh * kw, size)
-            part = tile[: cout * size].reshape(groups, cout // groups, size)
-            np.matmul(wg, cols, out=part)
-            part = part.reshape(cout, size)
-            _epilogue(part, rowbias, act, "conv2d")
-            out[n, :, lo:hi] = part.reshape(cout, hi - lo, wo)
+        for g0 in range(0, groups, block):
+            g1 = min(g0 + block, groups)
+            c0, c1 = g0 * cout_g, g1 * cout_g
+            src = x[n : n + 1, g0 * cin_g : g1 * cin_g]
+            for lo in range(0, ho, rows):
+                hi = min(lo + rows, ho)
+                span = (hi - lo) * pitch
+                if pointwise:
+                    cols = src[:, :, lo:hi]
+                else:  # a negative top crops the rows above the tile's band
+                    top = padding - lo * stride
+                    cols = _flat_columns(src, kh, kw, stride, top, padding, hi - lo, pitch)
+                cols = cols.reshape(g1 - g0, cin_g, kh, kw, span)
+                part = prod[: (c1 - c0) * span].reshape(g1 - g0, cout_g, span)
+                if taps:
+                    acc, tmp = part[:, 0], term[: (g1 - g0) * span].reshape(g1 - g0, span)
+                    for t, (ci, i, j) in enumerate(np.ndindex(cin_g, kh, kw)):
+                        np.multiply(cols[:, ci, i, j], wg[g0:g1, :, t], out=tmp if t else acc)
+                        if t:
+                            acc += tmp
+                else:
+                    np.matmul(wg[g0:g1], cols.reshape(g1 - g0, cin_g * kh * kw, span), out=part)
+                pixels = part.reshape(c1 - c0, hi - lo, pitch)
+                target = out[n, c0:c1, lo:hi]
+                if pitch != wo:
+                    # without the wrap columns, into one contiguous buffer: the
+                    # output itself where the tile's slice of it is contiguous
+                    buf = target if target.flags.c_contiguous else tile[: target.size].reshape(target.shape)
+                    buf[...] = pixels[..., :wo]
+                    pixels = buf
+                _epilogue(pixels, None if chbias is None else chbias[c0:c1], act, "conv2d")
+                if pixels is not target:
+                    target[...] = pixels
     return out
-
-
-def _conv2d_flat_rows(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    act: bool,
-    padding: int,
-    ho: int,
-    wo: int,
-) -> np.ndarray:
-    """Stride-1 conv with one output channel per group, over flattened rows.
-
-    Each channel's padded rows (one extra zero row at the bottom) are read as
-    one flat row of ``(H+2p+1)·Wp`` values, ``Wp = W+2p``. Output pixel
-    ``(r, c)`` sits at flat index ``r·Wp + c`` and tap ``(i, j)`` adds the
-    input at that index plus ``i·Wp + j``, so every tap is one contiguous
-    multiply-add over ``Ho·Wp`` values. Output rows (one per image and
-    channel) go in chunks: each chunk's input channels are padded on their
-    own (``_phase_planes``; the whole map is never padded), its taps summed in
-    two work buffers, the ``Wp − Wo`` columns that wrap into the next row
-    dropped, and ``_epilogue`` run on its output, all while it is in cache.
-    The taps are summed in the same order whatever the chunk or batch size.
-    """
-    batch, _, h, w = x.shape
-    cout, cin_g, kh, kw = weight.shape
-    wp = w + 2 * padding
-    rows = batch * cout
-    planes = x.reshape(rows, cin_g, h, w)
-    taps = np.tile(weight.reshape(cout, cin_g * kh * kw), (batch, 1))
-    rowbias = None if bias is None else np.tile(bias, batch).reshape(rows, 1, 1)
-    span = ho * wp
-    dtype = np.result_type(x, weight)
-    step = min(rows, max(1, _FLAT_CHUNK_BYTES // (span * dtype.itemsize)))
-    out = np.empty((rows, ho, wo), dtype=dtype)
-    acc = np.empty((step, span), dtype=dtype)
-    term = np.empty_like(acc)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        padded = _phase_planes(planes[lo:hi], 1, padding, padding, ho + kh, wp)
-        flat = padded.reshape(hi - lo, cin_g, -1)
-        part, tmp = acc[: hi - lo], term[: hi - lo]
-        for n, (ci, i, j) in enumerate(np.ndindex(cin_g, kh, kw)):
-            start = i * wp + j
-            src = flat[:, ci, start : start + span]
-            np.multiply(src, taps[lo:hi, n : n + 1], out=tmp if n else part)
-            if n:
-                part += tmp
-        out[lo:hi] = part.reshape(hi - lo, ho, wp)[:, :, :wo]
-        _epilogue(out[lo:hi], None if rowbias is None else rowbias[lo:hi], act, "conv2d")
-    return out.reshape(batch, cout, ho, wo)
 
 
 # -- normalization ----------------------------------------------------------------

@@ -693,6 +693,19 @@ class TestExportFeatures:
         assert code == 2
         assert "1..5" in err
 
+    @pytest.mark.parametrize("blocked", ["out", "sidecar"])
+    def test_unwritable_target_exits_2_and_writes_nothing(
+        self, checkpoint, tmp_path, capsys, blocked
+    ):
+        image = write_ppm(tmp_path / "img.ppm")
+        out = tmp_path / "f.bin"
+        (tmp_path / ("f.bin" if blocked == "out" else "f.bin.json")).mkdir()
+        argv = ["--weights", checkpoint, "--image", image, "--out", str(out)]
+        code, _, err = run(capsys, "export-features", *argv)
+        assert code == 2
+        assert "is a directory" in err
+        assert out.is_dir() if blocked == "out" else not out.exists()
+
 
 class TestLoadOrCountDrawsNothing:
     """Commands that only load or count a model construct it undrawn."""

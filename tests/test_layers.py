@@ -35,7 +35,7 @@ class TestConvNormFold:
     """Eval ConvNormAct folds its norm into the conv at call time."""
 
     # (cin, cout, kernel, stride, groups, act): pointwise, dense 3x3 stride 2,
-    # depthwise stride 1 (the flat-row kernel) and stride 2, projection without act
+    # depthwise stride 1 (taps summed in order) and stride 2, projection without act
     CASES = [
         (6, 8, 1, 1, 1, True),
         (3, 8, 3, 2, 1, True),

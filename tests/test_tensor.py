@@ -893,8 +893,9 @@ class TestFusedConvNorm:
 
 
 class TestFlatRowDepthwise:
-    """The stride-1 flat-row kernel that unrecorded forwards use, against the
-    recorded forward (one GEMM over flat-row columns)."""
+    """Unrecorded stride-1 convs with one output channel per group (taps
+    summed in order over flat-row columns), against the recorded forward (one
+    GEMM over the same columns)."""
 
     @staticmethod
     def conv_both(x, w, b, padding, groups):
@@ -919,7 +920,7 @@ class TestFlatRowDepthwise:
         tol = 1e-5 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(flat, im2col, rtol=tol, atol=tol)
 
-    def test_bitwise_equal_to_taps_summed_in_order(self):
+    def test_bitwise_equal_to_taps_summed_in_order(self, monkeypatch):
         rng = np.random.default_rng(65)
         x = rng.normal(size=(2, 4, 6, 5)).astype(np.float32)
         w = rng.normal(size=(4, 1, 3, 3)).astype(np.float32)
@@ -927,9 +928,17 @@ class TestFlatRowDepthwise:
         expected = xp[:, :, 0:6, 0:5] * w[:, 0, 0, 0].reshape(1, 4, 1, 1)
         for i, j in list(np.ndindex(3, 3))[1:]:
             expected = expected + xp[:, :, i : i + 6, j : j + 5] * w[:, 0, i, j].reshape(1, 4, 1, 1)
-        with T.no_grad():
-            out = T.conv2d(Tensor(x), Tensor(w), padding=1, groups=4)
-        assert np.array_equal(out.data, expected)
+        # bytes of output per tile, for 6 x 5 float32 maps: three whole channel
+        # maps (group blocks of 3 and 1), or 4 rows of one map (row blocks of 4 and 2)
+        for tile in (3 * 6 * 5 * 4, 4 * 5 * 4):
+            monkeypatch.setattr(T, "_TILE_BYTES", tile)
+            nan = x.copy()
+            nan[1, 3, -1, -1] = np.nan  # the last channel: read by the last group block only
+            with T.no_grad():
+                out = T.conv2d(Tensor(x), Tensor(w), padding=1, groups=4)
+                assert np.array_equal(out.data, expected), tile
+                with pytest.raises(NumericError, match="conv2d"):
+                    T.conv2d(Tensor(nan), Tensor(w), padding=1, groups=4)
 
     def test_groups_of_two_inputs_and_wider_padding(self):
         rng = np.random.default_rng(61)
@@ -940,7 +949,7 @@ class TestFlatRowDepthwise:
 
     def test_batch_rows_bitwise_equal_to_single_images(self):
         rng = np.random.default_rng(62)
-        x = rng.normal(size=(3, 48, 20, 20)).astype(np.float32)  # several chunks
+        x = rng.normal(size=(3, 48, 20, 20)).astype(np.float32)  # several group blocks
         w = Tensor(rng.normal(size=(48, 1, 3, 3)).astype(np.float32))
         with T.no_grad():
             batched = T.conv2d(Tensor(x), w, padding=1, groups=48).data
@@ -949,9 +958,9 @@ class TestFlatRowDepthwise:
 
 
 class TestTiledConv:
-    """Unrecorded convs (the tiled kernel for 1x1, dense 3x3 and stride-2
-    depthwise; the flat-row kernel for stride-1 depthwise) against the
-    recorded forward (one GEMM over flat-row columns)."""
+    """Unrecorded convs (one tile kernel: a GEMM for 1x1, dense 3x3 and
+    stride-2 depthwise, taps summed in order for stride-1 depthwise) against
+    the recorded forward (one GEMM over flat-row columns)."""
 
     # (cin, cout, kernel, stride, groups)
     CASES = {
@@ -961,14 +970,22 @@ class TestTiledConv:
         "depthwise-s1": (6, 6, 3, 1, 6),
         "depthwise-s2": (6, 6, 3, 2, 6),
     }
-    # (input H x W, output rows per tile): Ho = 9 or 5 in tiles of 2 leaves a
-    # short last tile; a one-row map; a map that fits one default tile
-    MAPS = {"multi-tile": ((9, 7), 2), "one-row": ((1, 5), None), "one-tile": ((4, 4), None)}
+    # (input H x W, output rows of one group per tile, whole group maps per
+    # tile): Ho = 9 or 5 in tiles of 2 rows leaves a short last tile; 4 of 6
+    # depthwise maps per tile leaves a short last group block; a one-row map;
+    # a map that fits one default tile
+    MAPS = {
+        "multi-tile": ((9, 7), 2, None),
+        "group-blocks": ((9, 7), None, 4),
+        "one-row": ((1, 5), None, None),
+        "one-tile": ((4, 4), None, None),
+    }
 
     @staticmethod
-    def rows_per_tile(monkeypatch, rows, cout, wo, dtype):
-        monkeypatch.setattr(T, "_TILE_BYTES", rows * cout * wo * np.dtype(dtype).itemsize)
-        monkeypatch.setattr(T, "_FLAT_CHUNK_BYTES", 1)  # flat-row chunks of one channel
+    def rows_per_tile(monkeypatch, rows, cout_g, wo, dtype):
+        """Tiles of ``rows`` output rows of one group's map, or of whole group
+        maps when ``rows`` is a multiple of the map's height."""
+        monkeypatch.setattr(T, "_TILE_BYTES", rows * cout_g * wo * np.dtype(dtype).itemsize)
 
     @staticmethod
     def conv(x, w, b, stride, groups, act, record):
@@ -985,15 +1002,26 @@ class TestTiledConv:
     @pytest.mark.parametrize("layout", sorted(MAPS))
     def test_matches_im2col(self, monkeypatch, act, dtype, case, layout):
         cin, cout, k, stride, groups = self.CASES[case]
-        (h, w), rows = self.MAPS[layout]
+        (h, w), rows, maps = self.MAPS[layout]
         rng = np.random.default_rng(66)
         x = rng.normal(size=(2, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin // groups, k, k)).astype(dtype)
         b = rng.normal(size=cout).astype(dtype)
-        if rows is not None:
-            self.rows_per_tile(monkeypatch, rows, cout, (w - 1) // stride + 1, dtype)
+        if rows or maps:
+            rows = rows or maps * ((h - 1) // stride + 1)
+            self.rows_per_tile(monkeypatch, rows, cout // groups, (w - 1) // stride + 1, dtype)
+        tiles = []
+        epilogue = T._epilogue
+
+        def count_tiles(buf, *rest):
+            tiles.append(buf.shape)
+            return epilogue(buf, *rest)
+
+        monkeypatch.setattr(T, "_epilogue", count_tiles)
         with T.no_grad():
             tiled = self.conv(x, wt, b, stride, groups, act, record=False)
+        if layout == "multi-tile" or (layout == "group-blocks" and groups > 1):
+            assert len(tiles) > 2  # more than one tile per image
         recorded = self.conv(x, wt, b, stride, groups, act, record=True)
         assert tiled.dtype == dtype and tiled.shape == recorded.shape
         tol = 1e-5 if dtype == np.float32 else 1e-12
@@ -1006,7 +1034,7 @@ class TestTiledConv:
         x = rng.normal(size=(3, cin, 11, 6)).astype(np.float32)
         wt = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
         b = rng.normal(size=cout).astype(np.float32)
-        self.rows_per_tile(monkeypatch, 3, cout, (6 - 1) // stride + 1, np.float32)
+        self.rows_per_tile(monkeypatch, 3, cout // groups, (6 - 1) // stride + 1, np.float32)
         with T.no_grad():
             batched = self.conv(x, wt, b, stride, groups, True, record=False)
             single = [self.conv(x[i : i + 1], wt, b, stride, groups, True, False) for i in range(3)]
@@ -1089,9 +1117,11 @@ class TestLeanLinear:
 class TestFusedFiniteCheck:
     """Fusion keeps every finite check: a NaN in the last piece still raises."""
 
-    @pytest.mark.parametrize("kernel, stride, groups", [(1, 1, 1), (3, 1, 1), (3, 2, 4)])
+    @pytest.mark.parametrize("kernel, stride, groups", [(1, 1, 1), (3, 1, 1), (3, 2, 4), (3, 1, 4)])
     def test_last_tile_of_tiled_conv(self, monkeypatch, kernel, stride, groups):
-        monkeypatch.setattr(T, "_TILE_BYTES", 2 * 4 * 8 * 4)  # 2 output rows of 4 x 8
+        # 2 output rows of 4 channels x 8 columns; depthwise, two whole 7 x 4
+        # maps at stride 2 and one 7 x 8 map at stride 1
+        monkeypatch.setattr(T, "_TILE_BYTES", 2 * 4 * 8 * 4)
         x = np.ones((2, 4, 14 if stride == 2 else 7, 8), dtype=np.float32)
         w = Tensor(np.full((4, 4 // groups, kernel, kernel), 0.1, dtype=np.float32))
         def conv(a):
@@ -1102,16 +1132,6 @@ class TestFusedFiniteCheck:
             x[1, 3, -1, -1] = np.nan  # the last input row: read by the last tile
             with pytest.raises(NumericError, match="conv2d"):
                 conv(x)
-
-    def test_last_chunk_of_flat_row_conv(self, monkeypatch):
-        monkeypatch.setattr(T, "_FLAT_CHUNK_BYTES", 2 * 6 * 8 * 4)  # 2 output rows per chunk
-        x = np.ones((2, 5, 6, 6), dtype=np.float32)
-        w = Tensor(np.full((5, 1, 3, 3), 0.1, dtype=np.float32))
-        with T.no_grad():
-            T.conv2d(Tensor(x), w, padding=1, groups=5, act=True)
-            x[1, 4, -1, -1] = np.nan
-            with pytest.raises(NumericError, match="conv2d"):
-                T.conv2d(Tensor(x), w, padding=1, groups=5, act=True)
 
     def test_fused_linear(self):
         x = np.ones((3, 4, 5), dtype=np.float32)
