@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .backbone import PATCH, MV2Block, MobileViTBlock
-from .config import REGISTRY, VariantConfig, resolve_variant
+from .config import REGISTRY, VariantConfig, input_size_violation, resolve_variant
 from .layers import (
     BatchNorm2d,
     Conv2d,
@@ -216,8 +216,9 @@ def count_params(model) -> AuditReport:
 
 
 def _trace(model, input_size: int):
-    if input_size % 32:
-        raise ValueError(f"input_size {input_size} not divisible by 32")
+    violation = input_size_violation(input_size)
+    if violation:
+        raise ValueError(f"input_size {violation}")
     return _walk_backbone(model.backbone, (1, 3, input_size, input_size), [])
 
 

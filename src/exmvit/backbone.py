@@ -8,7 +8,7 @@ constants below are MobileViT-S's, which ExMobileViT keeps at every scale.
 from __future__ import annotations
 
 from . import tensor as T
-from .config import BackboneProfile
+from .config import BackboneProfile, input_size_violation
 from .layers import Conv2d, ConvNormAct, LayerNorm, Module, TransformerLayer
 from .tensor import ShapeError, Tensor
 
@@ -93,8 +93,9 @@ class Backbone(Module):
     def forward_collect(self, x: Tensor) -> list[Tensor]:
         """Run the stem and all five blocks, returning each block's output."""
         _, _, h, w = x.shape
-        if h % 32 or w % 32:
-            raise ShapeError(f"input spatial extent {h}x{w} must be divisible by 32")
+        violation = input_size_violation(h) or input_size_violation(w)
+        if violation:
+            raise ShapeError(f"input spatial extent {h}x{w}: {violation}")
         x = self.stem(x)
         features = []
         for block in self.blocks:

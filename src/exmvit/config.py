@@ -23,6 +23,23 @@ class ConfigError(ValueError):
     pass
 
 
+def input_size_violation(size: int) -> str | None:
+    """Why an input side of ``size`` pixels cannot run the backbone, or None.
+
+    The stem and blocks 2-5 halve the map five times, and block 5's map
+    (size / 32) must split into 2x2 patches, so a side is a positive
+    multiple of 64. Config validation, the backbone's forward and the audit
+    trace all ask this one function."""
+    if size <= 0:
+        return f"{size} must be a positive multiple of 32"
+    if size % 32:
+        return f"{size} not divisible by 32"
+    if size % 64:
+        side = size // 32
+        return f"{size} not divisible by 64: block 5's {side}x{side} map cannot split into 2x2 patches"
+    return None
+
+
 @dataclass(frozen=True)
 class BackboneProfile:
     """Scale-dependent backbone dimensions shared by every variant. Heads,
@@ -119,10 +136,9 @@ class VariantConfig:
                 violations.append(f"rho_{k}={r} gives fractional width for {c} channels")
         if all(r == 0 for r in self.rho):
             violations.append("at least one rho must be positive")
-        if self.input_size <= 0:
-            violations.append(f"input_size {self.input_size} must be a positive multiple of 32")
-        elif self.input_size % 32:
-            violations.append(f"input_size {self.input_size} not divisible by 32")
+        size_violation = input_size_violation(self.input_size)
+        if size_violation:
+            violations.append(f"input_size {size_violation}")
         elif 3 * self.input_size**2 > MAX_VALUES:
             violations.append(f"input_size {self.input_size}: an image exceeds {MAX_VALUES} values")
         if self.class_count < 1:

@@ -430,14 +430,15 @@ def conv2d(
     columns: it rebuilds them from the input, which the graph holds anyway,
     for the weight gradient, a matmul against g padded to pitch P. With a
     norm, the output buffer is normalized in place and becomes the norm's
-    xhat (``_batch_norm``), so the conv's output is not kept beside it; the
-    backward runs the norm's gradient (SiLU's derivative first) and then the
-    conv's on its dx. Without one, ``act``'s derivative is taken from the
-    output (``_silu_grad``), as ``linear`` does. The input gradient is
-    skipped when x does not require grad. At stride 1 it is one grouped GEMM
-    with the rotated kernel (``_conv2d_input_grad_s1``); at a larger stride
-    each tap adds one contiguous run into phase planes
-    (``_conv2d_input_grad_phases``).
+    xhat (``_batch_norm``), so the conv's output is not kept beside it, nor
+    is the SiLU's sigmoid; the backward runs the norm's gradient (SiLU's
+    derivative first, from a sigmoid rebuilt from xhat) and then the conv's
+    on its dx. Without one, ``act``'s derivative is taken from the output
+    and the sigmoid the forward kept (``_silu_grad``), as ``linear`` does.
+    The input gradient is skipped when x does not require grad. At stride 1
+    it is one grouped GEMM with the rotated kernel
+    (``_conv2d_input_grad_s1``); at a larger stride each tap adds one
+    contiguous run into phase planes (``_conv2d_input_grad_phases``).
 
     An unrecorded forward runs one kernel, ``_conv2d_tiles``: its tile is one
     image by a block of groups by a block of output rows, about
@@ -765,14 +766,18 @@ def _batch_norm(
     Returns the output and ``grad(g)``, which accumulates dγ and dβ and
     returns dx. x − mean is written into ``out``, or a fresh buffer when it
     is None; ``out`` may be ``x`` itself when ``x`` is a private buffer,
-    which then becomes the normalized input xhat. Once the output is checked finite, the batch statistics are folded
-    into the running estimates in place, so a NaN or Inf input leaves them
-    as they were. ``grad`` holds only xhat and inv = 1/sqrt(var + eps), plus
-    the output and its sigmoid when ``act``. The shift β, the SiLU and the
-    finite check run in the output buffer by ``_epilogue``, as in ``conv2d``
-    and ``linear``: only the activated output is checked for finite values
-    (a NaN or Inf before SiLU survives it). ``grad`` first takes SiLU's
-    derivative from the output (``_silu_grad``), then the closed form
+    which then becomes the normalized input xhat. Once the output is checked
+    finite, the batch statistics are folded into the running estimates in
+    place, so a NaN or Inf input leaves them as they were. The shift β, the
+    SiLU and the finite check run in the output buffer by ``_epilogue``, as
+    in ``conv2d`` and ``linear``: only the activated output is checked for
+    finite values (a NaN or Inf before SiLU survives it). ``grad`` holds
+    only xhat, inv = 1/sqrt(var + eps) and the output, not the sigmoid: with
+    ``act`` it rebuilds the sigmoid from xhat with the forward's ops in the
+    forward's order (xhat·γ, + β, ``_sigmoid``), trading ~6 passes per
+    element for one held array (Chen et al., arXiv 1604.06174), and takes
+    SiLU's derivative from the output (``_silu_grad``) with the forward's
+    bits. Then comes the closed form
     dbeta = sum(g), dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167). The two sums are
@@ -791,8 +796,8 @@ def _batch_norm(
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
     y = xhat * gamma.data.reshape(1, c, 1, 1)
-    # the SiLU runs in place: the pre-activation is not kept
-    sig = _epilogue(y, beta.data.reshape(1, c, 1, 1), act, "batch_norm")
+    # the SiLU runs in place: neither the pre-activation nor the sigmoid is kept
+    _epilogue(y, beta.data.reshape(1, c, 1, 1), act, "batch_norm")
     unbiased = var.reshape(c) * (n / max(n - 1, 1))
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * mean.reshape(c)
@@ -801,6 +806,8 @@ def _batch_norm(
 
     def grad(g):
         if act:
+            # the forward's ops in its order: xhat·γ, + β, then the sigmoid
+            sig = _sigmoid(xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1))
             g = _silu_grad(g, y, sig)
         batch, _, h, w = g.shape
         rows = g.reshape(batch * c, h * w)

@@ -77,37 +77,68 @@ def lr_schedule(iteration: int, config: TrainConfig) -> float:
     return LR_START + (LR_PEAK - LR_START) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
+@dataclass
+class _Group:
+    """Parameters that step together: one dtype, decayed or not. The moments
+    m and v are flat arrays over the members' values, in member order."""
+
+    decay: bool
+    params: list[Tensor]
+    m: np.ndarray
+    v: np.ndarray
+
+
 class AdamW:
     """AdamW with ``ADAM_BETAS`` and ``ADAM_EPS``, decaying every parameter of
     more than one axis by ``WEIGHT_DECAY`` (decoupled); biases and norm
-    parameters are not decayed."""
+    parameters are not decayed.
+
+    The parameters fall into groups by whether they decay and by dtype. A
+    step gathers each group's gradients (zeros for a parameter without one)
+    and values into flat arrays, runs every element-wise op once over the
+    group, in the order a per-parameter loop would, and writes each
+    parameter back in place: the bits of that loop in a few dozen numpy
+    calls instead of ten per parameter. Every gradient's shape is checked
+    before anything is written.
+    """
 
     def __init__(self, named_params: list[tuple[str, Tensor]]):
         self.named_params = named_params
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in named_params}
-        self.v = {name: np.zeros_like(p.data) for name, p in named_params}
+        members: dict[tuple, list[Tensor]] = {}
+        for _, p in named_params:
+            members.setdefault((p.ndim > 1, p.dtype), []).append(p)
+        self.groups = []
+        for (decay, dtype), params in members.items():
+            size = sum(p.size for p in params)
+            self.groups.append(_Group(decay, params, np.zeros(size, dtype), np.zeros(size, dtype)))
 
     def step(self, lr: float) -> None:
+        for name, p in self.named_params:
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise T.ShapeError(f"gradient shape mismatch for {name}")
         self.step_count += 1
         b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
-        for name, p in self.named_params:
-            grad = p.grad
-            if grad is None:
-                grad = np.zeros_like(p.data)
-            if grad.shape != p.data.shape:
-                raise T.ShapeError(f"gradient shape mismatch for {name}")
-            m = self.m[name]
-            v = self.v[name]
+        for group in self.groups:
+            m, v = group.m, group.v
+            grad = np.concatenate(
+                [np.zeros(p.size, m.dtype) if p.grad is None else p.grad.reshape(-1) for p in group.params],
+                dtype=m.dtype,
+            )
+            data = np.concatenate([p.data.reshape(-1) for p in group.params])
             m *= b1
             m += (1.0 - b1) * grad
             v *= b2
             v += (1.0 - b2) * grad * grad
-            if p.ndim > 1:
-                p.data -= lr * WEIGHT_DECAY * p.data
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            if group.decay:
+                data -= lr * WEIGHT_DECAY * data
+            data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            start = 0
+            for p in group.params:
+                p.data[...] = data[start : start + p.size].reshape(p.shape)
+                start += p.size
 
 
 def ema_update(shadow: dict[str, np.ndarray], named_params, decay: float) -> None:

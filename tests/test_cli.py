@@ -423,6 +423,32 @@ class TestWeightsMetadata:
         assert "'class_count'" in err
 
 
+class TestInputSizeOffThePatchGrid:
+    """A multiple of 32 that is not one of 64 leaves block 5 a map that does
+    not split into 2x2 patches: every command refuses it before it builds a
+    model or a dataset, or writes a file."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a model or a dataset")
+
+        for target in ("exmvit.cli.build_model", "exmvit.cli.ExMobileViT", "exmvit.train.SyntheticDataset"):
+            monkeypatch.setattr(target, refuse)
+
+    @pytest.mark.parametrize("size", ["32", "96", "224"])
+    @pytest.mark.parametrize("command", ["audit", "trace", "build", "train", "grad-check"])
+    def test_exits_2_before_building(self, tmp_path, capsys, command, size):
+        target = tmp_path / "out.exvt"
+        argv = [command, "--variant", "exmvit-928-tiny", "--input-size", size]
+        if command in ("build", "train"):
+            argv += ["--out", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"input_size {size} not divisible by 64" in err
+        assert not target.exists()
+
+
 class TestTrace:
     def test_tiny_trace_reaches_2x2(self, capsys):
         code, out, _ = run(capsys, "trace", "--variant", "exmvit-576-tiny")

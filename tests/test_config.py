@@ -2,8 +2,10 @@ import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from exmvit.audit import trace_shapes
 from exmvit.config import (
     MAX_VALUES,
     ConfigError,
@@ -13,6 +15,8 @@ from exmvit.config import (
     config_from_json,
     resolve_variant,
 )
+from exmvit.model import ExMobileViT
+from exmvit.tensor import ShapeError, Tensor
 
 IMAGENET_VARIANTS = ["mobilevit-s", "exmvit-576", "exmvit-640", "exmvit-704", "exmvit-864", "exmvit-928"]
 
@@ -80,10 +84,23 @@ class TestValidate:
         with pytest.raises(ConfigError):
             resolve_variant("exmvit-576-tiny", {"input_size": size})
 
+    @pytest.mark.parametrize("size", [32, 96, 160, 224])
+    def test_input_size_must_split_into_block5_patches(self, size):
+        # block 5's map is size / 32 on a side and unfolds into 2x2 patches:
+        # config, audit trace and forward refuse a multiple of 32 alone alike
+        message = f"{size} not divisible by 64"
+        with pytest.raises(ConfigError, match=f"input_size {message}"):
+            resolve_variant("exmvit-928", {"input_size": size})
+        model = ExMobileViT(resolve_variant("exmvit-928-tiny"))
+        with pytest.raises(ValueError, match=f"input_size {message}"):
+            trace_shapes(model, size)
+        with pytest.raises(ShapeError, match=f"64x{size}: {message}"):
+            model.backbone.forward_collect(Tensor(np.zeros((1, 3, 64, size), np.float32)))
+
     def test_image_size_ceiling(self):
         # one 3 x s x s image may hold at most MAX_VALUES values
-        assert 3 * 9440**2 <= MAX_VALUES < 3 * 9472**2
-        assert resolve_variant("exmvit-576-tiny", {"input_size": 9440}).input_size == 9440
+        assert 3 * 9408**2 <= MAX_VALUES < 3 * 9472**2
+        assert resolve_variant("exmvit-576-tiny", {"input_size": 9408}).input_size == 9408
         for size in (9472, 2**32, 2**40):
             with pytest.raises(ConfigError, match="an image exceeds"):
                 resolve_variant("exmvit-576-tiny", {"input_size": size})

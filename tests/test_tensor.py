@@ -619,6 +619,26 @@ class TestTrainBatchNorm:
     def test_act_gradients_match_finite_differences(self, x_requires_grad):
         self.assert_finite_differences(x_requires_grad, act=True)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_act_backward_rebuilds_the_forwards_sigmoid(self, monkeypatch, dtype):
+        # the closure keeps no sigmoid; the backward's has the forward's bits
+        sigmoids = []
+
+        def recording(a, sigmoid=T._sigmoid):
+            sigmoids.append(sigmoid(a))
+            return sigmoids[-1].copy()
+
+        monkeypatch.setattr(T, "_sigmoid", recording)
+        x, gamma, beta, weights = self.operands(dtype)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
+        cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
+        assert "sig" not in cells["grad"].cell_contents.__code__.co_freevars
+        assert len(sigmoids) == 1
+        T.tsum(T.mul(out, Tensor(weights))).backward()
+        assert len(sigmoids) == 2
+        assert sigmoids[1].dtype == dtype and np.array_equal(sigmoids[0], sigmoids[1])
+
     def test_act_nan_input_raises(self):
         x, gamma, beta, _ = self.operands(np.float32)
         x[2, 3, 4, 4] = np.nan

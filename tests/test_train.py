@@ -189,6 +189,84 @@ class TestAdamW:
         opt.step(lr=1.0)
         assert math.isclose(p.data[0, 0], 5.0 * (1.0 - WEIGHT_DECAY), rel_tol=1e-12)
 
+    @staticmethod
+    def per_parameter_step(named, moments, step_count, lr):
+        """Oracle: AdamW as one loop over the parameters, each array stepped
+        on its own with its own m and v."""
+        b1, b2 = ADAM_BETAS
+        c1 = 1.0 - b1**step_count
+        c2 = 1.0 - b2**step_count
+        for name, p in named:
+            grad = p.grad
+            if grad is None:
+                grad = np.zeros_like(p.data)
+            m, v = moments[name]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            if p.ndim > 1:
+                p.data -= lr * WEIGHT_DECAY * p.data
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+    SHAPES = {
+        "conv.weight": (4, 3, 3, 3),
+        "conv.bias": (4,),
+        "norm.gamma": (4,),
+        "unused.weight": (2, 5),  # never gets a gradient
+        "fc.weight": (5, 4),
+        "fc.bias": (5,),
+    }
+
+    @pytest.mark.parametrize(
+        "dtypes",
+        [[np.float32] * 6, [np.float64] * 6, [np.float32, np.float64] * 3],
+        ids=["float32", "float64", "mixed"],
+    )
+    def test_bitwise_equal_to_per_parameter_loop(self, dtypes):
+        def params():
+            rng = np.random.default_rng(1)
+            return [
+                (name, Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True))
+                for (name, shape), dtype in zip(self.SHAPES.items(), dtypes)
+            ]
+
+        grouped, looped = params(), params()
+        opt = AdamW(grouped)
+        moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in looped}
+        rng = np.random.default_rng(2)
+        for step in range(1, 7):
+            lr = LR_PEAK * step
+            for (name, a), (_, b) in zip(grouped, looped):
+                g = None if name == "unused.weight" else rng.normal(0.0, 10.0**-step, a.shape)
+                a.grad = b.grad = None if g is None else g.astype(a.dtype)
+            opt.step(lr)
+            self.per_parameter_step(looped, moments, step, lr)
+            for (name, a), (_, b) in zip(grouped, looped):
+                assert a.dtype == b.dtype, name
+                assert np.array_equal(a.data, b.data), (name, step)
+
+    def test_misshaped_gradient_writes_nothing(self):
+        named = [
+            ("a.weight", Tensor(np.ones((2, 2)), requires_grad=True)),
+            ("b.bias", Tensor(np.ones(3), requires_grad=True)),
+            ("c.weight", Tensor(np.ones((3, 2)), requires_grad=True)),
+        ]
+        opt = AdamW(named)
+        for _, p in named:
+            p.grad = np.full(p.shape, 0.5)
+        opt.step(lr=0.1)  # moments are nonzero from here
+        values = [p.data.copy() for _, p in named]
+        moments = [(group.m.copy(), group.v.copy()) for group in opt.groups]
+        named[2][1].grad = np.ones((2, 3))  # the last one: the others come first
+        with pytest.raises(ShapeError, match="c.weight"):
+            opt.step(lr=0.1)
+        for (_, p), before in zip(named, values):
+            assert np.array_equal(p.data, before)
+        for group, (m, v) in zip(opt.groups, moments):
+            assert np.array_equal(group.m, m) and np.array_equal(group.v, v)
+        assert opt.step_count == 1
+
 
 class TestEma:
     def test_update_formula(self):
