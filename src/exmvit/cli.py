@@ -107,6 +107,7 @@ def _model_from_weights(path: str):
 
 def cmd_build(args) -> int:
     config = _resolve(args)
+    _check_writable("--out", args.out)  # before the draw and save_weights' temporary file
     model = build_model(config, seed=args.seed)
     save_weights(model, args.out, _metadata(config, args.seed))
     print(f"built {config.name} ({config.profile}) -> {args.out}")

@@ -23,14 +23,16 @@ the same numpy recorded or not. ``linear``, ``conv2d`` and a training
 multiply) and the finite check. Every ``conv2d`` works on flat rows: its
 im2col columns are cut from the input padded into stride phase planes, so
 every column row is a whole band of output rows, not one output row. A
-recorded conv multiplies the whole batch's columns in one GEMM; the input
-gradient of a stride-1 conv is one GEMM with the rotated kernel, not a
-scatter per tap, and the closure keeps no copy of the input: the backward
-cuts the planes again. An unrecorded conv runs one tile kernel: a tile is
-one image by a block of groups by a block of output rows, about 256 KiB,
-whose columns are cut from the band of input it reads, and ``_epilogue``
-runs on each tile's output pixels while they are in cache. A stride-1
-depthwise tile sums its taps in order instead of a GEMM.
+recorded conv cuts its columns for one chunk of whole images at a time, as
+many as fit in about 256 KiB (a plain 1x1's columns are its whole input),
+and runs each image's GEMM as a whole-batch matmul would; the input
+gradient of a stride-1 conv is the same per chunk of g with the rotated
+kernel, not a scatter per tap, and the closure keeps no copy of the input:
+the backward cuts the planes again. An unrecorded conv runs one tile
+kernel: a tile is one image by a block of groups by a block of output
+rows, about 256 KiB, whose columns are cut from the band of input it reads,
+and ``_epilogue`` runs on each tile's output pixels while they are in
+cache. A stride-1 depthwise tile sums its taps in order instead of a GEMM.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -233,9 +235,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # -- activations --------------------------------------------------------------
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-a)) built in one fresh buffer, in that op order."""
-    sig = np.negative(a)
+def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-a)) in that op order, built in ``out`` (which may be
+    ``a`` itself) or, when it is None, in one fresh buffer."""
+    sig = np.negative(a, out=out)
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf below about -88: sig is 0
         np.exp(sig, out=sig)
     sig += 1.0
@@ -392,11 +395,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
 # -- convolution -----------------------------------------------------------------
 
 
-# Bytes of output per tile of the unrecorded conv (``_conv2d_tiles``). On a
-# Xeon with a 2 MiB per-core L2, summed over exmvit-928's convs at 256x256,
-# row tiles of 256 KiB and 512 KiB tied (39-40 ms) ahead of 128 KiB (41 ms)
-# and 1 MiB (42 ms), and stride-1 depthwise blocks of whole channel maps ran
-# faster at 256 KiB than at 128 KiB or 1 MiB.
+# Bytes of output per tile of the unrecorded conv (``_conv2d_tiles``), and of
+# im2col columns per batch chunk of the recorded one (``_batch_chunks``). On
+# a Xeon with a 2 MiB per-core L2, summed over exmvit-928's convs at
+# 256x256, row tiles of 256 KiB and 512 KiB tied (39-40 ms) ahead of 128 KiB
+# (41 ms) and 1 MiB (42 ms), and stride-1 depthwise blocks of whole channel
+# maps ran faster at 256 KiB than at 128 KiB or 1 MiB. After three seed-0
+# train-tiny steps (batch 32, glibc thresholds pinned as perfbench pins
+# them) a process's RSS was 92.4 MiB with 256 KiB chunks, 93.0 with 1 MiB,
+# 93.5 with 2 MiB and 101.3 with the whole batch's columns at once.
 _TILE_BYTES = 1 << 18
 
 
@@ -419,16 +426,22 @@ def conv2d(
     and the SiLU are then one op, with the bits of ``conv2d`` followed by
     ``batch_norm(act=act)``, and the norm's running statistics move.
 
-    A recorded forward is one node: one batched matmul over im2col columns
-    cut as flat rows, finished in place by ``_epilogue`` (bias, SiLU when
-    ``act`` and no norm, finite check). A stride-1 1x1 conv without padding
-    uses the input itself as its columns. Any other conv pads its input into
-    phase planes (``_phase_planes``; the padded map itself at stride 1) with
+    A recorded forward is one node: matmuls over im2col columns cut as flat
+    rows, finished in place by ``_epilogue`` (bias, SiLU when ``act`` and no
+    norm, finite check). A stride-1 1x1 conv without padding uses the whole
+    input itself as its columns. Any other conv walks the batch in chunks of
+    whole images, as many as keep a chunk's columns within ``_TILE_BYTES``
+    and at least one (``_batch_chunks``): it pads the chunk into phase
+    planes (``_phase_planes``; the padded map itself at stride 1) with
     output pitch P = Wo + (kw-1)//stride, so each tap is one contiguous run
-    of Ho·P values (``_flat_columns``) and the product drops its P − Wo wrap
-    columns once. The backward closure keeps neither the planes nor the
-    columns: it rebuilds them from the input, which the graph holds anyway,
-    for the weight gradient, a matmul against g padded to pitch P. With a
+    of Ho·P values (``_flat_columns``), and writes the chunk's product
+    without its P − Wo wrap columns into the output. Each image's product is
+    the BLAS call of a whole-batch matmul, so the chunking changes no bits.
+    The backward closure keeps neither the planes nor the columns: it cuts
+    them again from the input, which the graph holds anyway, chunk by chunk,
+    for the weight gradient, a matmul of g padded to pitch P per image into
+    one (B, groups, Cout/groups, K) buffer that is then summed over the
+    batch. With a
     norm, the output buffer is normalized in place and becomes the norm's
     xhat (``_batch_norm``), so the conv's output is not kept beside it, nor
     is the SiLU's sigmoid; the backward runs the norm's gradient (SiLU's
@@ -436,9 +449,10 @@ def conv2d(
     on its dx. Without one, ``act``'s derivative is taken from the output
     and the sigmoid the forward kept (``_silu_grad``), as ``linear`` does.
     The input gradient is skipped when x does not require grad. At stride 1
-    it is one grouped GEMM with the rotated kernel
+    it is a grouped GEMM with the rotated kernel over each chunk of g
     (``_conv2d_input_grad_s1``); at a larger stride each tap adds one
-    contiguous run into phase planes (``_conv2d_input_grad_phases``).
+    contiguous run of the whole batch into phase planes
+    (``_conv2d_input_grad_phases``).
 
     An unrecorded forward runs one kernel, ``_conv2d_tiles``: its tile is one
     image by a block of groups by a block of output rows, about
@@ -471,20 +485,30 @@ def conv2d(
             out, _ = _batch_norm(out, *norm, act, out=out)
         return Tensor(out)  # every piece was checked by its epilogue
 
-    wg = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
+    cout_g, k = cout // groups, cin_g * kh * kw
+    wg = weight.data.reshape(groups, cout_g, k)
     pointwise = kh == kw == 1 and stride == 1 and not padding
     pitch = wo if pointwise else wo + (kw - 1) // stride
     rows = ho + (kh - 1) // stride + 1
+    dtype = np.result_type(x.data, weight.data)
+    # a plain 1x1's columns are its input, so it takes the batch whole
+    col_bytes = 0 if pointwise else cin * kh * kw * ho * pitch * dtype.itemsize
+    chunks = _batch_chunks(batch, col_bytes)
 
-    def columns():
-        # built from x.data on each call: the closure keeps no copy of the input
+    def columns(b0, b1):
+        # images b0:b1 cut from x.data on each call: the closure keeps no copy of the input
         if pointwise:  # the input itself, at its own pitch
-            return np.ascontiguousarray(x.data).reshape(batch, groups, cin_g, h * w)
-        cols = _flat_columns(x.data, kh, kw, stride, padding, padding, ho, pitch)
-        return cols.reshape(batch, groups, cin_g * kh * kw, ho * pitch)
+            return np.ascontiguousarray(x.data[b0:b1]).reshape(b1 - b0, groups, cin_g, h * w)
+        cols = _flat_columns(x.data[b0:b1], kh, kw, stride, padding, padding, ho, pitch)
+        return cols.reshape(b1 - b0, groups, k, ho * pitch)
 
-    out = np.matmul(wg, columns()).reshape(batch, cout, ho, pitch)
-    out = np.ascontiguousarray(out[..., :wo])  # without the wrap columns; fresh
+    if pointwise:
+        out = np.matmul(wg, columns(0, batch)).reshape(batch, cout, ho, wo)
+    else:
+        out = np.empty((batch, cout, ho, wo), dtype=dtype)
+        for b0, b1 in chunks:
+            prod = np.matmul(wg, columns(b0, b1)).reshape(b1 - b0, cout, ho, pitch)
+            out[b0:b1] = prod[..., :wo]  # without the wrap columns
     sig = _epilogue(out, None if bias is None else bias.data.reshape(1, cout, 1, 1), conv_act, "conv2d")
     silu_saved = (out, sig) if conv_act else None  # what SiLU's derivative reads
     norm_grad = None
@@ -502,9 +526,11 @@ def conv2d(
         # g at the column pitch, zero in the wrap columns, so the columns'
         # wrap entries add nothing to the weight gradient
         gp = g if pitch == wo else _phase_planes(g, 1, 0, 0, ho, pitch)
-        gm = gp.reshape(batch, groups, cout // groups, ho * pitch)
-        gw = np.matmul(gm, np.swapaxes(columns(), -1, -2)).sum(axis=0)
-        weight._accumulate(gw.reshape(weight.shape), owned=True)
+        gm = gp.reshape(batch, groups, cout_g, ho * pitch)
+        gw = np.empty((batch, groups, cout_g, k), dtype=dtype)  # one product per image
+        for b0, b1 in chunks:
+            np.matmul(gm[b0:b1], np.swapaxes(columns(b0, b1), -1, -2), out=gw[b0:b1])
+        weight._accumulate(gw.sum(axis=0).reshape(weight.shape), owned=True)
         if not x.requires_grad:
             return
         if pointwise:
@@ -516,6 +542,14 @@ def conv2d(
         x._accumulate(gx, owned=True)
 
     return _node(out, parents, backward)
+
+
+def _batch_chunks(batch: int, image_bytes: int) -> list[tuple[int, int]]:
+    """(b0, b1) bounds of the batch in chunks of whole images, as many as
+    keep ``image_bytes`` per image within ``_TILE_BYTES`` and at least one;
+    one chunk when ``image_bytes`` is 0."""
+    step = max(1, _TILE_BYTES // image_bytes if image_bytes else batch)
+    return [(b0, min(b0 + step, batch)) for b0 in range(0, batch, step)]
 
 
 def _phase_span(n: int, stride: int, offset: int, phase: int, extent: int) -> tuple[slice, slice]:
@@ -589,12 +623,13 @@ def _flat_columns(
 def _conv2d_input_grad_s1(
     g: np.ndarray, weight: np.ndarray, groups: int, padding: int, h: int, w: int
 ) -> np.ndarray:
-    """Input gradient of a stride-1 conv as one grouped GEMM.
+    """Input gradient of a stride-1 conv as a grouped GEMM per batch chunk.
 
     It is the stride-1 conv of g, zero-padded by k − 1 − padding (cropped
     where that is negative), with the kernel rotated by 180° and its in and
     out channels swapped (Dumoulin & Visin, arXiv 1603.07285, section 4),
-    over flat-row columns of pitch W + kw − 1.
+    over flat-row columns of pitch W + kw − 1, cut for one chunk of g's
+    images at a time (``_batch_chunks``).
     """
     batch, cout = g.shape[:2]
     _, cin_g, kh, kw = weight.shape
@@ -603,10 +638,14 @@ def _conv2d_input_grad_s1(
     rot = weight.reshape(groups, cout_g, cin_g, kh, kw)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
     rot = np.ascontiguousarray(rot).reshape(groups, cin_g, cout_g * kh * kw)
     pitch = w + kw - 1
-    cols = _flat_columns(g, kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, pitch)
-    cols = cols.reshape(batch, groups, cout_g * kh * kw, h * pitch)
-    gx = np.matmul(rot, cols).reshape(batch, groups * cin_g, h, pitch)
-    return np.ascontiguousarray(gx[..., :w])  # without the wrap columns
+    dtype = np.result_type(g, weight)
+    gx = np.empty((batch, groups * cin_g, h, w), dtype=dtype)
+    for b0, b1 in _batch_chunks(batch, cout * kh * kw * h * pitch * dtype.itemsize):
+        cols = _flat_columns(g[b0:b1], kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, pitch)
+        cols = cols.reshape(b1 - b0, groups, cout_g * kh * kw, h * pitch)
+        prod = np.matmul(rot, cols).reshape(b1 - b0, groups * cin_g, h, pitch)
+        gx[b0:b1] = prod[..., :w]  # without the wrap columns
+    return gx
 
 
 def _conv2d_input_grad_phases(
@@ -806,8 +845,11 @@ def _batch_norm(
 
     def grad(g):
         if act:
-            # the forward's ops in its order: xhat·γ, + β, then the sigmoid
-            sig = _sigmoid(xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1))
+            # the forward's ops in its order: xhat·γ, + β, then the sigmoid,
+            # all in the one buffer of the pre-activation
+            sig = xhat * gamma.data.reshape(1, c, 1, 1)
+            sig += beta.data.reshape(1, c, 1, 1)
+            _sigmoid(sig, out=sig)
             g = _silu_grad(g, y, sig)
         batch, _, h, w = g.shape
         rows = g.reshape(batch * c, h * w)

@@ -71,6 +71,22 @@ class TestBuild:
         assert code == 2
         assert "error:" in err and "exmvit-999" in err
 
+    @pytest.mark.parametrize("case", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, case):
+        def refuse(model, seed):
+            raise AssertionError("drew initial weights")
+
+        monkeypatch.setattr("exmvit.model.init_weights", refuse)
+        out = tmp_path / "nope" / "m.exvt" if case == "missing_dir" else tmp_path / "m.exvt"
+        if case == "directory":
+            out.mkdir()
+        code, stdout, err = run(capsys, "build", "--variant", "exmvit-576-tiny", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: --out {out}")
+        assert "partial" not in err
+        left = sorted(p.name for p in tmp_path.rglob("*"))
+        assert left == ([] if case == "missing_dir" else ["m.exvt"])
+
 
 class TestAudit:
     def test_json_matches_library_counts(self, capsys):

@@ -622,11 +622,14 @@ class TestTrainBatchNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_act_backward_rebuilds_the_forwards_sigmoid(self, monkeypatch, dtype):
         # the closure keeps no sigmoid; the backward's has the forward's bits
-        sigmoids = []
+        # and is built in the buffer of its pre-activation
+        sigmoids, in_place = [], []
 
-        def recording(a, sigmoid=T._sigmoid):
-            sigmoids.append(sigmoid(a))
-            return sigmoids[-1].copy()
+        def recording(a, out=None, sigmoid=T._sigmoid):
+            in_place.append(out is a)
+            sig = sigmoid(a, out=out)
+            sigmoids.append(sig.copy())
+            return sig
 
         monkeypatch.setattr(T, "_sigmoid", recording)
         x, gamma, beta, weights = self.operands(dtype)
@@ -636,7 +639,7 @@ class TestTrainBatchNorm:
         assert "sig" not in cells["grad"].cell_contents.__code__.co_freevars
         assert len(sigmoids) == 1
         T.tsum(T.mul(out, Tensor(weights))).backward()
-        assert len(sigmoids) == 2
+        assert len(sigmoids) == 2 and in_place == [False, True]
         assert sigmoids[1].dtype == dtype and np.array_equal(sigmoids[0], sigmoids[1])
 
     def test_act_nan_input_raises(self):
@@ -910,6 +913,83 @@ class TestFusedConvNorm:
             self.forward(True, kind, 1, True, leaves, stats)
         for now, then in zip(stats, before):
             assert np.array_equal(now, then)
+
+
+class TestChunkedConv:
+    """A recorded conv cuts its columns for one chunk of whole images at a
+    time, as many as fit in ``_TILE_BYTES``: output, running statistics and
+    gradients are bitwise those of one chunk for the whole batch."""
+
+    BATCH = 7
+    # (channels, groups): dense 3x3 and depthwise 3x3, with as many output as
+    # input channels, so the stride-1 input gradient's columns of g take as
+    # many bytes per image as the forward's columns of x
+    KINDS = {"dense": (4, 1), "depthwise": (4, 4)}
+    # images per chunk: one, three (a short last chunk of one), the whole batch
+    CHUNKS = {"one": 1, "three": 3, "whole": BATCH}
+
+    @classmethod
+    def operands(cls, kind, stride, dtype, seed=66):
+        c, groups = cls.KINDS[kind]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(cls.BATCH, c, 6, 5))
+        w = rng.normal(size=(c, c // groups, 3, 3))
+        bias, gamma, beta = rng.normal(size=c), rng.uniform(0.5, 1.5, c), rng.normal(0.0, 0.5, c)
+        stats = [rng.normal(0.0, 0.5, c), rng.uniform(0.5, 2.0, c)]
+        ho, wo = (6 - 1) // stride + 1, (5 - 1) // stride + 1
+        r = rng.normal(size=(cls.BATCH, c, ho, wo))
+        return [v.astype(dtype) for v in (x, w, bias, gamma, beta, *stats, r)]
+
+    @classmethod
+    def run(cls, monkeypatch, tile, kind, stride, norm, act, dtype):
+        """Output, running statistics and gradients of one recorded conv with
+        ``_TILE_BYTES`` set to ``tile``, and the batch size of every column
+        cut."""
+        x, w, bias, gamma, beta, mean, var, r = cls.operands(kind, stride, dtype)
+        cut = []
+        with monkeypatch.context() as m:
+            flat_columns = T._flat_columns
+
+            def recording(x, *args):
+                cut.append(x.shape[0])
+                return flat_columns(x, *args)
+
+            m.setattr(T, "_flat_columns", recording)
+            m.setattr(T, "_TILE_BYTES", tile)
+            if norm:
+                leaves = [Tensor(v, requires_grad=True) for v in (x, w, gamma, beta)]
+                extra = dict(norm=(leaves[2], leaves[3], mean, var))
+            else:
+                leaves = [Tensor(v, requires_grad=True) for v in (x, w, bias)]
+                extra = dict(bias=leaves[2])
+            groups = cls.KINDS[kind][1]
+            out = T.conv2d(leaves[0], leaves[1], stride=stride, padding=1, groups=groups, act=act, **extra)
+            T.tsum(T.mul(out, Tensor(r))).backward()
+        return [out.data] + ([mean, var] if norm else []) + [leaf.grad for leaf in leaves], cut
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("norm", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("chunk", sorted(CHUNKS))
+    def test_bitwise_equal_to_one_whole_batch_chunk(
+        self, monkeypatch, chunk, kind, stride, norm, act, dtype
+    ):
+        c = self.KINDS[kind][0]
+        ho, pitch = (6 - 1) // stride + 1, (5 - 1) // stride + 1 + 2 // stride
+        image_bytes = c * 9 * ho * pitch * np.dtype(dtype).itemsize  # one image's columns
+        images = self.CHUNKS[chunk]
+        case = (kind, stride, norm, act, dtype)
+        mine, cut = self.run(monkeypatch, images * image_bytes, *case)
+        theirs, whole = self.run(monkeypatch, 1 << 40, *case)
+        # forward, weight gradient and, at stride 1, input gradient
+        sizes = [images] * (self.BATCH // images) + ([self.BATCH % images] if self.BATCH % images else [])
+        passes = 3 if stride == 1 else 2
+        assert cut == sizes * passes and whole == [self.BATCH] * passes
+        assert len(mine) == len(theirs) == (7 if norm else 4)
+        for a, b in zip(mine, theirs):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
 
 
 class TestFlatRowDepthwise:
