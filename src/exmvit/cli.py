@@ -356,10 +356,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.command} requires --variant or --config")
     try:
         return args.func(args)
-    except (ConfigError, WeightsFormatError, ImageParseError, ShapeError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, WeightsFormatError, ImageParseError, ShapeError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,16 +23,16 @@ the same numpy recorded or not. ``linear``, ``conv2d`` and a training
 multiply) and the finite check. Every ``conv2d`` works on flat rows: its
 im2col columns are cut from the input padded into stride phase planes, so
 every column row is a whole band of output rows, not one output row. A
-recorded conv cuts its columns for one chunk of whole images at a time, as
-many as fit in about 256 KiB (a plain 1x1's columns are its whole input),
-and runs each image's GEMM as a whole-batch matmul would; the input
-gradient of a stride-1 conv is the same per chunk of g with the rotated
-kernel, not a scatter per tap, and the closure keeps no copy of the input:
-the backward cuts the planes again. An unrecorded conv runs one tile
-kernel: a tile is one image by a block of groups by a block of output
-rows, about 256 KiB, whose columns are cut from the band of input it reads,
-and ``_epilogue`` runs on each tile's output pixels while they are in
-cache. A stride-1 depthwise tile sums its taps in order instead of a GEMM.
+recorded conv other than a plain 1x1 (whose columns are its input) runs
+one GEMM kernel, ``_conv2d_gemm``, on columns cut for one chunk of whole
+images at a time, as many as fit in about 256 KiB; its input gradient is
+that kernel on g dilated by the stride, with the rotated kernel. The
+closure keeps no copy of the input: the backward cuts the planes again.
+An unrecorded conv runs one tile kernel: a tile is one image by a block
+of groups by a block of output rows, about 256 KiB, whose columns are cut
+from the band of input it reads, and ``_epilogue`` runs on each tile's
+output pixels while they are in cache. A stride-1 depthwise tile sums its
+taps in order instead of a GEMM.
 Data lives in flat numpy arrays; float32 is the default working precision
 (float64 is used by the gradient-check harness).
 """
@@ -396,7 +396,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
 
 
 # Bytes of output per tile of the unrecorded conv (``_conv2d_tiles``), and of
-# im2col columns per batch chunk of the recorded one (``_batch_chunks``). On
+# im2col columns per batch chunk of the recorded one (``_chunk_columns``). On
 # a Xeon with a 2 MiB per-core L2, summed over exmvit-928's convs at
 # 256x256, row tiles of 256 KiB and 512 KiB tied (39-40 ms) ahead of 128 KiB
 # (41 ms) and 1 MiB (42 ms), and stride-1 depthwise blocks of whole channel
@@ -429,30 +429,22 @@ def conv2d(
     A recorded forward is one node: matmuls over im2col columns cut as flat
     rows, finished in place by ``_epilogue`` (bias, SiLU when ``act`` and no
     norm, finite check). A stride-1 1x1 conv without padding uses the whole
-    input itself as its columns. Any other conv walks the batch in chunks of
-    whole images, as many as keep a chunk's columns within ``_TILE_BYTES``
-    and at least one (``_batch_chunks``): it pads the chunk into phase
-    planes (``_phase_planes``; the padded map itself at stride 1) with
-    output pitch P = Wo + (kw-1)//stride, so each tap is one contiguous run
-    of Ho·P values (``_flat_columns``), and writes the chunk's product
-    without its P − Wo wrap columns into the output. Each image's product is
-    the BLAS call of a whole-batch matmul, so the chunking changes no bits.
-    The backward closure keeps neither the planes nor the columns: it cuts
-    them again from the input, which the graph holds anyway, chunk by chunk,
-    for the weight gradient, a matmul of g padded to pitch P per image into
-    one (B, groups, Cout/groups, K) buffer that is then summed over the
-    batch. With a
-    norm, the output buffer is normalized in place and becomes the norm's
-    xhat (``_batch_norm``), so the conv's output is not kept beside it, nor
-    is the SiLU's sigmoid; the backward runs the norm's gradient (SiLU's
-    derivative first, from a sigmoid rebuilt from xhat) and then the conv's
-    on its dx. Without one, ``act``'s derivative is taken from the output
-    and the sigmoid the forward kept (``_silu_grad``), as ``linear`` does.
-    The input gradient is skipped when x does not require grad. At stride 1
-    it is a grouped GEMM with the rotated kernel over each chunk of g
-    (``_conv2d_input_grad_s1``); at a larger stride each tap adds one
-    contiguous run of the whole batch into phase planes
-    (``_conv2d_input_grad_phases``).
+    input itself as its columns. Any other conv runs ``_conv2d_gemm``, on
+    columns of output pitch P = Wo + (kw-1)//stride cut from phase planes
+    for one chunk of whole images at a time (``_chunk_columns``). The
+    backward closure keeps neither the planes nor the columns: it cuts them
+    again from the input, which the graph holds anyway, chunk by chunk, for
+    the weight gradient, a matmul of g padded to pitch P per image into one
+    (B, groups, Cout/groups, K) buffer that is then summed over the batch.
+    With a norm, the output buffer is normalized in place and becomes the
+    norm's xhat (``_batch_norm``), so the conv's output is not kept beside
+    it, nor is the SiLU's sigmoid; the backward runs the norm's gradient
+    (SiLU's derivative first, from a sigmoid rebuilt from xhat) and then the
+    conv's on its dx. Without one, ``act``'s derivative is taken from the
+    output and the forward's sigmoid (``_silu_grad``), as in ``linear``.
+    The input gradient is skipped when x does not require grad; a plain
+    1x1's is one matmul, and any other conv's is ``_conv2d_gemm`` on g
+    dilated by the stride, with the rotated kernel (``_conv2d_input_grad``).
 
     An unrecorded forward runs one kernel, ``_conv2d_tiles``: its tile is one
     image by a block of groups by a block of output rows, about
@@ -489,26 +481,19 @@ def conv2d(
     wg = weight.data.reshape(groups, cout_g, k)
     pointwise = kh == kw == 1 and stride == 1 and not padding
     pitch = wo if pointwise else wo + (kw - 1) // stride
-    rows = ho + (kh - 1) // stride + 1
     dtype = np.result_type(x.data, weight.data)
-    # a plain 1x1's columns are its input, so it takes the batch whole
-    col_bytes = 0 if pointwise else cin * kh * kw * ho * pitch * dtype.itemsize
-    chunks = _batch_chunks(batch, col_bytes)
 
-    def columns(b0, b1):
-        # images b0:b1 cut from x.data on each call: the closure keeps no copy of the input
-        if pointwise:  # the input itself, at its own pitch
-            return np.ascontiguousarray(x.data[b0:b1]).reshape(b1 - b0, groups, cin_g, h * w)
-        cols = _flat_columns(x.data[b0:b1], kh, kw, stride, padding, padding, ho, pitch)
-        return cols.reshape(b1 - b0, groups, k, ho * pitch)
+    def columns():
+        # cut from x.data on each call: the closure keeps no copy of the input
+        if pointwise:  # the input itself, at its own pitch, as one chunk
+            yield 0, batch, np.ascontiguousarray(x.data).reshape(batch, groups, cin_g, h * w)
+        else:
+            yield from _chunk_columns(x.data, groups, kh, kw, stride, padding, padding, ho, pitch)
 
     if pointwise:
-        out = np.matmul(wg, columns(0, batch)).reshape(batch, cout, ho, wo)
+        out = np.matmul(wg, next(columns())[2]).reshape(batch, cout, ho, wo)
     else:
-        out = np.empty((batch, cout, ho, wo), dtype=dtype)
-        for b0, b1 in chunks:
-            prod = np.matmul(wg, columns(b0, b1)).reshape(b1 - b0, cout, ho, pitch)
-            out[b0:b1] = prod[..., :wo]  # without the wrap columns
+        out = _conv2d_gemm(x.data, weight.data, groups, stride, padding, padding, (ho, wo))
     sig = _epilogue(out, None if bias is None else bias.data.reshape(1, cout, 1, 1), conv_act, "conv2d")
     silu_saved = (out, sig) if conv_act else None  # what SiLU's derivative reads
     norm_grad = None
@@ -528,28 +513,18 @@ def conv2d(
         gp = g if pitch == wo else _phase_planes(g, 1, 0, 0, ho, pitch)
         gm = gp.reshape(batch, groups, cout_g, ho * pitch)
         gw = np.empty((batch, groups, cout_g, k), dtype=dtype)  # one product per image
-        for b0, b1 in chunks:
-            np.matmul(gm[b0:b1], np.swapaxes(columns(b0, b1), -1, -2), out=gw[b0:b1])
+        for b0, b1, cols in columns():
+            np.matmul(gm[b0:b1], np.swapaxes(cols, -1, -2), out=gw[b0:b1])
         weight._accumulate(gw.sum(axis=0).reshape(weight.shape), owned=True)
         if not x.requires_grad:
             return
         if pointwise:
             gx = np.matmul(np.swapaxes(wg, -1, -2), gm).reshape(x.shape)
-        elif stride == 1:
-            gx = _conv2d_input_grad_s1(g, weight.data, groups, padding, h, w)
         else:
-            gx = _conv2d_input_grad_phases(gm, wg, kh, kw, padding, (stride, rows, pitch), x.data)
+            gx = _conv2d_input_grad(g, weight.data, groups, stride, padding, (h, w))
         x._accumulate(gx, owned=True)
 
     return _node(out, parents, backward)
-
-
-def _batch_chunks(batch: int, image_bytes: int) -> list[tuple[int, int]]:
-    """(b0, b1) bounds of the batch in chunks of whole images, as many as
-    keep ``image_bytes`` per image within ``_TILE_BYTES`` and at least one;
-    one chunk when ``image_bytes`` is 0."""
-    step = max(1, _TILE_BYTES // image_bytes if image_bytes else batch)
-    return [(b0, min(b0 + step, batch)) for b0 in range(0, batch, step)]
 
 
 def _phase_span(n: int, stride: int, offset: int, phase: int, extent: int) -> tuple[slice, slice]:
@@ -562,18 +537,6 @@ def _phase_span(n: int, stride: int, offset: int, phase: int, extent: int) -> tu
     return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
 
 
-def _phase_index(size: tuple[int, int], stride: int, top: int, left: int, rows: int, pitch: int):
-    """Pairs of basic indices, one per phase (a, b): into (B, C, s, s, rows,
-    pitch) phase planes and into the (B, C, H, W) map whose pixels they hold."""
-    h, w = size
-    for a in range(stride):
-        rdst, rsrc = _phase_span(h, stride, top, a, rows)
-        for b in range(stride):
-            cdst, csrc = _phase_span(w, stride, left, b, pitch)
-            whole = slice(None)
-            yield (whole, whole, a, b, rdst, cdst), (whole, whole, rsrc, csrc)
-
-
 def _phase_planes(x: np.ndarray, stride: int, top: int, left: int, rows: int, pitch: int) -> np.ndarray:
     """``x`` zero-padded by ``top`` rows and ``left`` columns, as (B, C, s, s,
     rows, pitch) phase planes of stride s.
@@ -584,8 +547,11 @@ def _phase_planes(x: np.ndarray, stride: int, top: int, left: int, rows: int, pi
     pitch·s are dropped, and a negative ``top`` or ``left`` crops.
     """
     planes = np.zeros(x.shape[:2] + (stride, stride, rows, pitch), dtype=x.dtype)
-    for dst, src in _phase_index(x.shape[2:], stride, top, left, rows, pitch):
-        planes[dst] = x[src]
+    for a in range(stride):
+        rdst, rsrc = _phase_span(x.shape[2], stride, top, a, rows)
+        for b in range(stride):
+            cdst, csrc = _phase_span(x.shape[3], stride, left, b, pitch)
+            planes[:, :, a, b, rdst, cdst] = x[:, :, rsrc, csrc]
     return planes
 
 
@@ -620,70 +586,62 @@ def _flat_columns(
     return cols
 
 
-def _conv2d_input_grad_s1(
-    g: np.ndarray, weight: np.ndarray, groups: int, padding: int, h: int, w: int
-) -> np.ndarray:
-    """Input gradient of a stride-1 conv as a grouped GEMM per batch chunk.
+def _chunk_columns(
+    x: np.ndarray, groups: int, kh: int, kw: int, stride: int, top: int, left: int, ho: int, pitch: int
+):
+    """Yield (b0, b1, columns) over the batch in chunks of whole images, as
+    many as keep a chunk's columns within ``_TILE_BYTES`` and at least one:
+    the ``_flat_columns`` of images b0:b1 as (b1 − b0, groups, K, Ho·P)."""
+    batch, c = x.shape[:2]
+    k = c // groups * kh * kw
+    step = max(1, _TILE_BYTES // (c * kh * kw * ho * pitch * x.dtype.itemsize))
+    for b0 in range(0, batch, step):
+        b1 = min(b0 + step, batch)
+        cols = _flat_columns(x[b0:b1], kh, kw, stride, top, left, ho, pitch)
+        yield b0, b1, cols.reshape(b1 - b0, groups, k, ho * pitch)
 
-    It is the stride-1 conv of g, zero-padded by k − 1 − padding (cropped
-    where that is negative), with the kernel rotated by 180° and its in and
-    out channels swapped (Dumoulin & Visin, arXiv 1603.07285, section 4),
-    over flat-row columns of pitch W + kw − 1, cut for one chunk of g's
-    images at a time (``_batch_chunks``).
-    """
-    batch, cout = g.shape[:2]
+
+def _conv2d_gemm(
+    x: np.ndarray, weight: np.ndarray, groups: int, stride: int, top: int, left: int, size: tuple[int, int]
+) -> np.ndarray:
+    """(B, Cout, Ho, Wo) cross-correlation, (Ho, Wo) = ``size``, of ``x``
+    zero-padded by ``top`` rows and ``left`` columns (cropped where negative)
+    and past its far edges, with a (Cout, C/groups, kh, kw) ``weight``: one
+    grouped matmul per chunk of ``_chunk_columns`` at pitch
+    P = Wo + (kw − 1)//stride, written without its P − Wo wrap columns into
+    the output. Each image's BLAS call is a whole-batch matmul's, so the
+    chunks change no bits."""
+    cout, _, kh, kw = weight.shape
+    ho, wo = size
+    pitch = wo + (kw - 1) // stride
+    wg = weight.reshape(groups, cout // groups, -1)
+    out = np.empty((x.shape[0], cout, ho, wo), dtype=np.result_type(x, weight))
+    for b0, b1, cols in _chunk_columns(x, groups, kh, kw, stride, top, left, ho, pitch):
+        prod = np.matmul(wg, cols).reshape(b1 - b0, cout, ho, pitch)
+        out[b0:b1] = prod[..., :wo]  # without the wrap columns
+    return out
+
+
+def _conv2d_input_grad(
+    g: np.ndarray, weight: np.ndarray, groups: int, stride: int, padding: int, size: tuple[int, int]
+) -> np.ndarray:
+    """Input gradient, (H, W) = ``size``, of a conv that is not a plain 1x1:
+    the stride-1 ``_conv2d_gemm`` of g dilated by the stride and zero-padded
+    by k − 1 − padding, with the kernel rotated by 180° and its in and out
+    channels swapped (Dumoulin & Visin, arXiv 1603.07285, section 4). The
+    dilation is one zeroed (B, Cout, (Ho−1)·s+1, (Wo−1)·s+1) map that g is
+    written into with a step of s; at stride 1 it is g itself."""
+    batch, cout, ho, wo = g.shape
     _, cin_g, kh, kw = weight.shape
     cout_g = cout // groups
     # contiguous: a reversed-stride view sends numpy's matmul to a slow loop
     rot = weight.reshape(groups, cout_g, cin_g, kh, kw)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
-    rot = np.ascontiguousarray(rot).reshape(groups, cin_g, cout_g * kh * kw)
-    pitch = w + kw - 1
-    dtype = np.result_type(g, weight)
-    gx = np.empty((batch, groups * cin_g, h, w), dtype=dtype)
-    for b0, b1 in _batch_chunks(batch, cout * kh * kw * h * pitch * dtype.itemsize):
-        cols = _flat_columns(g[b0:b1], kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, pitch)
-        cols = cols.reshape(b1 - b0, groups, cout_g * kh * kw, h * pitch)
-        prod = np.matmul(rot, cols).reshape(b1 - b0, groups * cin_g, h, pitch)
-        gx[b0:b1] = prod[..., :w]  # without the wrap columns
-    return gx
-
-
-def _conv2d_input_grad_phases(
-    gm: np.ndarray,
-    wg: np.ndarray,
-    kh: int,
-    kw: int,
-    padding: int,
-    phases: tuple[int, int, int],
-    x: np.ndarray,
-) -> np.ndarray:
-    """Input gradient of a strided conv of ``x``, in the layout of the phase
-    planes its columns were cut from: ``phases`` is (stride, rows, pitch).
-
-    ``gm`` is g at the column pitch, (B, groups, Cout/groups, Ho·P), zero in
-    its wrap columns. Each tap's share of it is added into its phase plane as
-    one contiguous run, in tap order, and the planes are copied back to
-    ``x``'s shape and dtype.
-    """
-    batch, groups, cout_g, span = gm.shape
-    stride, rows, pitch = phases
-    cin = x.shape[1]
-    grad = np.zeros((batch, cin, stride, stride, rows, pitch), dtype=x.dtype)
-    flat = grad.reshape(batch, cin, stride, stride, rows * pitch)
-    if cout_g == 1:
-        # one output channel per group (depthwise): each tap's share is g
-        # scaled per channel, not a matmul over an inner dimension of 1
-        taps = wg.reshape(groups, cin // groups, kh * kw, 1)
-    else:
-        gcols = np.matmul(np.swapaxes(wg, -1, -2), gm).reshape(batch, cin, kh * kw, span)
-    for t, (i, j) in enumerate(np.ndindex(kh, kw)):
-        part = (gm * taps[:, :, t]).reshape(batch, cin, span) if cout_g == 1 else gcols[:, :, t]
-        start = (i // stride) * pitch + j // stride
-        flat[:, :, i % stride, j % stride, start : start + span] += part
-    gx = np.zeros(x.shape, dtype=x.dtype)
-    for dst, src in _phase_index(x.shape[2:], stride, padding, padding, rows, pitch):
-        gx[src] = grad[dst]
-    return gx
+    rot = np.ascontiguousarray(rot).reshape(groups * cin_g, cout_g, kh, kw)
+    if stride > 1:
+        dilated = np.zeros((batch, cout, (ho - 1) * stride + 1, (wo - 1) * stride + 1), dtype=g.dtype)
+        dilated[:, :, ::stride, ::stride] = g
+        g = dilated
+    return _conv2d_gemm(g, rot, groups, 1, kh - 1 - padding, kw - 1 - padding, size)
 
 
 def _conv2d_tiles(

@@ -672,10 +672,10 @@ def conv_grads_reference(x, w, r, stride, padding, groups):
 
 
 class TestConv2dBackward:
-    """The recorded conv (flat-row columns cut from phase planes, the
-    stride-1 input gradient as one GEMM) against direct float64
-    accumulation. The default map is 7 x 5: odd, and not divisible by
-    stride 2 or 3."""
+    """The recorded conv (flat-row columns cut from phase planes, every
+    input gradient as the same GEMM on g dilated by the stride) against
+    direct float64 accumulation. The default map is 7 x 5: odd, and not
+    divisible by stride 2 or 3."""
 
     # (cin, cout, groups): depthwise, one output channel per group of two, dense
     KINDS = {"depthwise": (4, 4, 4), "grouped": (4, 2, 2), "dense": (3, 5, 1)}
@@ -801,17 +801,18 @@ class TestConv2dBackward:
         out = T.conv2d(x, w, stride=stride, padding=padding, groups=c)
         g = rng.normal(size=out.shape).astype(np.float32)
         T.tsum(T.mul(out, Tensor(g))).backward()
-        ho, wo = out.shape[2:]
-        # the batched (c, 9, 1) @ (1, HW) matmul and tap scatter it replaced
-        gcols = np.matmul(np.swapaxes(w.data.reshape(c, 1, 9), -1, -2), g.reshape(2, c, 1, ho * wo))
-        gcols = gcols.reshape(2, c, 3, 3, ho, wo)
-        gxp = np.zeros((2, c, 11, 11), dtype=np.float32)
-        for i in range(3):
-            for j in range(3):
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                    :, :, i, j
-                ]
-        assert np.array_equal(x.grad, gxp[:, :, 1:10, 1:10])
+        # g dilated by the stride into 9 x 9, padded by 3 - 1 - padding at
+        # pitch 9 + 2 with a spare row, then the batched (c, 1, 9) @ (9, 9·11)
+        # matmul with the rotated kernel, without the wrap columns
+        pitch = 11
+        plane = np.zeros((2, c, 12, pitch), dtype=np.float32)
+        plane[:, :, 1:10:stride, 1:10:stride] = g
+        flat = plane.reshape(2, c, 12 * pitch)
+        starts = [i * pitch + j for i in range(3) for j in range(3)]
+        cols = np.stack([flat[:, :, s : s + 9 * pitch] for s in starts], axis=2)
+        rot = np.ascontiguousarray(w.data[:, :, ::-1, ::-1]).reshape(c, 1, 9)
+        gx = np.matmul(rot, cols).reshape(2, c, 9, pitch)[..., :9]
+        assert np.array_equal(x.grad, gx)
 
     def test_no_input_gradient_for_a_constant_input(self):
         rng = np.random.default_rng(52)
@@ -978,15 +979,21 @@ class TestChunkedConv:
     ):
         c = self.KINDS[kind][0]
         ho, pitch = (6 - 1) // stride + 1, (5 - 1) // stride + 1 + 2 // stride
-        image_bytes = c * 9 * ho * pitch * np.dtype(dtype).itemsize  # one image's columns
+        image_bytes = c * 9 * ho * pitch * np.dtype(dtype).itemsize  # one image's columns of x
         images = self.CHUNKS[chunk]
         case = (kind, stride, norm, act, dtype)
         mine, cut = self.run(monkeypatch, images * image_bytes, *case)
         theirs, whole = self.run(monkeypatch, 1 << 40, *case)
-        # forward, weight gradient and, at stride 1, input gradient
-        sizes = [images] * (self.BATCH // images) + ([self.BATCH % images] if self.BATCH % images else [])
-        passes = 3 if stride == 1 else 2
-        assert cut == sizes * passes and whole == [self.BATCH] * passes
+
+        def sizes(step):
+            return [min(step, self.BATCH - b0) for b0 in range(0, self.BATCH, step)]
+
+        # the forward and the weight gradient, then the input gradient, whose
+        # columns of g (dilated by the stride) span the input's 6 rows at
+        # pitch 5 + 2: as many bytes per image as x's at stride 1, 3.5 times
+        # as many at stride 2, so there its chunks hold fewer images
+        grad_images = images if stride == 1 else {1: 1, 3: 1, 7: 2}[images]
+        assert cut == sizes(images) * 2 + sizes(grad_images) and whole == [self.BATCH] * 3
         assert len(mine) == len(theirs) == (7 if norm else 4)
         for a, b in zip(mine, theirs):
             assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
