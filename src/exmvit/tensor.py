@@ -11,7 +11,8 @@ closure has run, and only leaf tensors that require grad (parameters) keep
 ``grad``; constants and input batches never get one. A closure hands a
 gradient buffer it has just allocated to ``_accumulate`` rather than having
 it copied. Every op records one node, with a closed-form backward whose
-closure keeps only what it reads: the primitives ``add``, ``mul``, ``tsum``
+closure keeps only what it reads and cannot cheaply rebuild from an input
+the graph already holds: the primitives ``add``, ``mul``, ``tsum``
 and ``concat``, and the fused ops ``batch_norm``, ``layer_norm``,
 ``conv2d``, ``linear``, attention's ``_attend``, the two patch folds,
 ``global_avg_pool`` and the loss ``cross_entropy``. A ``conv2d`` given a
@@ -19,15 +20,17 @@ and ``concat``, and the fused ops ``batch_norm``, ``layer_norm``,
 norm works in the conv's own output buffer. ``linear`` and attention run
 the same numpy recorded or not. ``linear``, ``conv2d`` and a training
 ``batch_norm`` finish their output in place with one epilogue,
-``_epilogue``: bias add, SiLU when asked (``act``, ``_sigmoid`` then a
-multiply) and the finite check. Every ``conv2d`` works on flat rows: its
+``_epilogue``: bias add (a recorded conv adds its bias just before),
+SiLU when asked (``act``, ``_sigmoid`` then a multiply) and the finite
+check. Every ``conv2d`` works on flat rows: its
 im2col columns are cut from the input padded into stride phase planes, so
 every column row is a whole band of output rows, not one output row. A
 recorded conv other than a plain 1x1 (whose columns are its input) runs
 one GEMM kernel, ``_conv2d_gemm``, on columns cut for one chunk of whole
 images at a time, as many as fit in about 256 KiB; its input gradient is
 that kernel on g dilated by the stride, with the rotated kernel. The
-closure keeps no copy of the input: the backward cuts the planes again.
+closure keeps no copy of the input: the backward cuts the planes again,
+and a plain 1x1's norm rebuilds its xhat from the input with one GEMM.
 An unrecorded conv runs one tile kernel: a tile is one image by a block
 of groups by a block of output rows, about 256 KiB, whose columns are cut
 from the band of input it reads, and ``_epilogue`` runs on each tile's
@@ -427,9 +430,9 @@ def conv2d(
     ``batch_norm(act=act)``, and the norm's running statistics move.
 
     A recorded forward is one node: matmuls over im2col columns cut as flat
-    rows, finished in place by ``_epilogue`` (bias, SiLU when ``act`` and no
-    norm, finite check). A stride-1 1x1 conv without padding uses the whole
-    input itself as its columns. Any other conv runs ``_conv2d_gemm``, on
+    rows, plus the bias, finished in place by ``_epilogue`` (SiLU when
+    ``act`` and no norm, finite check). A stride-1 1x1 conv without padding
+    uses the whole input itself as its columns. Any other conv runs ``_conv2d_gemm``, on
     columns of output pitch P = Wo + (kw-1)//stride cut from phase planes
     for one chunk of whole images at a time (``_chunk_columns``). The
     backward closure keeps neither the planes nor the columns: it cuts them
@@ -440,7 +443,11 @@ def conv2d(
     norm's xhat (``_batch_norm``), so the conv's output is not kept beside
     it, nor is the SiLU's sigmoid; the backward runs the norm's gradient
     (SiLU's derivative first, from a sigmoid rebuilt from xhat) and then the
-    conv's on its dx. Without one, ``act``'s derivative is taken from the
+    conv's on its dx. A pointwise conv's norm keeps no xhat either: its
+    backward rebuilds it from the input with the forward's one GEMM, bias,
+    − mean and · inv, with the forward's bits. A depthwise or dense conv's
+    norm keeps xhat, which it could only rebuild by running its conv
+    forward again. Without one, ``act``'s derivative is taken from the
     output and the forward's sigmoid (``_silu_grad``), as in ``linear``.
     The input gradient is skipped when x does not require grad; a plain
     1x1's is one matmul, and any other conv's is ``_conv2d_gemm`` on g
@@ -490,16 +497,25 @@ def conv2d(
         else:
             yield from _chunk_columns(x.data, groups, kh, kw, stride, padding, padding, ho, pitch)
 
-    if pointwise:
-        out = np.matmul(wg, next(columns())[2]).reshape(batch, cout, ho, wo)
-    else:
-        out = _conv2d_gemm(x.data, weight.data, groups, stride, padding, padding, (ho, wo))
-    sig = _epilogue(out, None if bias is None else bias.data.reshape(1, cout, 1, 1), conv_act, "conv2d")
+    def biased():
+        # the product plus bias, from x.data on each call
+        if pointwise:
+            out = np.matmul(wg, next(columns())[2]).reshape(batch, cout, ho, wo)
+        else:
+            out = _conv2d_gemm(x.data, weight.data, groups, stride, padding, padding, (ho, wo))
+        if bias is not None:
+            out += bias.data.reshape(1, cout, 1, 1)
+        return out
+
+    out = biased()
+    sig = _epilogue(out, None, conv_act, "conv2d")
     silu_saved = (out, sig) if conv_act else None  # what SiLU's derivative reads
     norm_grad = None
     if norm is not None:
-        # normalized in the conv's own buffer, which becomes the norm's xhat
-        out, norm_grad = _batch_norm(out, *norm, act, out=out)
+        # normalized in the conv's own buffer, which becomes the norm's xhat;
+        # a pointwise conv's norm drops it and rebuilds it with one GEMM
+        rebuild = biased if pointwise else None
+        out, norm_grad = _batch_norm(out, *norm, act, out=out, rebuild=rebuild)
 
     def backward(g):
         if norm_grad is not None:
@@ -757,6 +773,7 @@ def _batch_norm(
     running_var: np.ndarray,
     act: bool,
     out: np.ndarray | None = None,
+    rebuild=None,
 ):
     """Batch norm of the [B, C, H, W] array ``x``, then SiLU if ``act``.
 
@@ -769,13 +786,15 @@ def _batch_norm(
     SiLU and the finite check run in the output buffer by ``_epilogue``, as
     in ``conv2d`` and ``linear``: only the activated output is checked for
     finite values (a NaN or Inf before SiLU survives it). ``grad`` holds
-    only xhat, inv = 1/sqrt(var + eps) and the output, not the sigmoid: with
-    ``act`` it rebuilds the sigmoid from xhat with the forward's ops in the
-    forward's order (xhat·γ, + β, ``_sigmoid``), trading ~6 passes per
-    element for one held array (Chen et al., arXiv 1604.06174), and takes
-    SiLU's derivative from the output (``_silu_grad``) with the forward's
-    bits. Then comes the closed form
-    dbeta = sum(g), dgamma = sum(g * xhat) and
+    xhat, the per-channel mean and inv = 1/sqrt(var + eps) and the output,
+    not the sigmoid. Given ``rebuild``, a callable that returns a fresh copy
+    of ``x``, it holds no xhat either and rebuilds it as the forward made
+    it: ``rebuild()``, − mean, · inv. With ``act`` it rebuilds the sigmoid
+    from xhat with the forward's ops in the forward's order (xhat·γ, + β,
+    ``_sigmoid``). Each rebuild trades a few passes per element for one held
+    array (Chen et al., arXiv 1604.06174). SiLU's derivative is taken from
+    the output (``_silu_grad``) with the forward's bits. Then comes the
+    closed form dbeta = sum(g), dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167). The two sums are
     one GEMV of g's (B·C, H·W) rows against ones and one einsum, not
@@ -800,8 +819,14 @@ def _batch_norm(
     running_mean += BN_MOMENTUM * mean.reshape(c)
     running_var *= 1.0 - BN_MOMENTUM
     running_var += BN_MOMENTUM * unbiased
+    kept = xhat if rebuild is None else None
 
     def grad(g):
+        xhat = kept
+        if xhat is None:  # the forward's ops in its order, on a fresh input
+            xhat = rebuild()
+            xhat -= mean
+            xhat *= inv
         if act:
             # the forward's ops in its order: xhat·γ, + β, then the sigmoid,
             # all in the one buffer of the pre-activation
@@ -832,8 +857,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     One recorded op. Its forward runs the numpy operations of the op chain
     mean, centre, square, mean, +eps, sqrt, 1/, scale, affine in that order,
     so its output keeps the chain's bits. The closure holds only the
-    normalized input xhat and inv = 1/sqrt(var + eps); the backward is the
-    closed form dbeta = sum(g), dgamma = sum(g * xhat) and
+    per-row mean and inv = 1/sqrt(var + eps). The backward rebuilds the
+    normalized input xhat from x, which the graph holds, with the forward's
+    ops (x − mean, · inv), then runs the closed form dbeta = sum(g),
+    dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma, the means taken over the last axis.
     """
@@ -850,6 +877,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out += beta.data
 
     def backward(g):
+        xhat = x.data - mean  # the forward's ops in its order
+        xhat *= inv
         lead = tuple(range(g.ndim - 1))
         beta._accumulate(g.sum(axis=lead), owned=True)
         gamma._accumulate((g * xhat).sum(axis=lead), owned=True)
@@ -912,8 +941,9 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     q arrives scaled. The scores are checked finite before the softmax, which
     runs in their buffer: a score that overflowed to -inf would otherwise
-    become a silent zero. The closure keeps the per-head q, k and v and the
-    probabilities P; the backward is dV = Pᵀ dO, dP = dO Vᵀ,
+    become a silent zero. The closure keeps only the probabilities P; the
+    backward cuts the per-head q, k and v again from the inputs, which the
+    graph holds, and is dV = Pᵀ dO, dP = dO Vᵀ,
     dS = P ⊙ (dP − rowsum(dP ⊙ P)), dQ = dS K and dK = dSᵀ Q.
     """
     batch, t, d = q.shape
@@ -936,11 +966,11 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def backward(g):
         go = split(g)
         v._accumulate(merge(np.matmul(probs.transpose(0, 1, 3, 2), go)), owned=True)
-        ds = np.matmul(go, vh.transpose(0, 1, 3, 2))
+        ds = np.matmul(go, split(v.data).transpose(0, 1, 3, 2))
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        q._accumulate(merge(np.matmul(ds, kh)), owned=True)
-        k._accumulate(merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)), owned=True)
+        q._accumulate(merge(np.matmul(ds, split(k.data))), owned=True)
+        k._accumulate(merge(np.matmul(ds.transpose(0, 1, 3, 2), split(q.data))), owned=True)
 
     return _make(merge(np.matmul(probs, vh)), (q, k, v), backward, "attention")
 

@@ -259,10 +259,13 @@ class TestGraphRecording:
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
     def test_step_holds_each_activation_once(self):
-        # 30.7 MiB after forward and loss; keeping the 24 norm sigmoids, which
-        # the backward rebuilds from xhat, would add 11.0 MiB, each conv output
-        # beside its norm's xhat 12.4 MiB, and a padded copy of each
-        # non-pointwise conv's input 11.2 MiB
+        # 21.7 MiB after forward and loss, 4.4 of it the depthwise and dense
+        # convs' norm xhat. The backward rebuilds what else it reads from
+        # arrays the graph holds. Keeping the pointwise convs' norm xhat
+        # would add 8.0 MiB, the layer norms' xhat 0.46 and attention's
+        # per-head q, k and v 0.47; the 24 norm sigmoids 11.0, each conv
+        # output beside its norm's xhat 12.4, and a padded copy of each
+        # non-pointwise conv's input 11.2
         model, x, labels = self.batch32()
         tracemalloc.start()
         try:
@@ -272,10 +275,10 @@ class TestGraphRecording:
         finally:
             tracemalloc.stop()
         del loss
-        assert held < 36 * 2**20, held / 2**20
+        assert held < 25 * 2**20, held / 2**20
 
     def test_backward_peak_stays_near_what_the_step_holds(self):
-        # 30.7 MiB held, 31.6 MiB at the backward's peak: each conv cuts its
+        # 21.7 MiB held, 22.8 MiB at the backward's peak: each conv cuts its
         # columns one batch chunk at a time. Whole-batch columns (10.1 MiB in
         # the 32-channel 16x16 depthwise conv's input gradient) peaked at 35.6
         model, x, labels = self.batch32()

@@ -671,6 +671,31 @@ def conv_grads_reference(x, w, r, stride, padding, groups):
     return gxp[:, :, padding : padding + h, padding : padding + width], gw
 
 
+def held_arrays(fn):
+    """Every array a closure reaches through its cells, the closures in them
+    and the Tensors in them."""
+    held = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, Tensor):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            held += held_arrays(value)
+    return held
+
+
+def held_beyond(node, tensors):
+    """The arrays ``node``'s closure holds that share no memory with
+    ``tensors``' data."""
+    return [
+        a
+        for a in held_arrays(node._backward)
+        if not any(np.shares_memory(a, t.data) for t in tensors)
+    ]
+
+
 class TestConv2dBackward:
     """The recorded conv (flat-row columns cut from phase planes, every
     input gradient as the same GEMM on g dilated by the stride) against
@@ -764,31 +789,12 @@ class TestConv2dBackward:
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-5)
 
-    @staticmethod
-    def held_arrays(fn):
-        """Every array a closure reaches through its cells, the closures in
-        them and the Tensors in them."""
-        held = []
-        for cell in fn.__closure__ or ():
-            value = cell.cell_contents
-            if isinstance(value, Tensor):
-                value = value.data
-            if isinstance(value, np.ndarray):
-                held.append(value)
-            elif callable(value) and getattr(value, "__closure__", None):
-                held += TestConv2dBackward.held_arrays(value)
-        return held
-
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("stride", [1, 2])
     def test_closure_holds_no_columns(self, kind, stride):
         x, w, b, groups, _ = self.operands(kind, 3, (16, 16), np.float32)
         out = T.conv2d(x, w, b, stride=stride, padding=1, groups=groups)
-        held = [
-            a
-            for a in self.held_arrays(out._backward)
-            if not any(np.shares_memory(a, t.data) for t in (x, w, b))
-        ]
+        held = held_beyond(out, (x, w, b))
         # the backward cuts the phase planes and columns from x again: the
         # closure holds no array beyond its operands
         assert held == []
@@ -1548,3 +1554,45 @@ class TestOneNodeOps:
             self.loss(out).backward()
             expected = [i < constant for i in range(len(leaves))]
             assert [leaf.grad is None for leaf in leaves] == expected
+
+
+class TestClosuresKeepNothingRebuildable:
+    """A recorded op's closure keeps no array its backward can rebuild with
+    the forward's bits from an input the graph holds."""
+
+    @staticmethod
+    def leaves(shapes, dtype, x_grad, seed=94):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        return [Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("act", [False, True])
+    def test_pointwise_conv_norm_holds_no_xhat(self, dtype, x_grad, act):
+        x, w, gamma, beta = self.leaves([(2, 4, 5, 6), (6, 4, 1, 1), (6,), (6,)], dtype, x_grad)
+        stats = (np.zeros(6, dtype=dtype), np.ones(6, dtype=dtype))
+        out = T.conv2d(x, w, act=act, norm=(gamma, beta, *stats))
+        # the backward rebuilds xhat from x with one GEMM: beyond its
+        # operands and its output it holds only per-channel vectors and scalars
+        held = held_beyond(out, (x, w, gamma, beta, out))
+        assert held and all(a.size in (1, 6) for a in held), [a.shape for a in held]
+        T.tsum(out).backward()
+        assert (x.grad is not None) == x_grad and w.grad is not None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_layer_norm_holds_no_xhat(self, dtype, x_grad):
+        x, gamma, beta = self.leaves([(3, 4, 6), (6,), (6,)], dtype, x_grad)
+        out = T.layer_norm(x, gamma, beta)
+        # per-row mean and inv and the scalar 1/D, no (3, 4, 6) xhat
+        held = held_beyond(out, (x, gamma, beta, out))
+        assert held and all(a.shape in ((3, 4, 1), ()) for a in held), [a.shape for a in held]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attend_holds_probs_and_no_head_copies(self, dtype):
+        q, k, v = self.leaves([(2, 4, 6)] * 3, dtype, True)
+        out = T._attend(q, k, v, heads=2)
+        # (B, heads, T, T) probabilities, not (B, heads, T, D/heads) heads
+        held = held_beyond(out, (q, k, v, out))
+        assert [a.shape for a in held] == [(2, 2, 4, 4)]
