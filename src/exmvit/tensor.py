@@ -12,7 +12,9 @@ closure has run, and only leaf tensors that require grad (parameters) keep
 gradient buffer it has just allocated to ``_accumulate`` rather than having
 it copied. Every op records one node, with a closed-form backward whose
 closure keeps only what it reads and cannot cheaply rebuild from an input
-the graph already holds: the primitives ``add``, ``mul``, ``tsum``
+the graph already holds, and a node output that its producer can rebuild
+in a few passes is released once its consumers have run their forwards
+(``Tensor._release``): the primitives ``add``, ``mul``, ``tsum``
 and ``concat``, and the fused ops ``batch_norm``, ``layer_norm``,
 ``conv2d``, ``linear``, attention's ``_attend``, the two patch folds,
 ``global_avg_pool`` and the loss ``cross_entropy``. A ``conv2d`` given a
@@ -31,6 +33,8 @@ images at a time, as many as fit in about 256 KiB; its input gradient is
 that kernel on g dilated by the stride, with the rotated kernel. The
 closure keeps no copy of the input: the backward cuts the planes again,
 and a plain 1x1's norm rebuilds its xhat from the input with one GEMM.
+Any other conv's norm keeps xhat but not the output, which a consuming
+conv releases and a later read rebuilds from xhat.
 An unrecorded conv runs one tile kernel: a tile is one image by a block
 of groups by a block of output rows, about 256 KiB, whose columns are cut
 from the band of input it reads, and ``_epilogue`` runs on each tile's
@@ -42,6 +46,7 @@ Data lives in flat numpy arrays; float32 is the default working precision
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -92,14 +97,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _Rebuild:
+    """Stands in for a released node output (``Tensor._release``): the
+    output's shape, dtype, ndim and size, and ``fn``, which returns a fresh
+    array with the output's bits."""
+
+    __slots__ = ("fn", "shape", "dtype", "ndim", "size")
+
+    def __init__(self, fn, like: np.ndarray):
+        self.fn = fn
+        self.shape, self.dtype, self.ndim, self.size = like.shape, like.dtype, like.ndim, like.size
+
+
 class Tensor:
     """N-dimensional float array with an optional gradient slot.
 
     Image tensors are laid out (batch, channels, height, width); token
     sequences are (batch, tokens, dim). Data is row-major.
+
+    A node output that the graph can rebuild bit for bit carries a
+    ``_Rebuild`` and may be released: its array is dropped, and the next
+    read of ``data`` rebuilds it once and keeps it. ``shape``, ``ndim``,
+    ``size`` and ``dtype`` never rebuild it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("_data", "_rebuild", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -111,23 +133,40 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
+    @property
+    def data(self) -> np.ndarray:
+        data = self._data
+        if data is self._rebuild:  # released: rebuild once and keep
+            data = self._data = data.fn()
+        return data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data, self._rebuild = value, None
+
+    def _release(self) -> None:
+        """Drop the array of an output that can be rebuilt; a no-op otherwise."""
+        if self._rebuild is not None:
+            self._data = self._rebuild
+
     # -- basic introspection ------------------------------------------------
+    # a released output's stand-in answers these without a rebuild
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -371,9 +410,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
 
     One op, recorded or not: one GEMM of all leading rows against a
     transposed view of the weight (no copy), finished in place by
-    ``_epilogue``. Its closure keeps the input rows and the sigmoid; the
-    backward takes SiLU's derivative from the output first (``_silu_grad``),
-    then dW = gᵀx, db = Σg and, when x requires grad, dx = gW.
+    ``_epilogue``. Its closure keeps the input rows but not the sigmoid: the
+    backward rebuilds it with the forward's ops in its order (the GEMM,
+    + bias, ``_sigmoid`` in the pre-activation's buffer), takes SiLU's
+    derivative from the output first (``_silu_grad``), then dW = gᵀx,
+    db = Σg and, when x requires grad, dx = gW.
     """
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
@@ -381,12 +422,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
         )
     rows = x.data.reshape(-1, x.shape[-1])
     out = np.matmul(rows, weight.data.T)
-    sig = _epilogue(out, bias.data, act, "linear")
+    _epilogue(out, bias.data, act, "linear")
 
     def backward(g):
         g = g.reshape(out.shape)
         if act:
-            g = _silu_grad(g, out, sig)
+            sig = np.matmul(rows, weight.data.T)
+            sig += bias.data
+            g = _silu_grad(g, out, _sigmoid(sig, out=sig))
         weight._accumulate(np.matmul(g.T, rows), owned=True)
         bias._accumulate(g.sum(axis=0), owned=True)
         if x.requires_grad:
@@ -443,12 +486,22 @@ def conv2d(
     norm's xhat (``_batch_norm``), so the conv's output is not kept beside
     it, nor is the SiLU's sigmoid; the backward runs the norm's gradient
     (SiLU's derivative first, from a sigmoid rebuilt from xhat) and then the
-    conv's on its dx. A pointwise conv's norm keeps no xhat either: its
-    backward rebuilds it from the input with the forward's one GEMM, bias,
-    − mean and · inv, with the forward's bits. A depthwise or dense conv's
-    norm keeps xhat, which it could only rebuild by running its conv
-    forward again. Without one, ``act``'s derivative is taken from the
-    output and the forward's sigmoid (``_silu_grad``), as in ``linear``.
+    conv's on its dx; it reads the output through a weak reference to its
+    node. A pointwise conv's norm keeps no xhat either: its backward
+    rebuilds it from the input with the forward's one GEMM, bias, − mean
+    and · inv, with the forward's bits. A depthwise or dense conv's norm
+    keeps xhat, which it could only rebuild by running its conv forward
+    again, and gives up its output instead: the output carries a
+    ``_Rebuild`` (xhat·γ, + β, SiLU, the forward's ops in its order), and
+    every recorded conv releases its input once its own forward has run,
+    since its backward reads ``x.data`` again. So a map read by two convs
+    is rebuilt once by the second, and once in the backward by whichever
+    consumer's backward runs first; the producer's backward reads that
+    copy and releases it again, before its conv gradients allocate. Keeping
+    the normalized input and recomputing the activation is In-Place ABN's
+    trade run the other way round (Rota Bulò et al., arXiv 1712.02616).
+    Without a norm, ``act``'s derivative is taken from the
+    output and the forward's sigmoid (``_silu_grad``).
     The input gradient is skipped when x does not require grad; a plain
     1x1's is one matmul, and any other conv's is ``_conv2d_gemm`` on g
     dilated by the stride, with the rotated kernel (``_conv2d_input_grad``).
@@ -481,7 +534,7 @@ def conv2d(
         b = None if bias is None else bias.data
         out = _conv2d_tiles(x.data, weight.data, b, conv_act, stride, padding, groups, ho, wo)
         if norm is not None:
-            out, _ = _batch_norm(out, *norm, act, out=out)
+            out = _batch_norm(out, *norm, act, out=out)[0]
         return Tensor(out)  # every piece was checked by its epilogue
 
     cout_g, k = cout // groups, cin_g * kh * kw
@@ -510,16 +563,21 @@ def conv2d(
     out = biased()
     sig = _epilogue(out, None, conv_act, "conv2d")
     silu_saved = (out, sig) if conv_act else None  # what SiLU's derivative reads
-    norm_grad = None
+    norm_grad = remake = None
     if norm is not None:
         # normalized in the conv's own buffer, which becomes the norm's xhat;
         # a pointwise conv's norm drops it and rebuilds it with one GEMM
         rebuild = biased if pointwise else None
-        out, norm_grad = _batch_norm(out, *norm, act, out=out, rebuild=rebuild)
+        out, norm_grad, remake = _batch_norm(out, *norm, act, out=out, rebuild=rebuild)
 
     def backward(g):
         if norm_grad is not None:
-            g = norm_grad(g)
+            # the output through a weak reference: the closure keeps no array
+            # of it and no cycle through its own node. Its consumers are done,
+            # so it is released again as soon as it is read
+            produced = node()
+            g = norm_grad(g, produced.data if act else None)
+            produced._release()
         elif conv_act:
             g = _silu_grad(g, *silu_saved)
         if bias is not None:
@@ -540,7 +598,12 @@ def conv2d(
             gx = _conv2d_input_grad(g, weight.data, groups, stride, padding, (h, w))
         x._accumulate(gx, owned=True)
 
-    return _node(out, parents, backward)
+    result = _node(out, parents, backward)
+    node = weakref.ref(result)
+    if remake is not None:  # a norm that keeps xhat: the output is a few passes away
+        result._rebuild = _Rebuild(remake, out)
+    x._release()  # this closure reads x.data again, rebuilt if released
+    return result
 
 
 def _phase_span(n: int, stride: int, offset: int, phase: int, extent: int) -> tuple[slice, slice]:
@@ -757,10 +820,10 @@ def batch_norm(
     running ``_batch_norm`` on a fresh buffer. A ``conv2d`` given ``norm``
     runs the same maths in its own output buffer instead.
     """
-    out, grad = _batch_norm(x.data, gamma, beta, running_mean, running_var, act)
+    out, grad, _ = _batch_norm(x.data, gamma, beta, running_mean, running_var, act)
 
     def backward(g):
-        x._accumulate(grad(g), owned=True)
+        x._accumulate(grad(g, out), owned=True)
 
     return _node(out, (x, gamma, beta), backward)
 
@@ -777,28 +840,37 @@ def _batch_norm(
 ):
     """Batch norm of the [B, C, H, W] array ``x``, then SiLU if ``act``.
 
-    Returns the output and ``grad(g)``, which accumulates dγ and dβ and
-    returns dx. x − mean is written into ``out``, or a fresh buffer when it
-    is None; ``out`` may be ``x`` itself when ``x`` is a private buffer,
-    which then becomes the normalized input xhat. Once the output is checked
-    finite, the batch statistics are folded into the running estimates in
-    place, so a NaN or Inf input leaves them as they were. The shift β, the
-    SiLU and the finite check run in the output buffer by ``_epilogue``, as
-    in ``conv2d`` and ``linear``: only the activated output is checked for
-    finite values (a NaN or Inf before SiLU survives it). ``grad`` holds
-    xhat, the per-channel mean and inv = 1/sqrt(var + eps) and the output,
-    not the sigmoid. Given ``rebuild``, a callable that returns a fresh copy
-    of ``x``, it holds no xhat either and rebuilds it as the forward made
-    it: ``rebuild()``, − mean, · inv. With ``act`` it rebuilds the sigmoid
-    from xhat with the forward's ops in the forward's order (xhat·γ, + β,
-    ``_sigmoid``). Each rebuild trades a few passes per element for one held
-    array (Chen et al., arXiv 1604.06174). SiLU's derivative is taken from
-    the output (``_silu_grad``) with the forward's bits. Then comes the
-    closed form dbeta = sum(g), dgamma = sum(g * xhat) and
+    Returns the output y, ``grad(g, y)``, which accumulates dγ and dβ and
+    returns dx (it reads y only with ``act``), and ``output()``, which
+    returns a fresh y with the forward's bits, or None. x − mean is written
+    into ``out``, or a fresh buffer when it is None; ``out`` may be ``x``
+    itself when ``x`` is a private buffer, which then becomes the normalized
+    input xhat. Once the output is checked finite, the batch statistics are
+    folded into the running estimates in place, so a NaN or Inf input leaves
+    them as they were. The shift β, the SiLU and the finite check run in the
+    output buffer by ``_epilogue``, as in ``conv2d`` and ``linear``: only the
+    activated output is checked for finite values (a NaN or Inf before SiLU
+    survives it). ``grad`` holds xhat, the per-channel mean and
+    inv = 1/sqrt(var + eps), not the output or the sigmoid, and ``output``
+    rebuilds y from that xhat with the forward's ops in its order (xhat·γ,
+    + β, ``_sigmoid`` into a new buffer, ·). γ and β are copied as the
+    forward reads them, so a rebuild after an optimizer step still has the
+    forward's bits. Given ``rebuild``, a callable that returns a fresh copy
+    of ``x``, ``grad`` holds no xhat either and rebuilds it as the forward
+    made it: ``rebuild()``, − mean, · inv; ``output`` is then None. With
+    ``act`` ``grad`` rebuilds the sigmoid from xhat (xhat·γ, + β,
+    ``_sigmoid``, in one buffer). Each rebuild trades a few passes per
+    element for one held array (Chen et al., arXiv 1604.06174).
+    SiLU's derivative is taken from the output (``_silu_grad``) with the
+    forward's bits. Then comes the closed form dbeta = sum(g),
+    dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167). The two sums are
     one GEMV of g's (B·C, H·W) rows against ones and one einsum, not
-    reductions over axes (0, 2, 3).
+    reductions over axes (0, 2, 3). dx is written into a buffer the backward
+    made and no longer reads, the sigmoid's or a rebuilt xhat's, when there
+    is one: fewer fresh maps late in a backward leave the allocator fewer
+    holes to fill.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -811,9 +883,11 @@ def _batch_norm(
     var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
-    y = xhat * gamma.data.reshape(1, c, 1, 1)
+    scale = gamma.data.reshape(1, c, 1, 1).copy()
+    shift = beta.data.reshape(1, c, 1, 1).copy()
+    y = xhat * scale
     # the SiLU runs in place: neither the pre-activation nor the sigmoid is kept
-    _epilogue(y, beta.data.reshape(1, c, 1, 1), act, "batch_norm")
+    _epilogue(y, shift, act, "batch_norm")
     unbiased = var.reshape(c) * (n / max(n - 1, 1))
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * mean.reshape(c)
@@ -821,19 +895,29 @@ def _batch_norm(
     running_var += BN_MOMENTUM * unbiased
     kept = xhat if rebuild is None else None
 
-    def grad(g):
+    def output():
+        # _epilogue's ops in its order, without the finite check they passed
+        y = kept * scale
+        y += shift
+        if act:
+            y *= _sigmoid(y)
+        return y
+
+    def grad(g, y):
         xhat = kept
         if xhat is None:  # the forward's ops in its order, on a fresh input
             xhat = rebuild()
             xhat -= mean
             xhat *= inv
+        spare = None if kept is not None else xhat  # a private buffer dx may take
         if act:
             # the forward's ops in its order: xhat·γ, + β, then the sigmoid,
             # all in the one buffer of the pre-activation
-            sig = xhat * gamma.data.reshape(1, c, 1, 1)
-            sig += beta.data.reshape(1, c, 1, 1)
+            sig = xhat * scale
+            sig += shift
             _sigmoid(sig, out=sig)
             g = _silu_grad(g, y, sig)
+            spare = sig
         batch, _, h, w = g.shape
         rows = g.reshape(batch * c, h * w)
         gsum = (rows @ np.ones(h * w, dtype=g.dtype)).reshape(batch, c).sum(axis=0)
@@ -842,13 +926,13 @@ def _batch_norm(
         gamma._accumulate(gdot, owned=True)
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
         # dxhat = g * gamma; gamma is per channel, so it factors out
-        dx = xhat * (gdot.reshape(1, c, 1, 1) * rn)
+        dx = np.multiply(xhat, gdot.reshape(1, c, 1, 1) * rn, out=spare)
         dx += gsum.reshape(1, c, 1, 1) * rn
         np.subtract(g, dx, out=dx)
-        dx *= gamma.data.reshape(1, c, 1, 1) * inv
+        dx *= scale * inv
         return dx
 
-    return y, grad
+    return y, grad, output if rebuild is None else None
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

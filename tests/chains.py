@@ -200,6 +200,12 @@ def chained_conv_act(x, weight, bias=None, **conv):
     return silu(T.conv2d(x, weight, bias, **conv))
 
 
+def chained_conv_norm(x, weight, gamma, beta, running_mean, running_var, act=False, **conv):
+    """A conv given ``norm`` as the ops it fuses: the conv, then the
+    training batch norm with its SiLU, whose output is never released."""
+    return T.batch_norm(T.conv2d(x, weight, **conv), gamma, beta, running_mean, running_var, act=act)
+
+
 def chained_cross_entropy(logits, target):
     """Mean cross-entropy against a constant target distribution as the chain
     of nine recorded ops: the log-softmax by a detached max shift, then the

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from exmvit.layers import ConvNormAct
 from exmvit.model import ExShortcut, ShortcutSpec, build_mobilevit_s, build_model
 from exmvit.tensor import Tensor
 from exmvit.train import SyntheticDataset, TrainConfig, label_smoothing_ce, train_loop
+
+from held import held_bytes, op_kind
 
 
 class TestExpandWidth:
@@ -215,8 +218,13 @@ class TestGraphRecording:
             del out
             return peak
 
+        # Once a ratio, eval below a quarter of train. The train forward peak
+        # fell 5.83 -> 4.62 MB when the depthwise and dense convs began to
+        # release their outputs, so eval keeps its bound of a quarter of the
+        # old train peak, and train gets its own just above its new value
         eval_peak, train_peak = traced_peak(False), traced_peak(True)
-        assert eval_peak < 0.25 * train_peak, (eval_peak, train_peak)
+        assert eval_peak < 0.25 * 5.83e6, eval_peak
+        assert train_peak < 4.7e6, train_peak
 
     def test_train_forward_graph_is_small(self):
         # a training ConvNormAct is one node; its batch norm was once a chain
@@ -258,14 +266,25 @@ class TestGraphRecording:
         for mine, theirs in zip(fused, chain):
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
+    @staticmethod
+    def conv_kind(node):
+        """``op_kind``, with each conv named by its kernel as perfbench's layer rows are."""
+        kind = op_kind(node)
+        if kind == "conv2d":
+            w = node._parents[1]
+            kind = "conv1x1" if w.shape[2:] == (1, 1) else "dwconv3x3" if w.shape[1] == 1 else "conv3x3"
+        return kind
+
     def test_step_holds_each_activation_once(self):
-        # 21.7 MiB after forward and loss, 4.4 of it the depthwise and dense
-        # convs' norm xhat. The backward rebuilds what else it reads from
-        # arrays the graph holds. Keeping the pointwise convs' norm xhat
-        # would add 8.0 MiB, the layer norms' xhat 0.46 and attention's
-        # per-head q, k and v 0.47; the 24 norm sigmoids 11.0, each conv
-        # output beside its norm's xhat 12.4, and a padded copy of each
-        # non-pointwise conv's input 11.2
+        # 17.0 MiB after forward and loss: 12.3 of node outputs (8.4 of them
+        # the pointwise convs'), and 4.4 that only closures hold, the
+        # depthwise and dense convs' norm xhat, from which their released
+        # outputs are rebuilt when read. The backward rebuilds what else it
+        # reads from arrays the graph holds. Keeping the depthwise and dense
+        # outputs would add 4.4 MiB, the pointwise convs' norm xhat 8.0, the
+        # layer norms' xhat 0.46, attention's per-head q, k and v 0.47, the
+        # feed-forward sigmoids 0.33, the 24 norm sigmoids 11.0 and a padded
+        # copy of each non-pointwise conv's input 11.2
         model, x, labels = self.batch32()
         tracemalloc.start()
         try:
@@ -274,8 +293,29 @@ class TestGraphRecording:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        del loss
-        assert held < 25 * 2**20, held / 2**20
+        assert held < 19 * 2**20, held / 2**20
+        kinds = held_bytes(loss, self.conv_kind)
+        assert kinds["dwconv3x3"]["outputs"] == kinds["conv3x3"]["outputs"] == 0, kinds
+        xhat = kinds["dwconv3x3"]["closures"] + kinds["conv3x3"]["closures"]
+        assert 4.3 * 2**20 < xhat < 4.5 * 2**20, xhat / 2**20
+        assert sum(k["outputs"] + k["closures"] for k in kinds.values()) <= held
+
+    def test_dropped_training_forward_is_freed_without_gc(self):
+        # no reference cycle: a released output's rebuild and its producer's
+        # closure reach neither the output nor its node
+        model, x, labels = self.batch32()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = label_smoothing_ce(model(x), labels)
+            held = tracemalloc.get_traced_memory()[0] - base
+            del loss
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held > 16 * 2**20 and left < 2**20, (held / 2**20, left)
 
     def test_backward_peak_stays_near_what_the_step_holds(self):
         # 21.7 MiB held, 22.8 MiB at the backward's peak: each conv cuts its

@@ -10,6 +10,7 @@ from exmvit.tensor import NumericError, ShapeError, Tensor
 from chains import (
     chained_attend,
     chained_batch_norm,
+    chained_conv_norm,
     chained_conv_act,
     chained_cross_entropy,
     chained_fold,
@@ -23,6 +24,7 @@ from chains import (
     silu,
     softmax,
 )
+from held import held_beyond, released
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -671,31 +673,6 @@ def conv_grads_reference(x, w, r, stride, padding, groups):
     return gxp[:, :, padding : padding + h, padding : padding + width], gw
 
 
-def held_arrays(fn):
-    """Every array a closure reaches through its cells, the closures in them
-    and the Tensors in them."""
-    held = []
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
-        if isinstance(value, Tensor):
-            value = value.data
-        if isinstance(value, np.ndarray):
-            held.append(value)
-        elif callable(value) and getattr(value, "__closure__", None):
-            held += held_arrays(value)
-    return held
-
-
-def held_beyond(node, tensors):
-    """The arrays ``node``'s closure holds that share no memory with
-    ``tensors``' data."""
-    return [
-        a
-        for a in held_arrays(node._backward)
-        if not any(np.shares_memory(a, t.data) for t in tensors)
-    ]
-
-
 class TestConv2dBackward:
     """The recorded conv (flat-row columns cut from phase planes, every
     input gradient as the same GEMM on g dilated by the stride) against
@@ -857,7 +834,7 @@ class TestFusedConvNorm:
         conv = dict(stride=stride, padding=kernel // 2, groups=groups)
         if fused:
             return T.conv2d(x, w, **conv, act=act, norm=(gamma, beta, *stats))
-        return T.batch_norm(T.conv2d(x, w, **conv), gamma, beta, *stats, act=act)
+        return chained_conv_norm(x, w, gamma, beta, *stats, act=act, **conv)
 
     @classmethod
     def run(cls, fused, kind, stride, act, record=True):
@@ -1596,3 +1573,157 @@ class TestClosuresKeepNothingRebuildable:
         # (B, heads, T, T) probabilities, not (B, heads, T, D/heads) heads
         held = held_beyond(out, (q, k, v, out))
         assert [a.shape for a in held] == [(2, 2, 4, 4)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_linear_act_holds_no_sigmoid(self, dtype, x_grad):
+        x, w, b = self.leaves([(2, 3, 5), (4, 5), (4,)], dtype, x_grad)
+        out = T.linear(x, w, b, act=True)
+        # the backward rebuilds the pre-activation with the forward's GEMM
+        assert held_beyond(out, (x, w, b, out)) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_act_gradients_bitwise_equal_to_silu_of_linear(self, dtype):
+        # the chain's silu keeps the forward's sigmoid; linear rebuilds it
+        r = np.random.default_rng(95).normal(size=(2, 3, 4)).astype(dtype)
+        grads = []
+        for fused in (True, False):
+            x, w, b = self.leaves([(2, 3, 5), (4, 5), (4,)], dtype, True)
+            out = T.linear(x, w, b, act=True) if fused else silu(T.linear(x, w, b))
+            T.tsum(T.mul(out, Tensor(r))).backward()
+            grads.append([x.grad, w.grad, b.grad])
+        for mine, theirs in zip(*grads):
+            assert mine.dtype == dtype and np.array_equal(mine, theirs)
+
+
+class TestReleasedOutputs:
+    """A recorded depthwise or dense conv whose norm keeps xhat gives up its
+    output once a consumer has run its forward. Reading ``data`` rebuilds
+    it from xhat once, bit for bit, and keeps it."""
+
+    # the producer's (cin, groups): a 3x3 depthwise or dense ConvNormAct
+    KINDS = {"depthwise": (4, 4), "dense": (3, 1)}
+
+    @classmethod
+    def leaves(cls, kind, dtype=np.float32, seed=96):
+        cin, groups = cls.KINDS[kind]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, cin, 7, 5))
+        w = rng.normal(size=(4, cin // groups, 3, 3))
+        gamma, beta = rng.uniform(0.5, 1.5, 4), rng.normal(0.0, 0.5, 4)
+        # a pointwise conv with norm and SiLU, and one with bias and SiLU
+        w1, gamma1, beta1 = rng.normal(size=(6, 4, 1, 1)), rng.uniform(0.5, 1.5, 6), rng.normal(0.0, 0.5, 6)
+        w2, b2 = rng.normal(size=(5, 4, 1, 1)), rng.normal(size=5)
+        arrays = [x, w, gamma, beta, w1, gamma1, beta1, w2, b2]
+        return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+    @staticmethod
+    def stats(c, dtype):
+        return [np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype)]
+
+    @classmethod
+    def producer(cls, kind, leaves, act=True, chain=False):
+        x, w, gamma, beta = leaves[:4]
+        conv = dict(stride=1 if kind == "depthwise" else 2, padding=1, groups=cls.KINDS[kind][1])
+        stats = cls.stats(4, x.dtype)
+        if chain:
+            return chained_conv_norm(x, w, gamma, beta, *stats, act=act, **conv)
+        return T.conv2d(x, w, act=act, norm=(gamma, beta, *stats), **conv)
+
+    @classmethod
+    def normed(cls, y, leaves):
+        w1, gamma1, beta1 = leaves[4:7]
+        return T.conv2d(y, w1, act=True, norm=(gamma1, beta1, *cls.stats(6, y.dtype)))
+
+    @staticmethod
+    def biased(y, leaves):
+        return T.conv2d(y, *leaves[7:], act=True)
+
+    @staticmethod
+    def loss(*outs):
+        rng = np.random.default_rng(97)
+        parts = [T.tsum(T.mul(o, Tensor(rng.normal(size=o.shape).astype(o.dtype)))) for o in outs]
+        return parts[0] if len(parts) == 1 else T.add(*parts)
+
+    @staticmethod
+    def counting(tensor):
+        """The list that gets one entry per rebuild of ``tensor``."""
+        calls, fn = [], tensor._rebuild.fn
+
+        def counted():
+            calls.append(1)
+            return fn()
+
+        tensor._rebuild.fn = counted
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("act", [False, True])
+    def test_released_after_its_consumers_forward_and_shape_does_not_rebuild(self, kind, act):
+        leaves = self.leaves(kind)
+        y = self.producer(kind, leaves, act)
+        shape, dtype = y.shape, y.dtype
+        assert not released(y)
+        self.normed(y, leaves)
+        assert released(y)
+        calls = self.counting(y)
+        assert (y.shape, y.dtype, y.ndim, y.size) == (shape, dtype, 4, int(np.prod(shape)))
+        assert released(y) and calls == []
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_data_reads_back_the_output_bitwise(self, kind, dtype):
+        leaves = self.leaves(kind, dtype)
+        y = self.producer(kind, leaves)
+        before = y.data.copy()
+        self.normed(y, leaves)
+        calls = self.counting(y)
+        for p in leaves[2:4]:
+            p.data += 1.0  # an optimizer step: the rebuild reads γ and β as the forward did
+        data = y.data
+        assert data.dtype == dtype and np.array_equal(data, before)
+        assert y.data is data and not released(y) and calls == [1]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("act", [False, True])
+    def test_gradients_bitwise_equal_to_chain(self, kind, act):
+        results = []
+        for chain in (False, True):
+            leaves = self.leaves(kind)
+            y = self.producer(kind, leaves, act, chain)
+            out = self.normed(y, leaves)
+            if not chain:
+                fused, calls = y, self.counting(y)
+            self.loss(out).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves[:7]])
+        # one rebuild, by the consumer's backward; the producer's reads it,
+        # then gives it up again, and the backward left xhat as it was
+        assert calls == [1] and released(fused)
+        assert np.array_equal(fused.data, y.data)
+        for mine, theirs in zip(*results):
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_two_consumers_give_the_chains_bits(self, kind):
+        results = []
+        for chain in (False, True):
+            leaves = self.leaves(kind)
+            y = self.producer(kind, leaves, chain=chain)
+            first = self.normed(y, leaves)
+            if not chain:
+                calls = self.counting(y)
+            second = self.biased(y, leaves)
+            if not chain:  # rebuilt once by the second consumer, then released again
+                assert released(y) and calls == [1]
+            self.loss(first, second).backward()
+            results.append([first.data, second.data] + [leaf.grad for leaf in leaves])
+        assert calls == [1, 1]
+        for mine, theirs in zip(*results):
+            assert np.array_equal(mine, theirs)
+
+    def test_unrecorded_consumer_keeps_the_output(self):
+        leaves = self.leaves("dense")
+        y = self.producer("dense", leaves)
+        with T.no_grad():
+            self.normed(y, leaves)
+        assert not released(y)
