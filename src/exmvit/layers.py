@@ -158,9 +158,10 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Training-mode batch norm (``T.NORM_EPS``, ``T.BN_MOMENTUM``). A
-    ``ConvNormAct`` hands it to its conv instead of calling it, and an
-    eval-mode call raises."""
+    """A batch norm's parameters and running statistics (``T.NORM_EPS``,
+    ``T.BN_MOMENTUM``), run by the conv it follows: in train mode inside the
+    conv's op, in eval mode folded into the conv's weight and bias. It is
+    never called."""
 
     def __init__(self, channels):
         super().__init__()
@@ -169,12 +170,9 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def forward(self, x, act=False):
-        if not self.training:
-            raise RuntimeError("BatchNorm2d runs in train mode only; eval folds it into its conv")
-        return T.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var, act=act
-        )
+    def forward(self, x):
+        # kept, since perfbench's ``instrument`` replaces ``forward`` on every leaf instance
+        raise RuntimeError("BatchNorm2d is not called: its conv runs it (Conv2d.forward's norm)")
 
 
 class LayerNorm(Module):
@@ -237,8 +235,8 @@ class MultiHeadAttention(Module):
         self.wo, self.bo = _zeros(dim, dim), _zeros(dim)
 
     def forward(self, x):
-        scale = Tensor(np.asarray(1.0 / np.sqrt(x.shape[-1] // HEADS), dtype=x.dtype))
-        q = T.linear(x, T.mul(self.wq, scale), T.mul(self.bq, scale))
+        scale = np.asarray(1.0 / np.sqrt(x.shape[-1] // HEADS), dtype=x.dtype)
+        q = T.linear(x, T.scale(self.wq, scale), T.scale(self.bq, scale))
         k, v = T.linear(x, self.wk, self.bk), T.linear(x, self.wv, self.bv)
         return T.linear(T._attend(q, k, v, HEADS), self.wo, self.bo)
 

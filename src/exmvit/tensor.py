@@ -1,47 +1,49 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every operation on an input that requires grad records its inputs and a
-backward closure on the output tensor, so calling ``backward()`` on a scalar
-loss walks the recorded graph in reverse topological order and accumulates
-gradients into every tensor that requires them. Nothing is recorded inside
-``no_grad()``, which every eval-mode ``Module`` call enters, so an eval
-forward holds no graph. ``backward()`` consumes the graph it walks: each
-intermediate drops its gradient, its closure and its parents once its
-closure has run, and only leaf tensors that require grad (parameters) keep
-``grad``; constants and input batches never get one. A closure hands a
-gradient buffer it has just allocated to ``_accumulate`` rather than having
-it copied. Every op records one node, with a closed-form backward whose
-closure keeps only what it reads and cannot cheaply rebuild from an input
-the graph already holds, and a node output that its producer can rebuild
-in a few passes is released once its consumers have run their forwards
-(``Tensor._release``): the primitives ``add``, ``mul``, ``tsum``
-and ``concat``, and the fused ops ``batch_norm``, ``layer_norm``,
-``conv2d``, ``linear``, attention's ``_attend``, the two patch folds,
-``global_avg_pool`` and the loss ``cross_entropy``. A ``conv2d`` given a
-``norm`` is a conv, a training batch norm and its SiLU in one node, whose
-norm works in the conv's own output buffer. ``linear`` and attention run
-the same numpy recorded or not. ``linear``, ``conv2d`` and a training
-``batch_norm`` finish their output in place with one epilogue,
-``_epilogue``: bias add (a recorded conv adds its bias just before),
-SiLU when asked (``act``, ``_sigmoid`` then a multiply) and the finite
-check. Every ``conv2d`` works on flat rows: its
-im2col columns are cut from the input padded into stride phase planes, so
-every column row is a whole band of output rows, not one output row. A
-recorded conv other than a plain 1x1 (whose columns are its input) runs
-one GEMM kernel, ``_conv2d_gemm``, on columns cut for one chunk of whole
-images at a time, as many as fit in about 256 KiB; its input gradient is
-that kernel on g dilated by the stride, with the rotated kernel. The
-closure keeps no copy of the input: the backward cuts the planes again,
-and a plain 1x1's norm rebuilds its xhat from the input with one GEMM.
-Any other conv's norm keeps xhat but not the output, which a consuming
-conv releases and a later read rebuilds from xhat.
-An unrecorded conv runs one tile kernel: a tile is one image by a block
-of groups by a block of output rows, about 256 KiB, whose columns are cut
-from the band of input it reads, and ``_epilogue`` runs on each tile's
-output pixels while they are in cache. A stride-1 depthwise tile sums its
-taps in order instead of a GEMM.
-Data lives in flat numpy arrays; float32 is the default working precision
-(float64 is used by the gradient-check harness).
+Every operation on an input that requires grad records one node: its output
+tensor holds its inputs and a closed-form backward closure. ``backward()`` on
+a scalar loss walks the graph in reverse topological order, accumulates
+gradients into every tensor that requires them and consumes the graph as it
+goes: each intermediate drops its gradient, closure and parents once its
+closure has run, and only leaves that require grad (parameters) keep
+``grad``. A closure hands a gradient buffer it has just allocated to
+``_accumulate`` rather than having it copied. Nothing is recorded inside
+``no_grad()``, which every eval-mode ``Module`` call enters.
+
+A closure keeps only what it reads and cannot cheaply rebuild from the
+arrays the graph holds anyway. Every rebuild runs the forward's ops in the
+forward's order, so it has the forward's bits: the store-against-recompute
+trade of Chen et al. (arXiv 1604.06174). An output its producer can rebuild
+is released once its consumers have run their forwards (``Tensor._release``)
+and rebuilt when next read. Per recorded op:
+
+    op               closure keeps        backward rebuilds      output
+    add, tsum,       -                    -                      kept
+      concat, folds
+    scale            the constant         -                      kept
+    global_avg_pool  1/(H·W)              -                      kept
+    cross_entropy    exp, its row sums,   -                      kept
+                     -target
+    layer_norm       mean, inv            xhat from x            kept
+    _attend          the probabilities    per-head q, k and v    kept
+    linear           -                    pre-activation (act)   kept
+    conv2d           -                    columns; pre-act (act) kept
+    conv2d, norm,    mean, inv            xhat from x (a GEMM);  kept
+      1x1                                 pre-activation (act)
+    conv2d, norm,    xhat, mean, inv      pre-activation (act)   released,
+      other                                                      from xhat
+
+Here ``-`` is no array beyond the op's inputs, inv is 1/sqrt(var + eps) and
+the pre-activation is what SiLU was applied to (only with ``act``). Every
+SiLU's derivative is taken by ``_silu_grad``, from the output and the
+rebuilt pre-activation. A recorded ``conv2d`` releases its input once its
+forward has run, since its backward reads ``x.data`` again.
+
+``linear``, ``conv2d`` and the norm finish their outputs in place with one
+epilogue, ``_epilogue``: bias, SiLU when asked, finite check. An unrecorded
+conv runs one tile kernel, ``_conv2d_tiles``, with the epilogue on each tile
+while it is in cache. Data lives in flat numpy arrays; float32 is the
+default working precision (float64 is used by the gradient-check harness).
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from contextlib import contextmanager
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-NORM_EPS = 1e-5  # added to the variance by batch_norm, layer_norm and eval's fold
-BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch_norm's running ones
+NORM_EPS = 1e-5  # added to the variance by conv2d's norm, layer_norm and eval's fold
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in conv2d's norm's running ones
 
 # Whether operations record the autodiff graph; switched off by no_grad().
 _GRAD_ENABLED = True
@@ -85,16 +87,6 @@ def _check_finite(data: np.ndarray, op: str) -> None:
     # NaN/Inf is a hard error, never a value to propagate
     if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 class _Rebuild:
@@ -255,23 +247,26 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> T
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b of one shape: both take g as their gradient."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add of shapes {a.shape} and {b.shape}")
     data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _make(data, (a, b), backward, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+def scale(a: Tensor, c: np.ndarray) -> Tensor:
+    """a times the constant ``c``, whose gradient is g·c."""
+    data = a.data * c
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
-        b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+        a._accumulate(g * c, owned=True)
 
-    return _make(data, (a, b), backward, "mul")
+    return _make(data, (a,), backward, "scale")
 
 
 # -- activations --------------------------------------------------------------
@@ -288,27 +283,25 @@ def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return sig
 
 
-def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> np.ndarray | None:
-    """Finish a conv2d, linear or batch_norm output in place while it is in
-    cache: add ``bias`` (broadcast against ``buf``), apply SiLU if ``act``
-    as ``buf * _sigmoid(buf)``, then check ``buf`` is finite. Returns the
-    sigmoid when ``act``, for a backward to read (``_silu_grad``). Callers
-    hand it the whole output or one tile at a time and check nothing else."""
+def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> None:
+    """Finish a conv2d, linear or norm output in place while it is in cache:
+    add ``bias`` (broadcast against ``buf``), apply SiLU if ``act`` as
+    ``buf * _sigmoid(buf)`` and check ``buf`` is finite. Callers hand it the
+    whole output or one tile at a time and check nothing else."""
     if bias is not None:
         buf += bias
-    sig = None
     if act:
-        sig = _sigmoid(buf)
-        buf *= sig
+        buf *= _sigmoid(buf)
     _check_finite(buf, op)
-    return sig
 
 
-def _silu_grad(g: np.ndarray, out: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """g * (sig + out * (1 - sig)) in one fresh buffer: SiLU's input gradient
-    from its output out = a * sig, with the bits of g * (sig + a * sig * (1 - sig))."""
+def _silu_grad(g: np.ndarray, y: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """SiLU's input gradient g·(σ + y·(1 − σ)) in one fresh buffer, from its
+    output y = a·σ(a) and ``pre``, a private buffer holding a, in which σ is
+    built. It has the bits of g·(σ + a·σ·(1 − σ))."""
+    sig = _sigmoid(pre, out=pre)
     grad = np.subtract(1.0, sig)
-    grad *= out
+    grad *= y
     grad += sig
     grad *= g
     return grad
@@ -410,11 +403,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
 
     One op, recorded or not: one GEMM of all leading rows against a
     transposed view of the weight (no copy), finished in place by
-    ``_epilogue``. Its closure keeps the input rows but not the sigmoid: the
-    backward rebuilds it with the forward's ops in its order (the GEMM,
-    + bias, ``_sigmoid`` in the pre-activation's buffer), takes SiLU's
-    derivative from the output first (``_silu_grad``), then dW = gᵀx,
-    db = Σg and, when x requires grad, dx = gW.
+    ``_epilogue``. The backward takes SiLU's derivative first, from the GEMM
+    and bias run again, then dW = gᵀx, db = Σg and, when x requires grad,
+    dx = gW.
     """
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
@@ -427,9 +418,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, act: bool = False) -> Tensor
     def backward(g):
         g = g.reshape(out.shape)
         if act:
-            sig = np.matmul(rows, weight.data.T)
-            sig += bias.data
-            g = _silu_grad(g, out, _sigmoid(sig, out=sig))
+            pre = np.matmul(rows, weight.data.T)
+            pre += bias.data
+            g = _silu_grad(g, out, pre)
         weight._accumulate(np.matmul(g.T, rows), owned=True)
         bias._accumulate(g.sum(axis=0), owned=True)
         if x.requires_grad:
@@ -466,51 +457,23 @@ def conv2d(
     """2-D cross-correlation with optional grouping, then a training-mode
     batch norm if ``norm`` is given, then SiLU if ``act``.
 
-    x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]. Covers the
-    standard (groups=1), depthwise (groups=Cin) and pointwise (1x1) cases.
-    ``norm`` is (gamma, beta, running_mean, running_var): the conv, the norm
-    and the SiLU are then one op, with the bits of ``conv2d`` followed by
-    ``batch_norm(act=act)``, and the norm's running statistics move.
+    x is [B, Cin, H, W], weight is [Cout, Cin/groups, kh, kw]: standard
+    (groups=1), depthwise (groups=Cin) and pointwise (1x1) convs. ``norm`` is
+    (gamma, beta, running_mean, running_var): the conv, the norm and the SiLU
+    are then one op whose norm works in the conv's own output buffer
+    (``_batch_norm``), and the running statistics move.
 
-    A recorded forward is one node: matmuls over im2col columns cut as flat
-    rows, plus the bias, finished in place by ``_epilogue`` (SiLU when
-    ``act`` and no norm, finite check). A stride-1 1x1 conv without padding
-    uses the whole input itself as its columns. Any other conv runs ``_conv2d_gemm``, on
-    columns of output pitch P = Wo + (kw-1)//stride cut from phase planes
-    for one chunk of whole images at a time (``_chunk_columns``). The
-    backward closure keeps neither the planes nor the columns: it cuts them
-    again from the input, which the graph holds anyway, chunk by chunk, for
-    the weight gradient, a matmul of g padded to pitch P per image into one
-    (B, groups, Cout/groups, K) buffer that is then summed over the batch.
-    With a norm, the output buffer is normalized in place and becomes the
-    norm's xhat (``_batch_norm``), so the conv's output is not kept beside
-    it, nor is the SiLU's sigmoid; the backward runs the norm's gradient
-    (SiLU's derivative first, from a sigmoid rebuilt from xhat) and then the
-    conv's on its dx; it reads the output through a weak reference to its
-    node. A pointwise conv's norm keeps no xhat either: its backward
-    rebuilds it from the input with the forward's one GEMM, bias, − mean
-    and · inv, with the forward's bits. A depthwise or dense conv's norm
-    keeps xhat, which it could only rebuild by running its conv forward
-    again, and gives up its output instead: the output carries a
-    ``_Rebuild`` (xhat·γ, + β, SiLU, the forward's ops in its order), and
-    every recorded conv releases its input once its own forward has run,
-    since its backward reads ``x.data`` again. So a map read by two convs
-    is rebuilt once by the second, and once in the backward by whichever
-    consumer's backward runs first; the producer's backward reads that
-    copy and releases it again, before its conv gradients allocate. Keeping
-    the normalized input and recomputing the activation is In-Place ABN's
-    trade run the other way round (Rota Bulò et al., arXiv 1712.02616).
-    Without a norm, ``act``'s derivative is taken from the
-    output and the forward's sigmoid (``_silu_grad``).
-    The input gradient is skipped when x does not require grad; a plain
-    1x1's is one matmul, and any other conv's is ``_conv2d_gemm`` on g
-    dilated by the stride, with the rotated kernel (``_conv2d_input_grad``).
+    Recorded, a plain 1x1 conv is one matmul on the input itself. Any other
+    is ``_conv2d_gemm``: im2col columns at output pitch
+    P = Wo + (kw − 1)//stride, cut from stride phase planes for one chunk of
+    whole images at a time. The backward cuts them again from ``x.data``
+    for the weight gradient, one matmul per image of g padded to pitch P,
+    summed over the batch. The input gradient is skipped when x does not
+    require grad; a plain 1x1's is one matmul, any other's is
+    ``_conv2d_input_grad``.
 
-    An unrecorded forward runs one kernel, ``_conv2d_tiles``: its tile is one
-    image by a block of groups by a block of output rows, about
-    ``_TILE_BYTES`` of output, with columns cut from phase planes as above.
-    ``_epilogue`` (bias, SiLU, finite check) runs on each tile's output
-    pixels while they are in cache. A norm then runs on the whole output.
+    Unrecorded, the conv runs ``_conv2d_tiles``, then the norm on the whole
+    output.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {weight.shape}")
@@ -534,7 +497,7 @@ def conv2d(
         b = None if bias is None else bias.data
         out = _conv2d_tiles(x.data, weight.data, b, conv_act, stride, padding, groups, ho, wo)
         if norm is not None:
-            out = _batch_norm(out, *norm, act, out=out)[0]
+            out = _batch_norm(out, *norm, act)[0]
         return Tensor(out)  # every piece was checked by its epilogue
 
     cout_g, k = cout // groups, cin_g * kh * kw
@@ -561,25 +524,23 @@ def conv2d(
         return out
 
     out = biased()
-    sig = _epilogue(out, None, conv_act, "conv2d")
-    silu_saved = (out, sig) if conv_act else None  # what SiLU's derivative reads
+    _epilogue(out, None, conv_act, "conv2d")
     norm_grad = remake = None
     if norm is not None:
         # normalized in the conv's own buffer, which becomes the norm's xhat;
         # a pointwise conv's norm drops it and rebuilds it with one GEMM
         rebuild = biased if pointwise else None
-        out, norm_grad, remake = _batch_norm(out, *norm, act, out=out, rebuild=rebuild)
+        out, norm_grad, remake = _batch_norm(out, *norm, act, rebuild=rebuild)
 
     def backward(g):
+        # the output through a weak reference to its node: the closure keeps
+        # no array of it and no cycle through the node
         if norm_grad is not None:
-            # the output through a weak reference: the closure keeps no array
-            # of it and no cycle through its own node. Its consumers are done,
-            # so it is released again as soon as it is read
             produced = node()
             g = norm_grad(g, produced.data if act else None)
-            produced._release()
-        elif conv_act:
-            g = _silu_grad(g, *silu_saved)
+            produced._release()  # its consumers are done: released again once read
+        elif act:
+            g = _silu_grad(g, node().data, biased())
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         # g at the column pitch, zero in the wrap columns, so the columns'
@@ -600,7 +561,9 @@ def conv2d(
 
     result = _node(out, parents, backward)
     node = weakref.ref(result)
-    if remake is not None:  # a norm that keeps xhat: the output is a few passes away
+    if remake is not None:
+        # a norm that keeps xhat gives up its output, a few passes away: In-Place
+        # ABN's trade run the other way round (Rota Bulò et al., arXiv 1712.02616)
         result._rebuild = _Rebuild(remake, out)
     x._release()  # this closure reads x.data again, rebuilt if released
     return result
@@ -807,27 +770,6 @@ def _conv2d_tiles(
 # -- normalization ----------------------------------------------------------------
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    act: bool = False,
-) -> Tensor:
-    """Training-mode per-channel normalization of a [B, C, H, W] map, then
-    SiLU if ``act``, with ``NORM_EPS`` and ``BN_MOMENTUM``: one recorded op
-    running ``_batch_norm`` on a fresh buffer. A ``conv2d`` given ``norm``
-    runs the same maths in its own output buffer instead.
-    """
-    out, grad, _ = _batch_norm(x.data, gamma, beta, running_mean, running_var, act)
-
-    def backward(g):
-        x._accumulate(grad(g, out), owned=True)
-
-    return _node(out, (x, gamma, beta), backward)
-
-
 def _batch_norm(
     x: np.ndarray,
     gamma: Tensor,
@@ -835,42 +777,26 @@ def _batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     act: bool,
-    out: np.ndarray | None = None,
     rebuild=None,
 ):
-    """Batch norm of the [B, C, H, W] array ``x``, then SiLU if ``act``.
+    """Training batch norm of the private [B, C, H, W] buffer ``x``, then
+    SiLU if ``act``: ``conv2d``'s ``norm``.
 
-    Returns the output y, ``grad(g, y)``, which accumulates dγ and dβ and
-    returns dx (it reads y only with ``act``), and ``output()``, which
-    returns a fresh y with the forward's bits, or None. x − mean is written
-    into ``out``, or a fresh buffer when it is None; ``out`` may be ``x``
-    itself when ``x`` is a private buffer, which then becomes the normalized
-    input xhat. Once the output is checked finite, the batch statistics are
-    folded into the running estimates in place, so a NaN or Inf input leaves
-    them as they were. The shift β, the SiLU and the finite check run in the
-    output buffer by ``_epilogue``, as in ``conv2d`` and ``linear``: only the
-    activated output is checked for finite values (a NaN or Inf before SiLU
-    survives it). ``grad`` holds xhat, the per-channel mean and
-    inv = 1/sqrt(var + eps), not the output or the sigmoid, and ``output``
-    rebuilds y from that xhat with the forward's ops in its order (xhat·γ,
-    + β, ``_sigmoid`` into a new buffer, ·). γ and β are copied as the
-    forward reads them, so a rebuild after an optimizer step still has the
-    forward's bits. Given ``rebuild``, a callable that returns a fresh copy
-    of ``x``, ``grad`` holds no xhat either and rebuilds it as the forward
-    made it: ``rebuild()``, − mean, · inv; ``output`` is then None. With
-    ``act`` ``grad`` rebuilds the sigmoid from xhat (xhat·γ, + β,
-    ``_sigmoid``, in one buffer). Each rebuild trades a few passes per
-    element for one held array (Chen et al., arXiv 1604.06174).
-    SiLU's derivative is taken from the output (``_silu_grad``) with the
-    forward's bits. Then comes the closed form dbeta = sum(g),
-    dgamma = sum(g * xhat) and
-    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
-    dxhat = g * gamma (Ioffe & Szegedy, arXiv 1502.03167). The two sums are
-    one GEMV of g's (B·C, H·W) rows against ones and one einsum, not
-    reductions over axes (0, 2, 3). dx is written into a buffer the backward
-    made and no longer reads, the sigmoid's or a rebuilt xhat's, when there
-    is one: fewer fresh maps late in a backward leave the allocator fewer
-    holes to fill.
+    ``x`` is normalized in place into xhat, and the output y = xhat·γ + β
+    is finished by ``_epilogue``. Only y is checked finite (a NaN or Inf
+    before SiLU survives it), and the batch statistics are folded into the
+    running ones only after it, so a non-finite output leaves them as they
+    were. Returns y; ``grad(g, y)``, which accumulates dγ and dβ and returns
+    dx, reading y only with ``act``; and ``output()``, which rebuilds y from
+    xhat, or None when ``rebuild`` is given. ``rebuild`` returns a fresh copy
+    of ``x`` as it came: ``grad`` then keeps no xhat and rebuilds it. γ and β
+    are copied as the forward reads them, so a rebuild after an optimizer
+    step still has the forward's bits. The backward is dβ = Σg, dγ = Σg·xhat
+    and dx = inv·(dxhat − mean(dxhat) − xhat·mean(dxhat·xhat)) with
+    dxhat = g·γ (Ioffe & Szegedy, arXiv 1502.03167); its sums are one GEMV
+    of g's (B·C, H·W) rows against ones and one einsum. dx is written into a
+    buffer the backward made and no longer reads, when there is one: fewer
+    fresh maps leave the allocator fewer holes to fill.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -879,7 +805,7 @@ def _batch_norm(
     n = x.shape[0] * x.shape[2] * x.shape[3]
     rn = np.asarray(1.0 / n, dtype=x.dtype)
     mean = x.sum(axis=axes, keepdims=True) * rn
-    xhat = np.subtract(x, mean, out=out)
+    xhat = np.subtract(x, mean, out=x)
     var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
@@ -911,13 +837,10 @@ def _batch_norm(
             xhat *= inv
         spare = None if kept is not None else xhat  # a private buffer dx may take
         if act:
-            # the forward's ops in its order: xhat·γ, + β, then the sigmoid,
-            # all in the one buffer of the pre-activation
-            sig = xhat * scale
-            sig += shift
-            _sigmoid(sig, out=sig)
-            g = _silu_grad(g, y, sig)
-            spare = sig
+            pre = xhat * scale  # the forward's ops in its order
+            pre += shift
+            g = _silu_grad(g, y, pre)
+            spare = pre
         batch, _, h, w = g.shape
         rows = g.reshape(batch * c, h * w)
         gsum = (rows @ np.ones(h * w, dtype=g.dtype)).reshape(batch, c).sum(axis=0)

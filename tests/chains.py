@@ -2,9 +2,10 @@
 
 Each fused op of ``exmvit.tensor`` records one node in place of a chain of
 generic ops. The generic ops the library no longer calls live here, built on
-``T._make``, together with the chains built from them, so a test can hold a
-fused op to the chain it replaces: bit for bit where both run the same numpy
-in the same order, and in its gradients.
+``T._make`` (``add`` and ``mul`` broadcast, as ``T.add`` does not), with a
+``batch_norm`` node for the norm that ``T.conv2d`` fuses and the chains built
+from them, so a test can hold a fused op to the chain it replaces: bit for bit
+where both run the same numpy in the same order, and in its gradients.
 """
 
 import numpy as np
@@ -15,12 +16,43 @@ from exmvit.tensor import Tensor
 # -- generic recorded ops --------------------------------------------------------
 
 
+def _unbroadcast(grad, shape):
+    """Reduce a broadcast gradient back to the original operand shape."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def add(a, b):
+    """a + b with numpy broadcasting (``T.add`` takes one shape only)."""
+    data = a.data + b.data
+
+    def backward(g):
+        a._accumulate(_unbroadcast(g, a.shape))
+        b._accumulate(_unbroadcast(g, b.shape))
+
+    return T._make(data, (a, b), backward, "add")
+
+
+def mul(a, b):
+    data = a.data * b.data
+
+    def backward(g):
+        a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+
+    return T._make(data, (a, b), backward, "mul")
+
+
 def sub(a, b):
     data = a.data - b.data
 
     def backward(g):
-        a._accumulate(T._unbroadcast(g, a.shape))
-        b._accumulate(T._unbroadcast(-g, b.shape))
+        a._accumulate(_unbroadcast(g, a.shape))
+        b._accumulate(_unbroadcast(-g, b.shape))
 
     return T._make(data, (a, b), backward, "sub")
 
@@ -30,8 +62,8 @@ def div(a, b):
         data = a.data / b.data
 
     def backward(g):
-        a._accumulate(T._unbroadcast(g / b.data, a.shape), owned=True)
-        b._accumulate(T._unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+        a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return T._make(data, (a, b), backward, "div")
 
@@ -64,11 +96,10 @@ def sqrt(a):
 
 
 def silu(a):
-    sig = T._sigmoid(a.data)
-    data = a.data * sig
+    data = a.data * T._sigmoid(a.data)
 
     def backward(g):
-        a._accumulate(T._silu_grad(g, data, sig), owned=True)
+        a._accumulate(T._silu_grad(g, data, a.data.copy()), owned=True)
 
     return T._make(data, (a,), backward, "silu")
 
@@ -101,8 +132,8 @@ def matmul(a, b):
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(T._unbroadcast(ga, a.shape), owned=True)
-        b._accumulate(T._unbroadcast(gb, b.shape), owned=True)
+        a._accumulate(_unbroadcast(ga, a.shape), owned=True)
+        b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return T._make(data, (a, b), backward, "matmul")
 
@@ -115,7 +146,18 @@ def tmean(a, axis=None, keepdims=False):
         for ax in axis if isinstance(axis, tuple) else (axis,):
             count *= a.shape[ax]
     total = T.tsum(a, axis=axis, keepdims=keepdims)
-    return T.mul(total, Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
+    return mul(total, Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, act=False):
+    """Training batch norm of a [B, C, H, W] map, then SiLU if ``act``: one
+    node running ``T._batch_norm`` (``conv2d``'s norm) on a copy of x."""
+    out, grad, _ = T._batch_norm(x.data.copy(), gamma, beta, running_mean, running_var, act)
+
+    def backward(g):
+        x._accumulate(grad(g, out), owned=True)
+
+    return T._node(out, (x, gamma, beta), backward)
 
 
 # -- the chains the fused ops replace ------------------------------------------------
@@ -126,7 +168,7 @@ def chained_batch_norm(x, gamma, beta, running_mean, running_var):
     c = x.shape[1]
     mean = tmean(x, axis=(0, 2, 3), keepdims=True)
     centered = sub(x, mean)
-    var = tmean(T.mul(centered, centered), axis=(0, 2, 3), keepdims=True)
+    var = tmean(mul(centered, centered), axis=(0, 2, 3), keepdims=True)
     n = x.shape[0] * x.shape[2] * x.shape[3]
     unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
     running_mean *= 1.0 - T.BN_MOMENTUM
@@ -134,19 +176,19 @@ def chained_batch_norm(x, gamma, beta, running_mean, running_var):
     running_var *= 1.0 - T.BN_MOMENTUM
     running_var += T.BN_MOMENTUM * unbiased
     eps_t = Tensor(np.asarray(T.NORM_EPS, dtype=np.float32))
-    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(T.add(var, eps_t)))
-    scaled = T.mul(T.mul(centered, inv), reshape(gamma, (1, c, 1, 1)))
-    return T.add(scaled, reshape(beta, (1, c, 1, 1)))
+    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, eps_t)))
+    scaled = mul(mul(centered, inv), reshape(gamma, (1, c, 1, 1)))
+    return add(scaled, reshape(beta, (1, c, 1, 1)))
 
 
 def chained_layer_norm(x, gamma, beta):
     """Layer norm as a chain of primitive ops (the unfused form)."""
     mean = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, mean)
-    var = tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
     eps_t = Tensor(np.asarray(T.NORM_EPS, dtype=np.float32))
-    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(T.add(var, eps_t)))
-    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+    inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, eps_t)))
+    return add(mul(mul(centered, inv), gamma), beta)
 
 
 def permuted(a, axes):
@@ -162,7 +204,7 @@ def permuted(a, axes):
 
 def chained_linear(x, weight, bias, act=False):
     """Linear as the op chain matmul, transpose, add, silu."""
-    out = T.add(matmul(x, permuted(weight, (1, 0))), bias)
+    out = add(matmul(x, permuted(weight, (1, 0))), bias)
     return silu(out) if act else out
 
 
@@ -203,7 +245,7 @@ def chained_conv_act(x, weight, bias=None, **conv):
 def chained_conv_norm(x, weight, gamma, beta, running_mean, running_var, act=False, **conv):
     """A conv given ``norm`` as the ops it fuses: the conv, then the
     training batch norm with its SiLU, whose output is never released."""
-    return T.batch_norm(T.conv2d(x, weight, **conv), gamma, beta, running_mean, running_var, act=act)
+    return batch_norm(T.conv2d(x, weight, **conv), gamma, beta, running_mean, running_var, act=act)
 
 
 def chained_cross_entropy(logits, target):
@@ -214,5 +256,5 @@ def chained_cross_entropy(logits, target):
     shifted = sub(logits, shift)
     logsumexp = log(T.tsum(exp(shifted), axis=-1, keepdims=True))
     log_probs = sub(shifted, logsumexp)
-    per_sample = T.tsum(T.mul(Tensor(-target), log_probs), axis=-1)
+    per_sample = T.tsum(mul(Tensor(-target), log_probs), axis=-1)
     return tmean(per_sample)

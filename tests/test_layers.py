@@ -106,29 +106,19 @@ class TestConvNormFold:
         assert out._backward.__qualname__.startswith("conv2d.")
 
 
-class TestBatchNorm2dTrainOnly:
-    def test_eval_call_raises_and_leaves_statistics_unchanged(self):
+class TestBatchNorm2dNeverCalled:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_call_raises_and_leaves_statistics_unchanged(self, training):
+        # its conv runs the norm: inside the conv's op in train mode, folded
+        # into the conv's weight and bias in eval mode
         rng = np.random.default_rng(85)
-        norm = BatchNorm2d(4)
+        norm = BatchNorm2d(4).train(training)
         norm.running_mean[:] = rng.normal(0.0, 0.5, 4)
         norm.running_var[:] = rng.uniform(0.5, 2.0, 4)
         before = (norm.running_mean.copy(), norm.running_var.copy())
         x = Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float32))
-        with pytest.raises(RuntimeError, match="train mode only"):
-            norm.eval()(x)
-        assert np.array_equal(norm.running_mean, before[0])
-        assert np.array_equal(norm.running_var, before[1])
-        norm.train()(x)
-        assert not np.array_equal(norm.running_mean, before[0])
-
-    def test_nan_input_raises_and_leaves_statistics_unchanged(self):
-        rng = np.random.default_rng(86)
-        norm = BatchNorm2d(4).train()
-        before = (norm.running_mean.copy(), norm.running_var.copy())
-        x = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
-        x[0, 1, 2, 2] = np.nan
-        with pytest.raises(T.NumericError):
-            norm(Tensor(x))
+        with pytest.raises(RuntimeError, match="not called"):
+            norm(x)
         assert np.array_equal(norm.running_mean, before[0])
         assert np.array_equal(norm.running_var, before[1])
 

@@ -13,6 +13,7 @@ from exmvit.model import ExShortcut, ShortcutSpec, build_mobilevit_s, build_mode
 from exmvit.tensor import Tensor
 from exmvit.train import SyntheticDataset, TrainConfig, label_smoothing_ce, train_loop
 
+from chains import batch_norm
 from held import held_bytes, op_kind
 
 
@@ -249,7 +250,7 @@ class TestGraphRecording:
 
     def test_fused_conv_norm_act_step_bitwise_equal_to_chain(self, monkeypatch):
         # one training step with each ConvNormAct as one op, then as the conv
-        # followed by the norm module
+        # followed by the norm as a node of its own
         def step():
             model, x, labels = self.batch32()
             loss = label_smoothing_ce(model(x), labels)
@@ -258,9 +259,13 @@ class TestGraphRecording:
             return [loss.data] + grads + [b for _, b in model.named_buffers()]
 
         fused = step()
-        monkeypatch.setattr(
-            ConvNormAct, "forward", lambda self, x: self.norm(self.conv(x), act=self.act)
-        )
+
+        def conv_then_norm(self, x):
+            n = self.norm
+            stats = (n.running_mean, n.running_var)
+            return batch_norm(self.conv(x), n.gamma, n.beta, *stats, act=self.act)
+
+        monkeypatch.setattr(ConvNormAct, "forward", conv_then_norm)
         chain = step()
         assert len(fused) == len(chain)
         for mine, theirs in zip(fused, chain):
@@ -276,15 +281,16 @@ class TestGraphRecording:
         return kind
 
     def test_step_holds_each_activation_once(self):
-        # 17.0 MiB after forward and loss: 12.3 of node outputs (8.4 of them
+        # 16.9 MiB after forward and loss: 12.3 of node outputs (8.4 of them
         # the pointwise convs'), and 4.4 that only closures hold, the
         # depthwise and dense convs' norm xhat, from which their released
         # outputs are rebuilt when read. The backward rebuilds what else it
         # reads from arrays the graph holds. Keeping the depthwise and dense
         # outputs would add 4.4 MiB, the pointwise convs' norm xhat 8.0, the
         # layer norms' xhat 0.46, attention's per-head q, k and v 0.47, the
-        # feed-forward sigmoids 0.33, the 24 norm sigmoids 11.0 and a padded
-        # copy of each non-pointwise conv's input 11.2
+        # feed-forward sigmoids 0.33, the 24 norm sigmoids 11.0, the shortcut
+        # convs' sigmoids 0.21 and a padded copy of each non-pointwise conv's
+        # input 11.2
         model, x, labels = self.batch32()
         tracemalloc.start()
         try:
@@ -298,6 +304,9 @@ class TestGraphRecording:
         assert kinds["dwconv3x3"]["outputs"] == kinds["conv3x3"]["outputs"] == 0, kinds
         xhat = kinds["dwconv3x3"]["closures"] + kinds["conv3x3"]["closures"]
         assert 4.3 * 2**20 < xhat < 4.5 * 2**20, xhat / 2**20
+        # the pointwise convs' closures hold their norms' statistics and no
+        # map: the three shortcut convs rebuild their SiLU's pre-activation
+        assert kinds["conv1x1"]["closures"] < 16 * 2**10, kinds["conv1x1"]
         assert sum(k["outputs"] + k["closures"] for k in kinds.values()) <= held
 
     def test_dropped_training_forward_is_freed_without_gc(self):
@@ -318,7 +327,7 @@ class TestGraphRecording:
         assert held > 16 * 2**20 and left < 2**20, (held / 2**20, left)
 
     def test_backward_peak_stays_near_what_the_step_holds(self):
-        # 21.7 MiB held, 22.8 MiB at the backward's peak: each conv cuts its
+        # 16.9 MiB held, 18.3 MiB at the backward's peak: each conv cuts its
         # columns one batch chunk at a time. Whole-batch columns (10.1 MiB in
         # the 32-channel 16x16 depthwise conv's input gradient) peaked at 35.6
         model, x, labels = self.batch32()
@@ -354,7 +363,7 @@ class TestGraphRecording:
             "linear": 19,
             "layer_norm": 9,
             "add": 8,
-            "mul": 6,
+            "scale": 6,
             "_permute": 6,
             "concat": 4,
             "_attend": 3,

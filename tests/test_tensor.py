@@ -8,6 +8,7 @@ from exmvit.layers import HEADS, ConvNormAct, MultiHeadAttention
 from exmvit.tensor import NumericError, ShapeError, Tensor
 
 from chains import (
+    batch_norm,
     chained_attend,
     chained_batch_norm,
     chained_conv_norm,
@@ -20,6 +21,7 @@ from chains import (
     chained_unfold,
     div,
     matmul,
+    mul,
     reshape,
     silu,
     softmax,
@@ -127,7 +129,7 @@ class TestNorms:
         x = rng.normal(size=(8, 3, 5, 5)).astype(np.float32)
         x -= x.mean(axis=(0, 2, 3), keepdims=True)
         x /= x.std(axis=(0, 2, 3), keepdims=True)
-        out = T.batch_norm(
+        out = batch_norm(
             Tensor(x),
             Tensor(np.ones(3, dtype=np.float32)),
             Tensor(np.zeros(3, dtype=np.float32)),
@@ -138,7 +140,7 @@ class TestNorms:
 
     def test_batch_norm_constant_input_zeros(self):
         x = np.full((2, 3, 4, 4), 7.0, dtype=np.float32)
-        out = T.batch_norm(
+        out = batch_norm(
             Tensor(x),
             Tensor(np.ones(3, dtype=np.float32)),
             Tensor(np.zeros(3, dtype=np.float32)),
@@ -150,7 +152,7 @@ class TestNorms:
     def test_batch_norm_statistics(self):
         rng = np.random.default_rng(5)
         x = rng.normal(2.0, 3.0, size=(16, 4, 8, 8)).astype(np.float32)
-        out = T.batch_norm(
+        out = batch_norm(
             Tensor(x),
             Tensor(np.ones(4, dtype=np.float32)),
             Tensor(np.zeros(4, dtype=np.float32)),
@@ -169,7 +171,7 @@ class TestNorms:
         running_mean = np.full(3, 0.25, dtype=np.float32)
         running_var = np.full(3, 0.75, dtype=np.float32)
         with pytest.raises(NumericError):
-            T.batch_norm(
+            batch_norm(
                 Tensor(x),
                 Tensor(np.ones(3, dtype=np.float32)),
                 Tensor(np.zeros(3, dtype=np.float32)),
@@ -374,7 +376,7 @@ class TestBackward:
 
     def test_half_square_gradient_is_input(self):
         x = Tensor(np.arange(5, dtype=np.float32), requires_grad=True)
-        loss = T.mul(T.tsum(T.mul(x, x)), Tensor(np.float32(0.5)))
+        loss = mul(T.tsum(mul(x, x)), Tensor(np.float32(0.5)))
         loss.backward()
         np.testing.assert_allclose(x.grad, x.data, atol=1e-6)
 
@@ -382,6 +384,13 @@ class TestBackward:
         x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(ShapeError):
             x.backward()
+
+    def test_add_takes_one_shape(self):
+        # the model's residual adds never broadcast; the tests' chains.add does
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        for b in (np.ones(3), np.ones((1, 3)), np.ones((3, 2))):
+            with pytest.raises(ShapeError, match="add"):
+                T.add(a, Tensor(b.astype(np.float32), requires_grad=True))
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -392,7 +401,7 @@ class TestBackward:
             x = Tensor(xv, requires_grad=True)
             w = Tensor(w0)
             y = silu(matmul(x, w))
-            return T.tsum(T.mul(softmax(y), y)), x
+            return T.tsum(mul(softmax(y), y)), x
 
         loss, x = loss_of(x0)
         loss.backward()
@@ -472,8 +481,8 @@ class TestEvalBatchNorm:
 class TestBackwardConsumesGraph:
     def test_intermediates_released_leaf_keeps_grad(self):
         x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
-        hidden = T.mul(x, x)
-        loss = T.tsum(T.mul(hidden, x))  # sum of x^3
+        hidden = mul(x, x)
+        loss = T.tsum(mul(hidden, x))  # sum of x^3
         loss.backward()
         for node in (hidden, loss):
             assert node.grad is None and node._parents == () and node._backward is None
@@ -493,7 +502,7 @@ class TestBitwiseTrims:
         g = np.random.default_rng(31).normal(size=a.shape).astype(dtype)
         x = Tensor(a, requires_grad=True)
         out = silu(x)
-        T.tsum(T.mul(out, Tensor(g))).backward()
+        T.tsum(mul(out, Tensor(g))).backward()
         sig = 1.0 / (1.0 + np.exp(-a))
         assert np.array_equal(out.data, a * sig)
         assert np.array_equal(x.grad, g * (sig + a * sig * (1.0 - sig)))
@@ -529,7 +538,7 @@ class TestTrainBatchNorm:
         x, gamma, beta, _ = self.operands(dtype)
         stats = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
         chain_stats = [s.copy() for s in stats]
-        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats)
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats)
         chain = chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats)
         assert out.dtype == dtype
         assert np.array_equal(out.data, chain.data)
@@ -539,7 +548,7 @@ class TestTrainBatchNorm:
     def test_records_one_node(self):
         x, gamma, beta, _ = self.operands(np.float32)
         leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4))
+        out = batch_norm(*leaves, np.zeros(4), np.ones(4))
         assert out._parents == tuple(leaves)
 
     def assert_gradients_match(self, fused, chain):
@@ -548,13 +557,13 @@ class TestTrainBatchNorm:
         for norm in (fused, chain):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             out = norm(*leaves, np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32))
-            T.tsum(T.mul(T.mul(out, out), Tensor(weights))).backward()
+            T.tsum(mul(mul(out, out), Tensor(weights))).backward()
             grads.append([leaf.grad for leaf in leaves])
         for mine, theirs in zip(*grads):
             np.testing.assert_allclose(mine, theirs, rtol=1e-4, atol=1e-5)
 
     def test_gradients_match_chain(self):
-        self.assert_gradients_match(T.batch_norm, chained_batch_norm)
+        self.assert_gradients_match(batch_norm, chained_batch_norm)
 
     @pytest.mark.parametrize("x_requires_grad", [True, False])
     def test_gradients_match_finite_differences(self, x_requires_grad):
@@ -570,8 +579,8 @@ class TestTrainBatchNorm:
                 Tensor(gamma, requires_grad=True),
                 Tensor(beta, requires_grad=True),
             ]
-            out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), act=act)
-            return T.tsum(T.mul(T.mul(out, out), Tensor(weights))), leaves
+            out = batch_norm(*leaves, np.zeros(4), np.ones(4), act=act)
+            return T.tsum(mul(mul(out, out), Tensor(weights))), leaves
 
         loss, leaves = loss_of(*operands)
         loss.backward()
@@ -595,7 +604,7 @@ class TestTrainBatchNorm:
         x, gamma, beta, _ = self.operands(dtype)
         stats = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
         chain_stats = [s.copy() for s in stats]
-        out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats, act=True)
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *stats, act=True)
         chain = silu(chained_batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), *chain_stats))
         assert out.dtype == dtype
         assert np.array_equal(out.data, chain.data)
@@ -605,12 +614,12 @@ class TestTrainBatchNorm:
     def test_act_records_one_node(self):
         x, gamma, beta, _ = self.operands(np.float32)
         leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
+        out = batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
         assert out._parents == tuple(leaves)
 
     def test_act_gradients_match_silu_of_chain(self):
         def fused(*args):
-            return T.batch_norm(*args, act=True)
+            return batch_norm(*args, act=True)
 
         def chain(*args):
             return silu(chained_batch_norm(*args))
@@ -636,11 +645,11 @@ class TestTrainBatchNorm:
         monkeypatch.setattr(T, "_sigmoid", recording)
         x, gamma, beta, weights = self.operands(dtype)
         leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-        out = T.batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
+        out = batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
         cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
         assert "sig" not in cells["grad"].cell_contents.__code__.co_freevars
         assert len(sigmoids) == 1
-        T.tsum(T.mul(out, Tensor(weights))).backward()
+        T.tsum(mul(out, Tensor(weights))).backward()
         assert len(sigmoids) == 2 and in_place == [False, True]
         assert sigmoids[1].dtype == dtype and np.array_equal(sigmoids[0], sigmoids[1])
 
@@ -648,7 +657,7 @@ class TestTrainBatchNorm:
         x, gamma, beta, _ = self.operands(np.float32)
         x[2, 3, 4, 4] = np.nan
         with pytest.raises(NumericError, match="batch_norm"):
-            T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(4), np.ones(4), act=True)
+            batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(4), np.ones(4), act=True)
 
 
 def conv_grads_reference(x, w, r, stride, padding, groups):
@@ -697,7 +706,7 @@ class TestConv2dBackward:
         x, w, b, groups, rng = cls.operands(kind, kernel, size, dtype, x_grad)
         out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
         r = rng.normal(size=out.shape).astype(dtype)
-        T.tsum(T.mul(out, Tensor(r))).backward()
+        T.tsum(mul(out, Tensor(r))).backward()
         gx, gw = conv_grads_reference(x.data, w.data, r, stride, padding, groups)
         tol = 1e-5 if dtype == np.float32 else 1e-12
         if x_grad:
@@ -783,7 +792,7 @@ class TestConv2dBackward:
         w = Tensor(rng.normal(size=(c, 1, 3, 3)).astype(np.float32), requires_grad=True)
         out = T.conv2d(x, w, stride=stride, padding=padding, groups=c)
         g = rng.normal(size=out.shape).astype(np.float32)
-        T.tsum(T.mul(out, Tensor(g))).backward()
+        T.tsum(mul(out, Tensor(g))).backward()
         # g dilated by the stride into 9 x 9, padded by 3 - 1 - padding at
         # pitch 9 + 2 with a spare row, then the batched (c, 1, 9) @ (9, 9·11)
         # matmul with the rotated kernel, without the wrap columns
@@ -844,7 +853,7 @@ class TestFusedConvNorm:
             with T.no_grad():
                 return cls.forward(fused, kind, stride, act, leaves, stats).data, stats, []
         out = cls.forward(fused, kind, stride, act, leaves, stats)
-        T.tsum(T.mul(out, Tensor(r))).backward()
+        T.tsum(mul(out, Tensor(r))).backward()
         return out.data, stats, [leaf.grad for leaf in leaves]
 
     @pytest.mark.parametrize("kind, stride, act", CASES)
@@ -870,7 +879,7 @@ class TestFusedConvNorm:
         def loss_of(*operands):
             leaves = [Tensor(v, requires_grad=True) for v in operands]
             out = self.forward(True, kind, stride, act, leaves, [s.copy() for s in stats])
-            return T.tsum(T.mul(out, Tensor(r))), leaves
+            return T.tsum(mul(out, Tensor(r))), leaves
 
         loss, leaves = loss_of(*values)
         loss.backward()
@@ -948,7 +957,7 @@ class TestChunkedConv:
                 extra = dict(bias=leaves[2])
             groups = cls.KINDS[kind][1]
             out = T.conv2d(leaves[0], leaves[1], stride=stride, padding=1, groups=groups, act=act, **extra)
-            T.tsum(T.mul(out, Tensor(r))).backward()
+            T.tsum(mul(out, Tensor(r))).backward()
         return [out.data] + ([mean, var] if norm else []) + [leaf.grad for leaf in leaves], cut
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -974,9 +983,13 @@ class TestChunkedConv:
         # the forward and the weight gradient, then the input gradient, whose
         # columns of g (dilated by the stride) span the input's 6 rows at
         # pitch 5 + 2: as many bytes per image as x's at stride 1, 3.5 times
-        # as many at stride 2, so there its chunks hold fewer images
+        # as many at stride 2, so there its chunks hold fewer images. With
+        # act and no norm the backward first runs the forward's GEMM again,
+        # for the pre-activation that SiLU's derivative reads
+        passes = 3 if act and not norm else 2
         grad_images = images if stride == 1 else {1: 1, 3: 1, 7: 2}[images]
-        assert cut == sizes(images) * 2 + sizes(grad_images) and whole == [self.BATCH] * 3
+        assert cut == sizes(images) * passes + sizes(grad_images)
+        assert whole == [self.BATCH] * (passes + 1)
         assert len(mine) == len(theirs) == (7 if norm else 4)
         for a, b in zip(mine, theirs):
             assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
@@ -1306,7 +1319,7 @@ class TestAccumulate:
         b = Tensor(np.arange(4.0), requires_grad=True)
         c = Tensor(np.arange(4.0), requires_grad=True)
         # add hands the same g to both operands; mul's products are fresh
-        T.tsum(T.mul(T.add(a, b), c)).backward()
+        T.tsum(mul(T.add(a, b), c)).backward()
         assert not np.shares_memory(a.grad, b.grad)
         np.testing.assert_array_equal(a.grad, c.data)
         np.testing.assert_array_equal(b.grad, c.data)
@@ -1347,7 +1360,7 @@ class TestFusedLayerNorm:
         for norm in (T.layer_norm, chained_layer_norm):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             out = norm(*leaves)
-            T.tsum(T.mul(T.mul(out, out), Tensor(weights))).backward()
+            T.tsum(mul(mul(out, out), Tensor(weights))).backward()
             grads.append([leaf.grad for leaf in leaves])
         for fused, chained in zip(*grads):
             np.testing.assert_allclose(fused, chained, rtol=1e-4, atol=1e-5)
@@ -1364,7 +1377,7 @@ class TestFusedLayerNorm:
                 Tensor(beta, requires_grad=True),
             ]
             out = T.layer_norm(*leaves)
-            return T.tsum(T.mul(T.mul(out, out), Tensor(weights))), leaves
+            return T.tsum(mul(mul(out, out), Tensor(weights))), leaves
 
         loss, leaves = loss_of(*operands)
         loss.backward()
@@ -1394,8 +1407,8 @@ def smoothed_target(logits, seed=93):
 
 class TestOneNodeOps:
     """``linear``, attention's ``_attend``, the patch folds, the pooling, the
-    loss and a conv with ``act``: one recorded node each, against the op
-    chains they replace."""
+    loss, a conv with ``act`` and the constant ``scale``: one recorded node
+    each, against the op chains they replace."""
 
     # name: (fused, chain, operand shapes, bitwise); linear's GEMM is one
     # call over all rows against a transposed view, the chain's a batched
@@ -1449,6 +1462,12 @@ class TestOneNodeOps:
             [(2, 3, 5, 4), (4, 3, 3, 3), (4,)],
             True,
         ),
+        "scale": (
+            lambda a: T.scale(a, np.asarray(1.0 / np.sqrt(6), dtype=a.dtype)),
+            lambda a: mul(a, Tensor(np.asarray(1.0 / np.sqrt(6), dtype=a.dtype))),
+            [(3, 4)],
+            True,
+        ),
     }
 
     @classmethod
@@ -1459,7 +1478,7 @@ class TestOneNodeOps:
     @staticmethod
     def loss(out, seed=91):
         weights = np.random.default_rng(seed).normal(size=out.shape).astype(out.dtype)
-        return T.tsum(T.mul(T.mul(out, out), Tensor(weights)))
+        return T.tsum(mul(mul(out, out), Tensor(weights)))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_records_one_node(self, case):
@@ -1558,6 +1577,16 @@ class TestClosuresKeepNothingRebuildable:
         assert (x.grad is not None) == x_grad and w.grad is not None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv_act_holds_no_sigmoid(self, dtype, kernel):
+        x, w, b = self.leaves([(2, 4, 5, 6), (6, 4, kernel, kernel), (6,)], dtype, True)
+        out = T.conv2d(x, w, b, padding=kernel // 2, act=True)
+        # the backward rebuilds the pre-activation with the forward's GEMM
+        assert held_beyond(out, (x, w, b, out)) == []
+        T.tsum(out).backward()
+        assert x.grad is not None and w.grad is not None and b.grad is not None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_grad", [True, False])
     def test_layer_norm_holds_no_xhat(self, dtype, x_grad):
         x, gamma, beta = self.leaves([(3, 4, 6), (6,), (6,)], dtype, x_grad)
@@ -1590,7 +1619,7 @@ class TestClosuresKeepNothingRebuildable:
         for fused in (True, False):
             x, w, b = self.leaves([(2, 3, 5), (4, 5), (4,)], dtype, True)
             out = T.linear(x, w, b, act=True) if fused else silu(T.linear(x, w, b))
-            T.tsum(T.mul(out, Tensor(r))).backward()
+            T.tsum(mul(out, Tensor(r))).backward()
             grads.append([x.grad, w.grad, b.grad])
         for mine, theirs in zip(*grads):
             assert mine.dtype == dtype and np.array_equal(mine, theirs)
@@ -1642,7 +1671,7 @@ class TestReleasedOutputs:
     @staticmethod
     def loss(*outs):
         rng = np.random.default_rng(97)
-        parts = [T.tsum(T.mul(o, Tensor(rng.normal(size=o.shape).astype(o.dtype)))) for o in outs]
+        parts = [T.tsum(mul(o, Tensor(rng.normal(size=o.shape).astype(o.dtype)))) for o in outs]
         return parts[0] if len(parts) == 1 else T.add(*parts)
 
     @staticmethod
