@@ -34,10 +34,12 @@ and rebuilt when next read. Per recorded op:
       other                                                      from xhat
 
 Here ``-`` is no array beyond the op's inputs, inv is 1/sqrt(var + eps) and
-the pre-activation is what SiLU was applied to (only with ``act``). Every
-SiLU's derivative is taken by ``_silu_grad``, from the output and the
-rebuilt pre-activation. A recorded ``conv2d`` releases its input once its
-forward has run, since its backward reads ``x.data`` again.
+the pre-activation is what SiLU was applied to (only with ``act``). The
+norms' mean and inv are per-channel or per-row vectors, never maps. Every
+SiLU is a/(1 + exp(-a)) (``_silu``), and its derivative is taken by
+``_silu_grad``, from the output and the rebuilt pre-activation. A recorded
+``conv2d`` releases its input once its forward has run, since its backward
+reads ``x.data`` again.
 
 ``linear``, ``conv2d`` and the norm finish their outputs in place with one
 epilogue, ``_epilogue``: bias, SiLU when asked, finite check. An unrecorded
@@ -272,38 +274,42 @@ def scale(a: Tensor, c: np.ndarray) -> Tensor:
 # -- activations --------------------------------------------------------------
 
 
-def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-a)) in that op order, built in ``out`` (which may be
-    ``a`` itself) or, when it is None, in one fresh buffer."""
-    sig = np.negative(a, out=out)
-    with np.errstate(over="ignore"):  # exp(-a) overflows to inf below about -88: sig is 0
-        np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    return sig
+def _silu(a: np.ndarray) -> np.ndarray:
+    """SiLU of ``a`` in place, as a / (1 + exp(-a)) in that op order: four
+    passes and one fresh buffer for the denominator, no reciprocal. Returns
+    ``a``."""
+    den = np.negative(a)
+    with np.errstate(over="ignore"):  # exp(-a) overflows to inf below about -88: a/inf is -0
+        np.exp(den, out=den)
+    den += 1.0
+    return np.divide(a, den, out=a)
 
 
 def _epilogue(buf: np.ndarray, bias: np.ndarray | None, act: bool, op: str) -> None:
     """Finish a conv2d, linear or norm output in place while it is in cache:
-    add ``bias`` (broadcast against ``buf``), apply SiLU if ``act`` as
-    ``buf * _sigmoid(buf)`` and check ``buf`` is finite. Callers hand it the
-    whole output or one tile at a time and check nothing else."""
+    add ``bias`` (broadcast against ``buf``), apply SiLU if ``act``
+    (``_silu``) and check ``buf`` is finite. Callers hand it the whole output
+    or one tile at a time and check nothing else."""
     if bias is not None:
         buf += bias
     if act:
-        buf *= _sigmoid(buf)
+        _silu(buf)
     _check_finite(buf, op)
 
 
 def _silu_grad(g: np.ndarray, y: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """SiLU's input gradient g·(σ + y·(1 − σ)) in one fresh buffer, from its
-    output y = a·σ(a) and ``pre``, a private buffer holding a, in which σ is
-    built. It has the bits of g·(σ + a·σ·(1 − σ))."""
-    sig = _sigmoid(pre, out=pre)
-    grad = np.subtract(1.0, sig)
-    grad *= y
-    grad += sig
+    """SiLU's input gradient g·(1 + a − y)/(1 + exp(−a)) in seven passes and
+    one fresh buffer, from its output y = a/(1 + exp(−a)) and ``pre``, a
+    private buffer holding a, in which the denominator is built. With
+    σ = σ(a) this is g·σ·(1 + a·(1 − σ)) = g·(σ + a·σ·(1 − σ))."""
+    grad = np.subtract(pre, y)
+    grad += 1.0
     grad *= g
+    den = np.negative(pre, out=pre)
+    with np.errstate(over="ignore"):  # as in _silu: the gradient is then -0 or 0
+        np.exp(den, out=den)
+    den += 1.0
+    grad /= den
     return grad
 
 
@@ -770,6 +776,18 @@ def _conv2d_tiles(
 # -- normalization ----------------------------------------------------------------
 
 
+def _channel_sum(a: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sums of a (B, C, ...) map: one GEMV of its (B·C, H·W)
+    rows against ones, summed over the batch."""
+    rows = a.reshape(a.shape[0] * c, -1)
+    return (rows @ np.ones(rows.shape[1], dtype=a.dtype)).reshape(-1, c).sum(axis=0)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sums of a·b over two (B, C, ...) maps: one einsum."""
+    return np.einsum("bcp,bcp->c", a.reshape(a.shape[0], c, -1), b.reshape(b.shape[0], c, -1))
+
+
 def _batch_norm(
     x: np.ndarray,
     gamma: Tensor,
@@ -793,91 +811,112 @@ def _batch_norm(
     are copied as the forward reads them, so a rebuild after an optimizer
     step still has the forward's bits. The backward is dβ = Σg, dγ = Σg·xhat
     and dx = inv·(dxhat − mean(dxhat) − xhat·mean(dxhat·xhat)) with
-    dxhat = g·γ (Ioffe & Szegedy, arXiv 1502.03167); its sums are one GEMV
-    of g's (B·C, H·W) rows against ones and one einsum. dx is written into a
-    buffer the backward made and no longer reads, when there is one: fewer
-    fresh maps leave the allocator fewer holes to fill.
+    dxhat = g·γ (Ioffe & Szegedy, arXiv 1502.03167).
+
+    Every map is worked on as (B, C·H·W) rows. A per-channel value (the
+    mean, inv = 1/sqrt(var + eps), γ, β and the backward's sums) is kept as
+    a (C,) vector and spread to one (C·H·W,) row where it is applied: numpy
+    broadcasts a row over contiguous rows several times faster than a
+    (1, C, 1, 1) operand over a map. Each per-channel sum is one GEMV of the
+    (B·C, H·W) rows against ones, summed over the batch, or one einsum: the
+    mean Σx and dβ = Σg, the variance Σxhat² and dγ = Σg·xhat. dx is written
+    into a buffer the backward made and no longer reads, when there is one:
+    fewer fresh maps leave the allocator fewer holes to fill.
     """
-    c = x.shape[1]
+    batch, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm parameter length != channels ({c})")
-    axes = (0, 2, 3)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
+    hw = h * w
+    n = batch * hw
     rn = np.asarray(1.0 / n, dtype=x.dtype)
-    mean = x.sum(axis=axes, keepdims=True) * rn
-    xhat = np.subtract(x, mean, out=x)
-    var = (xhat * xhat).sum(axis=axes, keepdims=True) * rn
+    mean = _channel_sum(x, c) * rn
+    xhat = x.reshape(batch, c * hw)
+    xhat -= np.repeat(mean, hw)
+    var = _channel_dot(xhat, xhat, c) * rn
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
-    xhat *= inv
-    scale = gamma.data.reshape(1, c, 1, 1).copy()
-    shift = beta.data.reshape(1, c, 1, 1).copy()
-    y = xhat * scale
-    # the SiLU runs in place: neither the pre-activation nor the sigmoid is kept
-    _epilogue(y, shift, act, "batch_norm")
-    unbiased = var.reshape(c) * (n / max(n - 1, 1))
+    xhat *= np.repeat(inv, hw)
+    scale = gamma.data.copy()
+    shift = beta.data.copy()
+    y = xhat * np.repeat(scale, hw)
+    # the SiLU runs in place: the pre-activation is not kept
+    _epilogue(y, np.repeat(shift, hw), act, "batch_norm")
+    unbiased = var * (n / max(n - 1, 1))
     running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mean.reshape(c)
+    running_mean += BN_MOMENTUM * mean
     running_var *= 1.0 - BN_MOMENTUM
     running_var += BN_MOMENTUM * unbiased
     kept = xhat if rebuild is None else None
 
     def output():
         # _epilogue's ops in its order, without the finite check they passed
-        y = kept * scale
-        y += shift
+        y = kept * np.repeat(scale, hw)
+        y += np.repeat(shift, hw)
         if act:
-            y *= _sigmoid(y)
-        return y
+            _silu(y)
+        return y.reshape(batch, c, h, w)
 
     def grad(g, y):
         xhat = kept
         if xhat is None:  # the forward's ops in its order, on a fresh input
-            xhat = rebuild()
-            xhat -= mean
-            xhat *= inv
+            xhat = rebuild().reshape(batch, c * hw)
+            xhat -= np.repeat(mean, hw)
+            xhat *= np.repeat(inv, hw)
         spare = None if kept is not None else xhat  # a private buffer dx may take
+        g = g.reshape(batch, c * hw)
         if act:
-            pre = xhat * scale  # the forward's ops in its order
-            pre += shift
-            g = _silu_grad(g, y, pre)
+            pre = xhat * np.repeat(scale, hw)  # the forward's ops in its order
+            pre += np.repeat(shift, hw)
+            g = _silu_grad(g, y.reshape(batch, c * hw), pre)
             spare = pre
-        batch, _, h, w = g.shape
-        rows = g.reshape(batch * c, h * w)
-        gsum = (rows @ np.ones(h * w, dtype=g.dtype)).reshape(batch, c).sum(axis=0)
-        gdot = np.einsum("bcp,bcp->c", g.reshape(batch, c, h * w), xhat.reshape(batch, c, h * w))
+        gsum = _channel_sum(g, c)
+        gdot = _channel_dot(g, xhat, c)
         beta._accumulate(gsum, owned=True)
         gamma._accumulate(gdot, owned=True)
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
         # dxhat = g * gamma; gamma is per channel, so it factors out
-        dx = np.multiply(xhat, gdot.reshape(1, c, 1, 1) * rn, out=spare)
-        dx += gsum.reshape(1, c, 1, 1) * rn
+        dx = np.multiply(xhat, np.repeat(gdot * rn, hw), out=spare)
+        dx += np.repeat(gsum * rn, hw)
         np.subtract(g, dx, out=dx)
-        dx *= scale * inv
-        return dx
+        dx *= np.repeat(scale * inv, hw)
+        return dx.reshape(batch, c, h, w)
 
-    return y, grad, output if rebuild is None else None
+    return y.reshape(batch, c, h, w), grad, output if rebuild is None else None
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept as an axis of one: one GEMV."""
+    d = a.shape[-1]
+    return (a.reshape(-1, d) @ np.ones(d, dtype=a.dtype)).reshape(a.shape[:-1] + (1,))
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of a·b over the last axis, kept as an axis of one: one einsum."""
+    return np.einsum("...d,...d->...", a, b)[..., None]
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis only, with ``NORM_EPS``.
 
-    One recorded op. Its forward runs the numpy operations of the op chain
-    mean, centre, square, mean, +eps, sqrt, 1/, scale, affine in that order,
-    so its output keeps the chain's bits. The closure holds only the
+    One recorded op. Its forward takes the per-row mean as one matmul of
+    the rows against ones, centres, takes the variance as one einsum of the
+    centred rows, then +eps, sqrt, 1/, scale and the affine, in that order:
+    at the model's widths (16 to 240) a matmul and an einsum sum up to
+    several times faster than ``sum(axis=-1)``. The closure holds only the
     per-row mean and inv = 1/sqrt(var + eps). The backward rebuilds the
     normalized input xhat from x, which the graph holds, with the forward's
     ops (x − mean, · inv), then runs the closed form dbeta = sum(g),
     dgamma = sum(g * xhat) and
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
-    dxhat = g * gamma, the means taken over the last axis.
+    dxhat = g * gamma, the means taken over the last axis; its sums are
+    again matmuls against ones and einsums.
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm parameter length != last extent ({d})")
     rn = np.asarray(1.0 / d, dtype=x.dtype)
-    mean = x.data.sum(axis=-1, keepdims=True) * rn
+    mean = _row_sum(x.data) * rn
     xhat = x.data - mean
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) * rn
+    var = _row_dot(xhat, xhat) * rn
     inv = np.asarray(1.0, dtype=x.dtype) / np.sqrt(var + np.asarray(NORM_EPS, dtype=DEFAULT_DTYPE))
     xhat *= inv
     out = xhat * gamma.data
@@ -886,14 +925,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def backward(g):
         xhat = x.data - mean  # the forward's ops in its order
         xhat *= inv
-        lead = tuple(range(g.ndim - 1))
-        beta._accumulate(g.sum(axis=lead), owned=True)
-        gamma._accumulate((g * xhat).sum(axis=lead), owned=True)
+        rows, xrows = g.reshape(-1, d), xhat.reshape(-1, d)
+        beta._accumulate(np.ones(len(rows), dtype=g.dtype) @ rows, owned=True)
+        gamma._accumulate(np.einsum("rd,rd->d", rows, xrows), owned=True)
         if not x.requires_grad:
             return
         dxhat = g * gamma.data
-        dx = xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * rn)
-        dx += dxhat.sum(axis=-1, keepdims=True) * rn
+        dx = xhat * (_row_dot(dxhat, xhat) * rn)
+        dx += _row_sum(dxhat) * rn
         np.subtract(dxhat, dx, out=dx)
         dx *= inv
         x._accumulate(dx, owned=True)

@@ -96,7 +96,7 @@ def sqrt(a):
 
 
 def silu(a):
-    data = a.data * T._sigmoid(a.data)
+    data = T._silu(a.data.copy())
 
     def backward(g):
         a._accumulate(T._silu_grad(g, data, a.data.copy()), owned=True)
@@ -149,6 +149,32 @@ def tmean(a, axis=None, keepdims=False):
     return mul(total, Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
 
 
+def rowsum(a):
+    """Sum over the last axis as a matmul against ones, as the fused norms
+    take their per-row and per-channel sums."""
+    n = a.shape[-1]
+    data = (a.data.reshape(-1, n) @ np.ones(n, dtype=a.dtype)).reshape(a.shape[:-1])
+
+    def backward(g):
+        a._accumulate(np.broadcast_to(g[..., None], a.shape))
+
+    return T._make(data, (a,), backward, "rowsum")
+
+
+def dot(a, b, spec):
+    """``np.einsum(spec, a, b)`` of two same-shape operands: their
+    products summed over the axes the output drops."""
+    data = np.einsum(spec, a.data, b.data)
+    operand, out = spec.split(",")[0], spec.split("->")[1]
+    back = f"{out},{operand}->{operand}"  # g spread over the summed axes, times the other
+
+    def backward(g):
+        a._accumulate(np.einsum(back, g, b.data), owned=True)
+        b._accumulate(np.einsum(back, g, a.data), owned=True)
+
+    return T._make(data, (a, b), backward, "dot")
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, act=False):
     """Training batch norm of a [B, C, H, W] map, then SiLU if ``act``: one
     node running ``T._batch_norm`` (``conv2d``'s norm) on a copy of x."""
@@ -164,12 +190,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, act=False):
 
 
 def chained_batch_norm(x, gamma, beta, running_mean, running_var):
-    """Training-mode batch norm as a chain of primitive ops (the unfused form)."""
-    c = x.shape[1]
-    mean = tmean(x, axis=(0, 2, 3), keepdims=True)
+    """Training-mode batch norm as a chain of primitive ops (the unfused
+    form), its sums taken as the fused op takes them: the mean by a matmul
+    of the (B·C, H·W) rows against ones, summed over the batch, and the
+    variance by one einsum."""
+    b, c, h, w = x.shape
+    n = b * h * w
+    rn = Tensor(np.asarray(1.0 / n, dtype=x.dtype))
+    per_image = reshape(rowsum(reshape(x, (b * c, h * w))), (b, c))
+    mean = reshape(mul(T.tsum(per_image, axis=0), rn), (1, c, 1, 1))
     centered = sub(x, mean)
-    var = tmean(mul(centered, centered), axis=(0, 2, 3), keepdims=True)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
+    maps = reshape(centered, (b, c, h * w))
+    var = reshape(mul(dot(maps, maps, "bcp,bcp->c"), rn), (1, c, 1, 1))
     unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
     running_mean *= 1.0 - T.BN_MOMENTUM
     running_mean += T.BN_MOMENTUM * mean.data.reshape(c)
@@ -182,10 +214,14 @@ def chained_batch_norm(x, gamma, beta, running_mean, running_var):
 
 
 def chained_layer_norm(x, gamma, beta):
-    """Layer norm as a chain of primitive ops (the unfused form)."""
-    mean = tmean(x, axis=-1, keepdims=True)
+    """Layer norm as a chain of primitive ops (the unfused form), its
+    per-row sums taken as the fused op takes them: a matmul against ones
+    and an einsum."""
+    rn = Tensor(np.asarray(1.0 / x.shape[-1], dtype=x.dtype))
+    keep = x.shape[:-1] + (1,)
+    mean = mul(reshape(rowsum(x), keep), rn)
     centered = sub(x, mean)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
+    var = mul(reshape(dot(centered, centered, "...d,...d->..."), keep), rn)
     eps_t = Tensor(np.asarray(T.NORM_EPS, dtype=np.float32))
     inv = div(Tensor(np.asarray(1.0, dtype=x.dtype)), sqrt(add(var, eps_t)))
     return add(mul(mul(centered, inv), gamma), beta)

@@ -26,7 +26,7 @@ from chains import (
     silu,
     softmax,
 )
-from held import held_beyond, released
+from held import held_arrays, held_beyond, released
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -503,9 +503,9 @@ class TestBitwiseTrims:
         x = Tensor(a, requires_grad=True)
         out = silu(x)
         T.tsum(mul(out, Tensor(g))).backward()
-        sig = 1.0 / (1.0 + np.exp(-a))
-        assert np.array_equal(out.data, a * sig)
-        assert np.array_equal(x.grad, g * (sig + a * sig * (1.0 - sig)))
+        den = 1.0 + np.exp(-a)
+        assert np.array_equal(out.data, a / den)
+        assert np.array_equal(x.grad, (a - out.data + 1.0) * g / den)
 
     def test_softmax_forward(self):
         a = self.values()
@@ -631,27 +631,33 @@ class TestTrainBatchNorm:
         self.assert_finite_differences(x_requires_grad, act=True)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_act_backward_rebuilds_the_forwards_sigmoid(self, monkeypatch, dtype):
-        # the closure keeps no sigmoid; the backward's has the forward's bits
-        # and is built in the buffer of its pre-activation
-        sigmoids, in_place = [], []
+    def test_act_backward_rebuilds_the_forwards_pre_activation(self, monkeypatch, dtype):
+        # the closure keeps no pre-activation; the backward rebuilds it with
+        # the forward's bits, in a buffer of its own that SiLU's derivative
+        # may overwrite
+        pres = []
 
-        def recording(a, out=None, sigmoid=T._sigmoid):
-            in_place.append(out is a)
-            sig = sigmoid(a, out=out)
-            sigmoids.append(sig.copy())
-            return sig
+        def silu_recording(a, silu=T._silu):
+            pres.append(a.copy())
+            return silu(a)
 
-        monkeypatch.setattr(T, "_sigmoid", recording)
+        def grad_recording(g, y, pre, silu_grad=T._silu_grad):
+            pres.append(pre.copy())
+            assert not np.shares_memory(pre, y) and not np.shares_memory(pre, g)
+            return silu_grad(g, y, pre)
+
+        monkeypatch.setattr(T, "_silu", silu_recording)
+        monkeypatch.setattr(T, "_silu_grad", grad_recording)
         x, gamma, beta, weights = self.operands(dtype)
         leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
         out = batch_norm(*leaves, np.zeros(4), np.ones(4), act=True)
         cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
-        assert "sig" not in cells["grad"].cell_contents.__code__.co_freevars
-        assert len(sigmoids) == 1
+        maps = [a for a in held_arrays(cells["grad"].cell_contents) if a.size == x.size]
+        assert len(maps) == 1  # xhat, and no pre-activation beside it
+        assert len(pres) == 1
         T.tsum(mul(out, Tensor(weights))).backward()
-        assert len(sigmoids) == 2 and in_place == [False, True]
-        assert sigmoids[1].dtype == dtype and np.array_equal(sigmoids[0], sigmoids[1])
+        assert len(pres) == 2
+        assert pres[1].dtype == dtype and np.array_equal(pres[0], pres[1])
 
     def test_act_nan_input_raises(self):
         x, gamma, beta, _ = self.operands(np.float32)
@@ -1284,7 +1290,7 @@ class TestInPlaceEpilogues:
         with T.no_grad():
             out = silu(Tensor(a, requires_grad=True))
         assert out._parents == ()
-        assert np.array_equal(out.data, a * (1.0 / (1.0 + np.exp(-a))))
+        assert np.array_equal(out.data, a / (1.0 + np.exp(-a)))
 
     @pytest.mark.parametrize("groups, stride", [(1, 1), (1, 2), (4, 1), (4, 2)])
     def test_conv_bias(self, groups, stride):
@@ -1395,6 +1401,78 @@ class TestFusedLayerNorm:
                 numeric = (loss_of(*up)[0].item() - loss_of(*down)[0].item()) / (2 * h)
                 analytic = leaf.grad[idx]
                 assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), (which, idx)
+
+
+class TestNormsAgainstFloat64:
+    """The float32 fused conv + batch norm + SiLU and the float32 layer norm,
+    forward and gradients of sum(r · out), against textbook float64
+    formulas: mean and variance by ``np.mean``, SiLU as a·σ(a) with
+    derivative σ + a·σ·(1 − σ), and the norms' closed-form backward."""
+
+    # worst error relative to the reference's largest magnitude; measured
+    # at most 2.3e-7 for every output and gradient here
+    TOL = 1e-6
+
+    @classmethod
+    def assert_close(cls, mine, reference):
+        assert mine.dtype == np.float32
+        worst = np.abs(mine - reference).max() / np.abs(reference).max()
+        assert worst <= cls.TOL, worst
+
+    @staticmethod
+    def textbook_norm_grad(da, xhat, gamma, inv, axes):
+        """dx, dγ and dβ of a norm y = xhat·γ + β, given dL/dy = ``da``."""
+        dxhat = da * gamma
+        centred = dxhat - dxhat.mean(axes, keepdims=True)
+        dx = inv * (centred - xhat * (dxhat * xhat).mean(axes, keepdims=True))
+        return dx, (da * xhat).sum(axes), da.sum(axes)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv_norm_silu(self, kernel):
+        rng = np.random.default_rng(97)
+        x = rng.normal(0.3, 1.5, size=(4, 3, 8, 6)).astype(np.float32)
+        w = rng.normal(0.0, 0.5, size=(5, 3, kernel, kernel)).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, 5).astype(np.float32)
+        beta = rng.normal(0.0, 0.5, 5).astype(np.float32)
+        r = rng.normal(size=(4, 5, 8, 6)).astype(np.float32)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, w, gamma, beta)]
+        norm = (leaves[2], leaves[3], np.zeros(5, np.float32), np.ones(5, np.float32))
+        out = T.conv2d(leaves[0], leaves[1], padding=kernel // 2, act=True, norm=norm)
+        T.tsum(mul(out, Tensor(r))).backward()
+
+        x64, w64, gamma64, beta64, r64 = (v.astype(np.float64) for v in (x, w, gamma, beta, r))
+        axes, channel = (0, 2, 3), (1, 5, 1, 1)
+        z = naive_conv2d(x64, w64, None, 1, kernel // 2)
+        inv = 1.0 / np.sqrt(z.var(axes, keepdims=True) + T.NORM_EPS)
+        xhat = (z - z.mean(axes, keepdims=True)) * inv
+        a = xhat * gamma64.reshape(channel) + beta64.reshape(channel)
+        sig = 1.0 / (1.0 + np.exp(-a))
+        da = r64 * (sig + a * sig * (1.0 - sig))
+        dz, dgamma, dbeta = self.textbook_norm_grad(da, xhat, gamma64.reshape(channel), inv, axes)
+        dx, dw = conv_grads_reference(x64, w64, dz, 1, kernel // 2, 1)
+
+        self.assert_close(out.data, a * sig)
+        for leaf, reference in zip(leaves, (dx, dw, dgamma, dbeta)):
+            self.assert_close(leaf.grad, reference)
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(98)
+        x = rng.normal(0.5, 2.0, size=(3, 5, 16)).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, 16).astype(np.float32)
+        beta = rng.normal(0.0, 0.5, 16).astype(np.float32)
+        r = rng.normal(size=x.shape).astype(np.float32)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        out = T.layer_norm(*leaves)
+        T.tsum(mul(out, Tensor(r))).backward()
+
+        x64, gamma64, beta64, r64 = (v.astype(np.float64) for v in (x, gamma, beta, r))
+        inv = 1.0 / np.sqrt(x64.var(-1, keepdims=True) + T.NORM_EPS)
+        xhat = (x64 - x64.mean(-1, keepdims=True)) * inv
+        dx, _, _ = self.textbook_norm_grad(r64, xhat, gamma64, inv, -1)
+
+        self.assert_close(out.data, xhat * gamma64 + beta64)
+        for leaf, reference in zip(leaves, (dx, (r64 * xhat).sum((0, 1)), r64.sum((0, 1)))):
+            self.assert_close(leaf.grad, reference)
 
 
 def smoothed_target(logits, seed=93):
@@ -1613,7 +1691,7 @@ class TestClosuresKeepNothingRebuildable:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_linear_act_gradients_bitwise_equal_to_silu_of_linear(self, dtype):
-        # the chain's silu keeps the forward's sigmoid; linear rebuilds it
+        # the chain's silu reads its input; linear rebuilds its pre-activation
         r = np.random.default_rng(95).normal(size=(2, 3, 4)).astype(dtype)
         grads = []
         for fused in (True, False):
